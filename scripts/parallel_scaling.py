@@ -2,17 +2,25 @@
 """Worker-count scaling of the parallel gradient engine.
 
 Times full reconstructions at several worker counts and reports speedups
-T_1/T_p together with the fidelity agreement against the serial run.
-Speedups track the machine's physical cores; on a single-core box this
-only demonstrates determinism.
+T_1/T_p, the median seconds per gradient evaluation, and the fidelity
+agreement against the serial run.  Speedups track the machine's physical
+cores; on a single-core box this only demonstrates determinism.
+
+    PYTHONPATH=src python scripts/parallel_scaling.py --n 8 --workers 1,2
 """
 
 import argparse
+import statistics
 import time
 
 from paulitomo import OptimizerConfig, SensingMap, observe, parallel_run, run
 from paulitomo.cli import build_state
 from paulitomo.measurements import monomial_from_code
+
+
+def grad_seconds(trace) -> float:
+    """Median wall time of one gradient evaluation over a run."""
+    return statistics.median(rec.grad_time_s for rec in trace)
 
 
 def main():
@@ -36,7 +44,10 @@ def main():
     start = time.perf_counter()
     _, serial_trace = run(smap, y, config, target=state)
     t1 = time.perf_counter() - start
-    print(f"serial: {t1:.2f}s fidelity {serial_trace.final().fidelity:.6f}")
+    print(
+        f"serial: {t1:.2f}s {grad_seconds(serial_trace) * 1e3:.2f} ms/gradient "
+        f"fidelity {serial_trace.final().fidelity:.6f}"
+    )
 
     for p in (int(v) for v in args.workers.split(",")):
         start = time.perf_counter()
@@ -45,7 +56,7 @@ def main():
         gap = abs(trace.final().fidelity - serial_trace.final().fidelity)
         print(
             f"p={p:>2}: {tp:.2f}s speedup {t1 / tp:5.2f}x "
-            f"fidelity gap {gap:.2e}"
+            f"{grad_seconds(trace) * 1e3:.2f} ms/gradient fidelity gap {gap:.2e}"
         )
 
 

@@ -381,7 +381,11 @@ def cli_main(argv) -> int:
     argv = list(argv)
     parser, registry = build_parser()
     if "--config" in argv:
-        path = argv[argv.index("--config") + 1]
+        at = argv.index("--config") + 1
+        if at == len(argv):
+            print("error: --config needs a file path", file=sys.stderr)
+            return 2
+        path = argv[at]
         try:
             cfg = serialize.load_json(path)
         except OSError as exc:

@@ -272,6 +272,15 @@ def monomial_action(p: PauliMonomial):
     return flip, sign_mask, ny
 
 
+def monomial_actions(monomials):
+    """monomial_action of each monomial, as (flips, sign_masks, nys) int64 arrays."""
+    labels = np.array([p.labels for p in monomials], dtype=np.int64)
+    bits = 1 << np.arange(labels.shape[1] - 1, -1, -1, dtype=np.int64)
+    flips = ((labels == 1) | (labels == 2)) @ bits
+    sign_masks = ((labels == 2) | (labels == 3)) @ bits
+    return flips, sign_masks, np.count_nonzero(labels == 2, axis=1)
+
+
 def apply_monomial(p: PauliMonomial, v: np.ndarray) -> np.ndarray:
     """Matrix-free product P @ v for a vector or a stack of columns.
 

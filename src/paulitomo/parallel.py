@@ -51,6 +51,18 @@ def partition(m: int, p: int) -> WorkPartition:
     return WorkPartition(worker_count=p, ranges=tuple(ranges))
 
 
+def _reduce_partials(pool, sensing_map, y, z, ranges) -> np.ndarray:
+    """Submit one residual-gradient range per worker; sum in worker order."""
+    futures = [
+        pool.submit(sensing_map.residual_gradient_range, y, z, lo, hi) for lo, hi in ranges
+    ]
+    partials = [f.result() for f in futures]
+    total = partials[0]
+    for partial in partials[1:]:
+        total = total + partial
+    return total
+
+
 def parallel_gradient(sensing_map, y, z: np.ndarray, p: int) -> np.ndarray:
     """Residual gradient computed by p workers and a fixed-order reduction."""
     y = optimizer.observation_values(y)
@@ -58,15 +70,7 @@ def parallel_gradient(sensing_map, y, z: np.ndarray, p: int) -> np.ndarray:
     if p == 1:
         return sensing_map.residual_gradient_range(y, z, 0, sensing_map.m)
     with ThreadPoolExecutor(max_workers=p) as pool:
-        futures = [
-            pool.submit(sensing_map.residual_gradient_range, y, z, lo, hi)
-            for lo, hi in part.ranges
-        ]
-        partials = [f.result() for f in futures]
-    total = partials[0]
-    for partial in partials[1:]:
-        total = total + partial
-    return total
+        return _reduce_partials(pool, sensing_map, y, z, part.ranges)
 
 
 def parallel_run(sensing_map, y, config, p: int, target=None):
@@ -82,14 +86,6 @@ def parallel_run(sensing_map, y, config, p: int, target=None):
     with ThreadPoolExecutor(max_workers=p) as pool:
 
         def gradient_fn(z):
-            futures = [
-                pool.submit(sensing_map.residual_gradient_range, y, z, lo, hi)
-                for lo, hi in part.ranges
-            ]
-            partials = [f.result() for f in futures]
-            total = partials[0]
-            for partial in partials[1:]:
-                total = total + partial
-            return total
+            return _reduce_partials(pool, sensing_map, y, z, part.ranges)
 
         return optimizer.run(sensing_map, y, config, target=target, gradient_fn=gradient_fn)

@@ -5,12 +5,22 @@ real values s * Tr(P_i U U^dagger), where s = d / sqrt(m) when the map is
 normalized and 1 otherwise.  The adjoint sends a coefficient vector x to
 s * sum_i x_i P_i Z without ever materializing a d x d matrix.
 
-Both directions cost O(m * d * r): each monomial acts as a signed index
-permutation (see measurements.apply_monomial), and the per-monomial
-permutations and signs are cached as (m, d) arrays so the hot loops are
-single numpy gathers.  Work on monomial subranges is exposed for the
-parallel engine; the full-range call is the serial path, so a one-worker
-partition reproduces it exactly.
+A monomial acts as a signed index permutation (see
+measurements.apply_monomial): (P z)[k] = i^ny (-1)^{popcount((k^f) & s)}
+z[k^f], with flip mask f, sign mask s and ny y-factors.  Monomials that
+share a flip f differ only in the Walsh-Hadamard character picked by s,
+so the map works per flip group:
+
+    Tr(P_i zz*) = i^ny_i WHT(w_f)[s_i],  w_f[j] = sum_c conj(z[j^f, c]) z[j, c]
+    A^dagger(x) z = sum_f P_f (WHT(c_f) * z),  c_f[s] = sum_{i: f_i=f, s_i=s} x_i i^ny_i
+
+where WHT is the unnormalized Walsh-Hadamard transform and P_f the index
+permutation k -> k^f.  Both directions cost O(G d (log d + r)) for the
+G <= min(m, d) distinct flips a call touches.  The cache holds the (G, d)
+source indices k^f plus per-monomial group ids, sign masks and phases.
+Work on monomial subranges is exposed for the parallel engine; the
+full-range call is the serial path, so a one-worker partition reproduces
+it exactly.
 """
 
 from dataclasses import dataclass
@@ -18,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurements import (
-    _bit_parity,
-    exact_expectation,
+    exact_expectation,  # noqa: F401  (module attribute that perfbench/tracing.py wraps)
     expectation_from_record,
-    monomial_action,
+    monomial_actions,
     sample_record,
     setting_of,
     born_probabilities,
@@ -29,8 +38,33 @@ from .measurements import (
 from .seeding import substream
 from .states import PureState
 
-# Cap on transient gather-buffer entries per chunk of the hot loops.
-_CHUNK_ENTRIES = 4_000_000
+
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of each row of a, in place.
+
+    a[g, s] becomes sum_j a[g, j] (-1)^{popcount(j & s)}; a must be
+    C-contiguous with a power-of-two row length.  Radix-4 butterflies
+    (one radix-2 pass first when log2 d is odd) halve the passes over a.
+    """
+    g, d = a.shape
+    h = 1
+    if (d.bit_length() - 1) % 2:
+        pairs = a.reshape(g, d // 2, 2)
+        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        t = lo.copy()
+        lo += hi
+        np.subtract(t, hi, out=hi)
+        h = 2
+    while h < d:
+        x = a.reshape(g, d // (4 * h), 4, h)
+        s01, d01 = x[:, :, 0] + x[:, :, 1], x[:, :, 0] - x[:, :, 1]
+        s23, d23 = x[:, :, 2] + x[:, :, 3], x[:, :, 2] - x[:, :, 3]
+        np.add(s01, s23, out=x[:, :, 0])
+        np.add(d01, d23, out=x[:, :, 1])
+        np.subtract(s01, s23, out=x[:, :, 2])
+        np.subtract(d01, d23, out=x[:, :, 3])
+        h *= 4
+    return a
 
 
 class SensingMap:
@@ -46,6 +80,7 @@ class SensingMap:
         self.monomials = monomials
         self.normalized = normalized
         self._src = None
+        self._group = None
         self._sign = None
         self._iphase = None
 
@@ -64,19 +99,21 @@ class SensingMap:
     def _ensure_cache(self):
         if self._src is not None:
             return
-        d, m = self.d, self.m
-        flips = np.empty(m, dtype=np.int64)
-        masks = np.empty(m, dtype=np.int64)
-        nys = np.empty(m, dtype=np.int64)
-        for i, p in enumerate(self.monomials):
-            flips[i], masks[i], nys[i] = monomial_action(p)
-        idx = np.arange(d, dtype=np.int64)
-        src = idx[None, :] ^ flips[:, None]
-        parity = _bit_parity(src & masks[:, None])
-        self._sign = (1 - 2 * parity).astype(np.int8)
+        flips, sign_masks, nys = monomial_actions(self.monomials)
+        flip_values, self._group = np.unique(flips, return_inverse=True)
+        self._sign = sign_masks.astype(np.int32)
         self._iphase = 1j ** (nys % 4)
         # Assigned last: concurrent callers gate on _src being present.
-        self._src = src.astype(np.int32)
+        self._src = (np.arange(self.d) ^ flip_values[:, None]).astype(np.int32)
+
+    def _groups(self, lo: int, hi: int):
+        """Source rows of the flip groups that monomials lo..hi touch, and
+        each of those monomials' row index into them."""
+        group = self._group[lo:hi]
+        present = np.bincount(group, minlength=self._src.shape[0]) > 0
+        if present.all():
+            return self._src, group
+        return self._src[present], (np.cumsum(present) - 1)[group]
 
     def _check_factor(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z)
@@ -86,19 +123,17 @@ class SensingMap:
             raise ValueError(f"factor must be ({self.d}, r >= 1), got shape {z.shape}")
         return z
 
-    def forward_range(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Entries lo..hi of A(u u^dagger), with the full-map scale."""
+    def _traces(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Unscaled Tr(P_i u u^dagger) for monomials lo..hi."""
         u = self._check_factor(u)
         self._ensure_cache()
-        uc = u.conj()
-        out = np.empty(hi - lo)
-        step = max(1, _CHUNK_ENTRIES // (self.d * u.shape[1]))
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            gathered = u[self._src[a:b]]  # (b-a, d, r)
-            vals = np.einsum("ij,jc,ijc->i", self._sign[a:b], uc, gathered)
-            out[a - lo : b - lo] = (self._iphase[a:b] * vals).real
-        return self.scale * out
+        src, row = self._groups(lo, hi)
+        w = _fwht(np.einsum("gjc,jc->gj", u[src].conj(), u))
+        return (self._iphase[lo:hi] * w[row, self._sign[lo:hi]]).real
+
+    def forward_range(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Entries lo..hi of A(u u^dagger), with the full-map scale."""
+        return self.scale * self._traces(u, lo, hi)
 
     def forward_factored(self, u: np.ndarray) -> np.ndarray:
         """Observation vector A(u u^dagger): s * Tr(P_i u u^dagger) per entry."""
@@ -111,14 +146,14 @@ class SensingMap:
         if x.shape != (hi - lo,):
             raise ValueError(f"coefficient slice has shape {x.shape}, expected ({hi - lo},)")
         self._ensure_cache()
-        out = np.zeros(z.shape, dtype=complex)
-        xs = self.scale * x * self._iphase[lo:hi]
-        step = max(1, _CHUNK_ENTRIES // (self.d * z.shape[1]))
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            gathered = z[self._src[a:b]]  # (b-a, d, r)
-            out += np.einsum("i,ij,ijc->jc", xs[a - lo : b - lo], self._sign[a:b], gathered)
-        return out
+        src, row = self._groups(lo, hi)
+        d = self.d
+        coeffs = np.zeros(src.shape[0] * d, dtype=complex)
+        # add.at sums repeated monomials; fancy assignment would keep one.
+        np.add.at(coeffs, row * d + self._sign[lo:hi], self.scale * x * self._iphase[lo:hi])
+        v = _fwht(coeffs.reshape(-1, d))
+        # Row g of the product is permuted by k -> k ^ f_g, then rows are summed.
+        return (v[:, :, None] * z)[np.arange(len(v))[:, None], src].sum(axis=0)
 
     def adjoint_times(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """A^dagger(x) @ z = s * sum_i x_i P_i z, column-wise and matrix-free."""
@@ -166,21 +201,21 @@ def observe_with_records(
 ):
     """Simulate the data vector y; returns (ObservationVector, records).
 
-    Exact mode (shots None) evaluates <psi|P_i|psi> directly and returns an
-    empty record list.  Sampled mode groups monomials by measurement
-    setting, simulates one record per distinct setting (stream id = setting
-    index in first-occurrence order, so records are shared by every
-    monomial mapped to that setting), and converts counts to expectation
-    values.  The map's normalization is applied either way.
+    Exact mode (shots None) evaluates every <psi|P_i|psi> with one pass of
+    the map's forward operator, clamped to [-1, 1] as exact_expectation
+    does, and returns an empty record list.  Sampled mode groups monomials
+    by measurement setting, simulates one record per distinct setting
+    (stream id = setting index in first-occurrence order, so records are
+    shared by every monomial mapped to that setting), and converts counts
+    to expectation values.  The map's normalization is applied either way.
     """
     if state.n != sensing_map.n:
         raise ValueError(f"state has {state.n} qubits, map has {sensing_map.n}")
-    values = np.empty(sensing_map.m)
     records = []
     if shots is None:
-        for i, p in enumerate(sensing_map.monomials):
-            values[i] = exact_expectation(state, p)
+        values = np.clip(sensing_map._traces(state.amplitudes, 0, sensing_map.m), -1.0, 1.0)
     else:
+        values = np.empty(sensing_map.m)
         setting_index = {}
         for p in sensing_map.monomials:
             setting = setting_of(p)

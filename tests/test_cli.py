@@ -257,3 +257,8 @@ def test_config_file_defaults(tmp_path):
 
 def test_config_file_missing(tmp_path, capsys):
     assert invoke("state", "--config", tmp_path / "nope.json", "--out", tmp_path / "s.json") == 2
+
+
+def test_config_flag_without_path(tmp_path, capsys):
+    assert invoke("reconstruct", "--out", tmp_path / "r.json", "--config") == 2
+    assert capsys.readouterr().err.startswith("error: ")

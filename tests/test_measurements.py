@@ -21,7 +21,7 @@ from paulitomo import (
     sample_record,
     setting_of,
 )
-from paulitomo.measurements import monomial_from_code
+from paulitomo.measurements import monomial_action, monomial_actions, monomial_from_code
 
 from conftest import dense_basis_vector, dense_monomial, random_pure_state_vector
 
@@ -266,3 +266,11 @@ def test_apply_monomial_on_columns(rng):
     stacked = apply_monomial(p, u)
     for c in range(3):
         assert np.allclose(stacked[:, c], apply_monomial(p, u[:, c]))
+
+
+def test_monomial_actions_match_per_monomial_loop():
+    mono = all_monomials(3)
+    flips, sign_masks, nys = monomial_actions(mono)
+    assert [tuple(map(int, t)) for t in zip(flips, sign_masks, nys)] == [
+        monomial_action(p) for p in mono
+    ]

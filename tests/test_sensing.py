@@ -133,10 +133,76 @@ def test_range_calls_compose_to_full(rng):
     z = random_factor(rng, 8, 2)
     y = rng.standard_normal(17)
     full = smap.residual_gradient(y, z)
-    parts = sum(
-        smap.residual_gradient_range(y, z, lo, hi) for lo, hi in ((0, 6), (6, 12), (12, 17))
+    # Uneven cuts, so some ranges touch only a few of the flip groups.
+    for cuts in ((0, 6, 12, 17), (0, 1, 2, 9, 17), (0, 16, 17)):
+        ranges = list(zip(cuts[:-1], cuts[1:]))
+        parts = sum(smap.residual_gradient_range(y, z, lo, hi) for lo, hi in ranges)
+        assert np.allclose(full, parts, atol=1e-12)
+        pieces = np.concatenate([smap.forward_range(z, lo, hi) for lo, hi in ranges])
+        assert np.allclose(pieces, smap.forward_factored(z), atol=1e-12)
+
+
+# -- flip-group operator against the dense oracle ----------------------------
+
+def assert_matches_dense(smap, rng, r):
+    """Forward, adjoint and residual gradient agree with dense matrices."""
+    z = random_factor(rng, smap.d, r)
+    x = rng.standard_normal(smap.m)
+    forward = dense_forward(smap.monomials, z @ z.conj().T, scale=smap.scale)
+    assert np.allclose(smap.forward_factored(z), forward, atol=1e-10)
+    adjoint = dense_adjoint(smap.monomials, x, scale=smap.scale)
+    assert np.allclose(smap.adjoint_times(x, z), adjoint @ z, atol=1e-10)
+    residual_adjoint = dense_adjoint(smap.monomials, forward - x, scale=smap.scale)
+    assert np.allclose(smap.residual_gradient(x, z), residual_adjoint @ z, atol=1e-10)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_full_map_matches_dense(rng, r):
+    assert_matches_dense(full_map(3, normalized=True), rng, r)
+
+
+def test_shared_flip_groups_match_dense(rng):
+    # 40 distinct monomials on 4 qubits over only two X/Y flip masks.
+    n = 4
+    codes = []
+    for flip in (0b0000, 0b1011):
+        for sign in range(16):
+            # Per qubit (flip, sign) bits: (0,0)=I, (1,0)=X, (1,1)=Y, (0,1)=Z.
+            codes.append(tuple(
+                (0, 3, 1, 2)[2 * ((flip >> (n - 1 - k)) & 1) + ((sign >> (n - 1 - k)) & 1)]
+                for k in range(n)
+            ))
+    chosen = rng.choice(len(codes), size=20, replace=False)
+    smap = SensingMap(n, [PauliMonomial(codes[i]) for i in chosen], normalized=True)
+    for r in (1, 2):
+        assert_matches_dense(smap, rng, r)
+
+
+def test_single_qubit_map_matches_dense(rng):
+    for r in (1, 2):
+        assert_matches_dense(full_map(1, normalized=True), rng, r)
+
+
+def test_repeated_monomial_accumulates(rng):
+    mono = sample_monomials(3, 6, rng)
+    smap = SensingMap(3, mono + [mono[2], mono[2]], normalized=True)
+    assert_matches_dense(smap, rng, 2)
+
+
+def test_shuffled_order_permutes_outputs(rng):
+    mono = sample_monomials(3, 30, rng)
+    order = rng.permutation(30)
+    smap = SensingMap(3, mono, normalized=True)
+    shuffled = SensingMap(3, [mono[i] for i in order], normalized=True)
+    z = random_factor(rng, 8, 2)
+    x = rng.standard_normal(30)
+    assert np.allclose(
+        shuffled.forward_factored(z), smap.forward_factored(z)[order], atol=1e-12
     )
-    assert np.allclose(full, parts, atol=1e-12)
+    assert np.allclose(shuffled.adjoint_times(x[order], z), smap.adjoint_times(x, z), atol=1e-12)
+    assert np.allclose(
+        shuffled.residual_gradient(x[order], z), smap.residual_gradient(x, z), atol=1e-12
+    )
 
 
 # -- observe -----------------------------------------------------------------
