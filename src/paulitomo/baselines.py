@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurements import ExpectationSample, PauliMonomial, _bit_parity, monomial_action
+from .measurements import ExpectationSample, PauliMonomial
+from .sensing import SensingMap, _fwht
 
 DENSE_QUBIT_CAP = 8
 _LABEL_FOR_AXIS = {"x": 1, "y": 2, "z": 3}
@@ -98,32 +99,22 @@ def complete_expectations(records) -> list:
     n = records[0].setting.n
     if n > DENSE_QUBIT_CAP:
         raise ValueError(f"dense path capped at n <= {DENSE_QUBIT_CAP} qubits")
-    by_axes = {r.setting.axes: r for r in records}
-    if len(by_axes) != 3**n or len(records) != 3**n:
+    if len({r.setting.axes for r in records}) != 3**n or len(records) != 3**n:
         raise ValueError(f"need each of the 3^{n} settings exactly once")
     d = 2**n
-    idx = np.arange(d)
-    sums = np.zeros(4**n)
-    hits = np.zeros(4**n, dtype=np.int64)
-    for axes, record in sorted(by_axes.items()):
-        freq = np.zeros(d)
-        for key, c in record.counts.items():
-            freq[int(key, 2)] = c / record.shots
-        # Monomials this setting measures: per qubit, identity or the axis.
-        options = [(0, _LABEL_FOR_AXIS[a]) for a in axes]
-        for labels in itertools.product(*options):
-            mask = 0
-            code = 0
-            for k, label in enumerate(labels):
-                code = (code << 2) | label
-                if label != 0:
-                    mask |= 1 << (n - 1 - k)
-            signs = 1.0 - 2.0 * _bit_parity(idx & mask)
-            sums[code] += float(np.dot(signs, freq))
-            hits[code] += 1
-    values = sums / hits
+    # Entry s of a record's Walsh-Hadamard transform is the parity sum of the
+    # monomial with the setting's axis where s has a bit and identity elsewhere.
+    shots = np.array([r.shots for r in records])
+    values = _fwht(np.stack([r.counts for r in records])) / shots[:, None]
+    axis_labels = np.array([[_LABEL_FOR_AXIS[a] for a in r.setting.axes] for r in records])
+    codes = np.zeros((len(records), d), dtype=np.int64)
+    for k in range(n):
+        bit = (np.arange(d) >> (n - 1 - k)) & 1
+        codes |= (axis_labels[:, k, None] * bit) << (2 * (n - 1 - k))
+    sums = np.bincount(codes.ravel(), weights=values.ravel(), minlength=4**n)
+    means = sums / np.bincount(codes.ravel(), minlength=4**n)
     return [
-        ExpectationSample(PauliMonomial(labels), float(values[code]))
+        ExpectationSample(PauliMonomial(labels), float(means[code]))
         for code, labels in enumerate(itertools.product(range(4), repeat=n))
     ]
 
@@ -131,9 +122,9 @@ def complete_expectations(records) -> list:
 def pauli_linear_inversion(expectations) -> np.ndarray:
     """rho_raw = (1/d) sum_P <P> P from a complete, unnormalized sample set.
 
-    Requires exactly one sample per monomial over all 4^n of them.  Each
-    monomial is added through its signed-permutation structure, O(d) per
-    monomial, so the full inversion is O(4^n d).
+    Requires exactly one sample per monomial over all 4^n of them.  The
+    sum is the unnormalized sensing map's adjoint at x = <P>/d: one
+    Walsh-Hadamard transform per flip mask, O(d^2 log d) in all.
 
     Fed by `complete_expectations`, rho_raw is unbiased and, since
     ||P||_F^2 = d, its expected squared Frobenius error is
@@ -153,13 +144,13 @@ def pauli_linear_inversion(expectations) -> np.ndarray:
     if len(seen) != len(samples) or len(samples) != 4**n:
         raise ValueError(f"need each of the 4^{n} monomials exactly once")
     d = 2**n
+    sensing_map = SensingMap(n, [s.monomial for s in samples], normalized=False)
+    x = np.array([s.value for s in samples]) / d
+    # One flip group per off-diagonal pattern: each table row fills one
+    # generalized diagonal rho[j ^ f, j].
+    src, table = sensing_map._adjoint_table(x, 0, len(samples))
     rho = np.zeros((d, d), dtype=complex)
-    idx = np.arange(d)
-    for s in samples:
-        flip, sign_mask, ny = monomial_action(s.monomial)
-        signs = 1.0 - 2.0 * _bit_parity(idx & sign_mask)
-        # P[j ^ flip, j] = i^{ny} * sign(j); everything else is zero.
-        rho[idx ^ flip, idx] += (s.value / d) * (1j**ny) * signs
+    rho[src, np.arange(d)] = table
     return rho
 
 

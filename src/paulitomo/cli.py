@@ -9,7 +9,7 @@ message on stderr.
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,31 +22,6 @@ from .sensing import SensingMap, observe_with_records, simulate_records
 from .states import RandomCircuitSpec, ghz, ghz_minus, hadamard_all, random_state
 
 CIRCUITS = ("ghz", "ghz_minus", "hadamard", "random")
-
-
-@dataclass
-class RunConfig:
-    """Everything a reconstruction run needs, as parsed from flags."""
-
-    circuit: str
-    n: int
-    measpc: float
-    shots: int
-    seed: int
-    depth: int = 20
-    exact: bool = False
-    workers: int = 1
-    optimizer: "optimizer.OptimizerConfig | None" = None
-
-    def __post_init__(self):
-        if self.circuit not in CIRCUITS:
-            raise ValueError(f"circuit must be one of {CIRCUITS}, got {self.circuit!r}")
-        if not 0.0 < self.measpc <= 100.0:
-            raise ValueError(f"measpc must lie in (0, 100], got {self.measpc}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 def build_state(circuit: str, n: int, depth: int = 20, seed: int = 0):
@@ -201,16 +176,10 @@ def build_parser():
 
 def _simulate_pipeline(args, normalized=True):
     """Shared state -> monomials -> observations path for reconstruct/compare."""
-    RunConfig(
-        circuit=args.circuit,
-        n=args.n,
-        measpc=args.measpc,
-        shots=args.shots,
-        seed=args.seed,
-        depth=args.depth,
-        exact=args.exact,
-        workers=getattr(args, "workers", 1),
-    )
+    if not 0.0 < args.measpc <= 100.0:
+        raise ValueError(f"measpc must lie in (0, 100], got {args.measpc}")
+    if args.shots < 1:
+        raise ValueError(f"shots must be >= 1, got {args.shots}")
     state = build_state(args.circuit, args.n, args.depth, args.seed)
     m = monomial_count(args.measpc, args.n)
     monomials = sample_monomials(args.n, m, substream(args.seed, "monomials"))
@@ -221,6 +190,8 @@ def _simulate_pipeline(args, normalized=True):
 
 
 def _run_one(sensing_map, obs, config, workers, target):
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > 1:
         return parallel.parallel_run(sensing_map, obs, config, workers, target=target)
     return optimizer.run(sensing_map, obs, config, target=target)
@@ -339,31 +310,17 @@ def _cmd_synthetic(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _optimizer_config(args)
-    if resolve_float_mu(config) == 0.0:
+    if optimizer.resolve_mu(config) == 0.0:
         raise ValueError("compare needs a nonzero --mu for the accelerated run")
     target_state, sensing_map, obs, _ = _simulate_pipeline(args)
     out = {}
-    for label, mu in (("momentum", config.mu), ("plain", 0.0)):
-        cfg = optimizer.OptimizerConfig(
-            rank=config.rank,
-            eta=config.eta,
-            mu=mu,
-            maxiters=config.maxiters,
-            reltol=config.reltol,
-            seed=config.seed,
-            init=config.init,
-            L_hat=config.L_hat,
-        )
+    for label, cfg in (("momentum", config), ("plain", replace(config, mu=0.0))):
         factor, trace = _run_one(sensing_map, obs, cfg, args.workers, target_state)
         out[label] = _result_json(cfg, trace, factor, target_state)
         if args.trace_csv:
             serialize.trace_to_csv(trace, f"{args.trace_csv}.{label}.csv")
     serialize.save_json(out, args.out)
     return 0
-
-
-def resolve_float_mu(config) -> float:
-    return optimizer.resolve_mu(config)
 
 
 _COMMANDS = {

@@ -4,9 +4,12 @@ outcome counts to monomial expectation values.
 Encoding: a monomial is a length-n tuple of labels over {0, 1, 2, 3} for
 (identity, x, y, z); equivalently a string over {I, X, Y, Z} with qubit 0
 first.  A measurement setting is a string over {x, y, z}, one axis per
-qubit.  Outcome bit strings put qubit 0 in the first character, matching
-the package-wide most-significant-bit convention, and bit value b at a
-qubit means eigenvalue (-1)^b of that qubit's measured Pauli axis.
+qubit.  Outcomes are integers j in [0, 2^n) with qubit 0 as the most
+significant bit, the package-wide convention, and bit value b at a qubit
+means eigenvalue (-1)^b of that qubit's measured Pauli axis.  A record's
+counts are a length-2^n integer array, counts[j] being the number of
+shots with outcome j; bit strings appear only in the records file
+(serialize.py).
 
 The action of a monomial on a state vector is a signed index permutation:
 x and y flip the qubit's bit, y and z contribute a sign from the bit value,
@@ -77,25 +80,32 @@ class PauliSetting:
 
 @dataclass
 class MeasurementRecord:
-    """Counts observed for one setting over a fixed number of shots."""
+    """Counts observed for one setting over a fixed number of shots.
+
+    counts[j] is the number of shots with outcome j (qubit 0 = most
+    significant bit), an integer array of length 2^n.
+    """
 
     setting: PauliSetting
     shots: int
-    counts: dict
+    counts: np.ndarray
 
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-        n = self.setting.n
-        total = 0
-        for key, c in self.counts.items():
-            if len(key) != n or any(ch not in "01" for ch in key):
-                raise ValueError(f"outcome key {key!r} is not an {n}-bit string")
-            if c < 0:
-                raise ValueError(f"negative count for outcome {key!r}")
-            total += c
+        counts = np.asarray(self.counts)
+        d = 2**self.setting.n
+        if counts.shape != (d,) or not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError(
+                f"counts must be an integer array of shape ({d},), "
+                f"got {counts.dtype} with shape {counts.shape}"
+            )
+        if np.any(counts < 0):
+            raise ValueError("counts must be nonnegative")
+        total = int(counts.sum())
         if total != self.shots:
             raise ValueError(f"counts sum to {total}, expected shots={self.shots}")
+        self.counts = counts
 
 
 @dataclass
@@ -182,9 +192,7 @@ def sample_record(
     cdf = np.cumsum(np.maximum(probs, 0.0))
     cdf[-1] = max(cdf[-1], 1.0)  # guard against roundoff losing the last bin
     outcomes = np.searchsorted(cdf, rng.random(shots), side="right")
-    tallies = np.bincount(outcomes, minlength=probs.size)
-    n = setting.n
-    counts = {format(i, f"0{n}b"): int(c) for i, c in enumerate(tallies) if c > 0}
+    counts = np.bincount(outcomes, minlength=probs.size)
     return MeasurementRecord(setting=setting, shots=shots, counts=counts)
 
 
@@ -210,37 +218,19 @@ def expectation_from_distribution(
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (2**setting.n,):
         raise ValueError(f"expected {2**setting.n} outcome weights, got shape {probs.shape}")
-    n = p.n
-    mask = 0
-    for k, label in enumerate(p.labels):
-        if label != 0:
-            mask |= 1 << (n - 1 - k)
-    idx = np.arange(probs.size)
-    parity = _bit_parity(idx & mask)
-    signs = 1.0 - 2.0 * parity
+    flip, sign_mask, _ = monomial_action(p)
+    signs = 1.0 - 2.0 * _bit_parity(np.arange(probs.size) & (flip | sign_mask))
     return float(np.dot(signs, probs))
 
 
 def expectation_from_record(record: MeasurementRecord, p: PauliMonomial) -> ExpectationSample:
     """Estimate <P> from one record's counts.
 
-    The signed count sum stays in integer arithmetic; the single final
-    division keeps e.g. the all-identity monomial at exactly 1.0.
+    The signed count sum is an integer, held exactly in float64; the single
+    final division keeps e.g. the all-identity monomial at exactly 1.0.
     """
-    if not record.counts:
-        raise ValueError("record has no counts")
-    if record.setting.n != p.n:
-        raise ValueError(f"setting covers {record.setting.n} qubits, monomial {p.n}")
-    _check_setting_match(record.setting, p)
-    n = p.n
-    mask = 0
-    for k, label in enumerate(p.labels):
-        if label != 0:
-            mask |= 1 << (n - 1 - k)
-    signed = 0
-    for key, c in record.counts.items():
-        signed += -c if (int(key, 2) & mask).bit_count() & 1 else c
-    return ExpectationSample(monomial=p, value=float(signed) / record.shots)
+    value = expectation_from_distribution(record.setting, record.counts, p) / record.shots
+    return ExpectationSample(monomial=p, value=value)
 
 
 def _bit_parity(values: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .measurements import (
     exact_expectation,  # noqa: F401  (module attribute that perfbench/tracing.py wraps)
-    expectation_from_record,
+    expectation_from_record,  # noqa: F401  (likewise)
     monomial_actions,
     sample_record,
     setting_of,
@@ -139,9 +139,13 @@ class SensingMap:
         """Observation vector A(u u^dagger): s * Tr(P_i u u^dagger) per entry."""
         return self.forward_range(u, 0, self.m)
 
-    def adjoint_range(self, x: np.ndarray, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Partial adjoint product s * sum_{i in [lo,hi)} x_i P_i z."""
-        z = self._check_factor(z)
+    def _adjoint_table(self, x: np.ndarray, lo: int, hi: int):
+        """(src, v) of the partial adjoint M = s * sum_{i in [lo,hi)} x_i P_i.
+
+        src holds the (G, d) source rows of the flip groups monomials lo..hi
+        touch and v = WHT(c_f) per group; M[src[g, j], j] = v[g, j] and M
+        is zero elsewhere.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape != (hi - lo,):
             raise ValueError(f"coefficient slice has shape {x.shape}, expected ({hi - lo},)")
@@ -151,7 +155,12 @@ class SensingMap:
         coeffs = np.zeros(src.shape[0] * d, dtype=complex)
         # add.at sums repeated monomials; fancy assignment would keep one.
         np.add.at(coeffs, row * d + self._sign[lo:hi], self.scale * x * self._iphase[lo:hi])
-        v = _fwht(coeffs.reshape(-1, d))
+        return src, _fwht(coeffs.reshape(-1, d))
+
+    def adjoint_range(self, x: np.ndarray, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Partial adjoint product s * sum_{i in [lo,hi)} x_i P_i z."""
+        z = self._check_factor(z)
+        src, v = self._adjoint_table(x, lo, hi)
         # Row g of the product is permuted by k -> k ^ f_g, then rows are summed.
         return (v[:, :, None] * z)[np.arange(len(v))[:, None], src].sum(axis=0)
 
@@ -204,29 +213,33 @@ def observe_with_records(
     Exact mode (shots None) evaluates every <psi|P_i|psi> with one pass of
     the map's forward operator, clamped to [-1, 1] as exact_expectation
     does, and returns an empty record list.  Sampled mode groups monomials
-    by measurement setting, simulates one record per distinct setting
-    (stream id = setting index in first-occurrence order, so records are
-    shared by every monomial mapped to that setting), and converts counts
-    to expectation values.  The map's normalization is applied either way.
+    by measurement setting and simulates one record per distinct setting
+    through simulate_records, settings in first-occurrence order (so the
+    stream id is the setting's index in that order, and a record is shared
+    by every monomial mapped to its setting).  One Walsh-Hadamard transform
+    of each record's counts gives all its parity sums: monomial i reads
+    entry f_i | s_i, the mask of its non-identity qubits, exactly as
+    expectation_from_record would.  The map's normalization is applied
+    either way.
     """
     if state.n != sensing_map.n:
         raise ValueError(f"state has {state.n} qubits, map has {sensing_map.n}")
-    records = []
     if shots is None:
         values = np.clip(sensing_map._traces(state.amplitudes, 0, sensing_map.m), -1.0, 1.0)
-    else:
-        values = np.empty(sensing_map.m)
-        setting_index = {}
-        for p in sensing_map.monomials:
-            setting = setting_of(p)
-            if setting not in setting_index:
-                probs = born_probabilities(state, setting)
-                rng = substream(seed, "shots", len(records))
-                setting_index[setting] = len(records)
-                records.append(sample_record(setting, probs, shots, rng))
-        for i, p in enumerate(sensing_map.monomials):
-            record = records[setting_index[setting_of(p)]]
-            values[i] = expectation_from_record(record, p).value
+        return ObservationVector(sensing_map.scale * values), []
+    flips, sign_masks, _ = monomial_actions(sensing_map.monomials)
+    # Per qubit, x sets the flip bit and y the flip and sign bits; identity
+    # and z set neither once signs are masked by flips.  So two monomials
+    # have equal keys exactly when they have equal settings.
+    keys = (flips << sensing_map.n) | (flips & sign_masks)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    settings = [setting_of(sensing_map.monomials[i]) for i in first[order]]
+    records = simulate_records(state, settings, shots, seed)
+    # Integer transform: every parity sum is exact before the one division.
+    parity_sums = _fwht(np.stack([r.counts for r in records]))
+    record_of = np.argsort(order)[inverse]
+    values = parity_sums[record_of, flips | sign_masks] / shots
     return ObservationVector(sensing_map.scale * values), records
 
 

@@ -12,7 +12,9 @@ Schemas:
                            "grad_time_s"}], "factor": optional}
   calibration  {"n": int, "columns": [[float, ...], ...]}  (column-major)
 
-Bit strings and monomial strings put qubit 0 first.
+Bit strings and monomial strings put qubit 0 first.  Outcome bit strings
+exist only here: in the library a record's counts are an integer array
+indexed by outcome, and the records file lists the nonzero entries.
 """
 
 import csv
@@ -42,26 +44,41 @@ def state_from_json(obj: dict) -> PureState:
 
 
 def records_to_json(n: int, shots: int, records) -> dict:
+    """Count arrays become {bit string: count} maps over the nonzero outcomes."""
     return {
         "version": 1,
         "n": n,
         "shots": shots,
         "records": [
-            {"setting": r.setting.axes, "counts": dict(r.counts)} for r in records
+            {
+                "setting": r.setting.axes,
+                "counts": {
+                    format(j, f"0{r.setting.n}b"): int(r.counts[j])
+                    for j in np.flatnonzero(r.counts)
+                },
+            }
+            for r in records
         ],
     }
 
 
+def _counts_from_json(counts: dict, n: int) -> np.ndarray:
+    out = np.zeros(2**n, dtype=np.int64)
+    for key, c in counts.items():
+        if len(key) != n or any(ch not in "01" for ch in key):
+            raise ValueError(f"outcome key {key!r} is not an {n}-bit string")
+        out[int(key, 2)] = int(c)
+    return out
+
+
 def records_from_json(obj: dict) -> list:
     shots = int(obj["shots"])
-    return [
-        MeasurementRecord(
-            setting=PauliSetting(entry["setting"]),
-            shots=shots,
-            counts={k: int(v) for k, v in entry["counts"].items()},
-        )
-        for entry in obj["records"]
-    ]
+    records = []
+    for entry in obj["records"]:
+        setting = PauliSetting(entry["setting"])
+        counts = _counts_from_json(entry["counts"], setting.n)
+        records.append(MeasurementRecord(setting=setting, shots=shots, counts=counts))
+    return records
 
 
 def expectations_to_json(n: int, normalized: bool, monomials, values) -> dict:

@@ -190,22 +190,23 @@ def test_complete_expectations_large_shot_convergence():
 
 
 def test_complete_expectations_averages_compatible_settings():
-    # A weight-1 monomial on 2 qubits is shared by 3 settings; its estimate
-    # must be the mean of the three per-record estimates.
+    # A monomial P is shared by the 3^(n-|P|) settings that measure it; its
+    # estimate must be the mean of those per-record estimates.
     from paulitomo.measurements import expectation_from_record
 
-    state = random_state(RandomCircuitSpec(2, 8, 5))
-    records = simulate_records(state, all_settings(2), shots=256, seed=2)
-    samples = complete_expectations(records)
-    p = monomial_from_code(0b0011, 2)  # I on qubit 0, z on qubit 1
-    per_record = [
-        expectation_from_record(r, p).value
-        for r in records
-        if r.setting.axes[1] == "z"
-    ]
-    assert len(per_record) == 3
-    code = 0b0011
-    assert samples[code].value == pytest.approx(np.mean(per_record), abs=1e-12)
+    for n in (2, 3):
+        state = random_state(RandomCircuitSpec(n, 8, 5))
+        records = simulate_records(state, all_settings(n), shots=256, seed=2)
+        samples = complete_expectations(records)
+        for code, sample in enumerate(samples):
+            p = monomial_from_code(code, n)
+            measured_by = [
+                r for r in records
+                if all(l == 0 or a == "xyz"[l - 1] for a, l in zip(r.setting.axes, p.labels))
+            ]
+            per_record = [expectation_from_record(r, p).value for r in measured_by]
+            assert len(per_record) == 3 ** p.labels.count(0)
+            assert sample.value == pytest.approx(np.mean(per_record), abs=1e-12)
 
 
 def test_complete_expectations_requires_all_settings():

@@ -53,6 +53,13 @@ def test_run_config_validation(tmp_path):
         )
         == 2
     )
+    assert (
+        invoke(
+            "reconstruct", "--circuit", "ghz", "--n", 3, "--measpc", 50, "--workers", 0,
+            "--out", tmp_path / "x.json",
+        )
+        == 2
+    )
 
 
 def test_state_command(tmp_path):

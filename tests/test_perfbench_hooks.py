@@ -1,0 +1,24 @@
+"""The traced benchmark run patches library names; each must exist and be restored.
+
+perfbench/tracing.py looks every patched name up in its owner's __dict__,
+so renaming or deleting one of them breaks `perfbench/run.py --trace 1`.
+This imports it the way perfbench/test_perfbench.py does and fails fast.
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import tracing  # noqa: E402
+
+
+def test_instrumentation_patches_and_restores_every_name():
+    instrumentation = tracing.Instrumentation(tracing.Tracer())
+    with instrumentation:
+        patched = list(instrumentation._saved)
+        assert all(owner.__dict__[attr] is not original for owner, attr, original in patched)
+    assert patched
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, (owner, attr)

@@ -4,14 +4,18 @@ import pytest
 from paulitomo import (
     ObservationVector,
     PauliMonomial,
+    RandomCircuitSpec,
     SensingMap,
     density_of,
     ghz,
     hadamard_all,
     observe,
+    observe_with_records,
+    random_state,
     sample_monomials,
 )
-from paulitomo.measurements import monomial_from_code
+from paulitomo.measurements import expectation_from_record, monomial_from_code, setting_of
+from paulitomo.sensing import simulate_records
 
 from conftest import dense_adjoint, dense_forward, random_factor
 
@@ -229,6 +233,25 @@ def test_observe_sampled_converges_to_exact(rng):
     exact = observe(state, smap).values
     sampled = observe(state, smap, shots=1_000_000, seed=5).values
     assert np.max(np.abs(sampled - exact)) < 0.01
+
+
+@pytest.mark.parametrize("n, m", [(3, 64), (4, 100)])
+def test_observe_sampled_matches_record_reference(rng, n, m):
+    # Sampled values come from one transform per record; the per-monomial
+    # parity sum expectation_from_record is the reference, bit for bit.
+    state = random_state(RandomCircuitSpec(n=n, depth=12, seed=n))
+    mono = [monomial_from_code(int(c), n) for c in rng.permutation(4**n)[:m]]
+    smap = SensingMap(n, mono, normalized=True)
+    obs, records = observe_with_records(state, smap, shots=300, seed=9)
+    settings = list(dict.fromkeys(setting_of(p) for p in mono))
+    assert [r.setting for r in records] == settings
+    for a, b in zip(records, simulate_records(state, settings, 300, seed=9)):
+        assert np.array_equal(a.counts, b.counts)
+    by_setting = {r.setting: r for r in records}
+    expected = [
+        smap.scale * expectation_from_record(by_setting[setting_of(p)], p).value for p in mono
+    ]
+    assert obs.values.tolist() == expected
 
 
 def test_observe_dimension_mismatch(rng):

@@ -44,7 +44,29 @@ def test_records_round_trip(tmp_path):
     assert len(loaded) == len(records)
     for a, b in zip(loaded, records):
         assert a.setting == b.setting
-        assert a.counts == b.counts
+        assert np.array_equal(a.counts, b.counts)
+
+
+def test_records_json_round_trips_unchanged():
+    obj = {
+        "version": 1,
+        "n": 2,
+        "shots": 10,
+        "records": [
+            {"setting": "xz", "counts": {"00": 3, "11": 7}},
+            {"setting": "yy", "counts": {"01": 1, "10": 4, "11": 5}},
+        ],
+    }
+    records = serialize.records_from_json(obj)
+    assert records[0].counts.tolist() == [3, 0, 0, 7]
+    assert json.dumps(serialize.records_to_json(2, 10, records)) == json.dumps(obj)
+
+
+@pytest.mark.parametrize("key", ["01", "0110", "012", "0b1"])
+def test_records_from_json_rejects_bad_keys(key):
+    obj = {"version": 1, "n": 3, "shots": 4, "records": [{"setting": "zzz", "counts": {key: 4}}]}
+    with pytest.raises(ValueError, match="3-bit string"):
+        serialize.records_from_json(obj)
 
 
 def test_expectations_round_trip(tmp_path):
