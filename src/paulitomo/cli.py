@@ -220,6 +220,8 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    if args.records_out and args.exact:
+        raise ValueError("exact mode produces no measurement records")
     normalized = not args.unnormalized
     state, sensing_map, obs, records = _simulate_pipeline(args, normalized=normalized)
     serialize.save_json(
@@ -227,8 +229,6 @@ def _cmd_measure(args) -> int:
         args.out,
     )
     if args.records_out:
-        if args.exact:
-            raise ValueError("exact mode produces no measurement records")
         serialize.save_json(
             serialize.records_to_json(args.n, args.shots, records), args.records_out
         )

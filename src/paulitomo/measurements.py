@@ -11,6 +11,14 @@ counts are a length-2^n integer array, counts[j] being the number of
 shots with outcome j; bit strings appear only in the records file
 (serialize.py).
 
+Measurement simulation is batched.  born_probabilities takes a block of
+settings and rotates qubit by qubit over their prefix tree, so settings
+that share their first k axes share the first k rotations; each row is
+bit-identical to rotating its setting alone.  sample_record counts a
+setting's shots by sorting its uniforms and looking up each cumulative
+weight once, which gives exactly the counts of a per-shot inverse-CDF
+lookup on the same uniforms.
+
 The action of a monomial on a state vector is a signed index permutation:
 x and y flip the qubit's bit, y and z contribute a sign from the bit value,
 and each y contributes one factor of i.  apply_monomial exploits this for
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import as_generator
-from .states import PureState, apply_single_qubit, _HADAMARD
+from .states import PureState, _HADAMARD
 
 LABEL_CHARS = "IXYZ"
 _AXIS_FOR_LABEL = ("z", "x", "y", "z")
@@ -156,21 +164,47 @@ def setting_of(p: PauliMonomial) -> PauliSetting:
     return PauliSetting("".join(_AXIS_FOR_LABEL[l] for l in p.labels))
 
 
-def born_probabilities(state: PureState, setting: PauliSetting) -> np.ndarray:
-    """Outcome distribution of a Pauli-basis measurement on a pure state.
+def born_probabilities(state: PureState, settings) -> np.ndarray:
+    """Outcome distributions of Pauli-basis measurements on a pure state.
 
-    Rotates each qubit into the computational basis (x via Hadamard, y via
-    Hadamard after phase conjugation) and squares the amplitudes.
+    `settings` is one PauliSetting, giving shape (d,), or a sequence of S
+    settings, giving shape (S, d) with row i for settings[i]; one setting
+    is the batch of one row.  Each qubit k is rotated into the
+    computational basis (x via Hadamard, y via Hadamard after phase
+    conjugation) and the amplitudes are squared.  Rotation runs qubit by
+    qubit over a prefix tree: settings that agree on axes 0..k share one
+    amplitude row after qubit k, so a row is rotated once per distinct
+    prefix rather than once per setting.  Each rotation is the same
+    per-qubit product as apply_single_qubit, so every row is bit-identical
+    to rotating that setting alone.
     """
-    if state.n != setting.n:
-        raise ValueError(f"state has {state.n} qubits, setting has {setting.n}")
-    amps = state.amplitudes
-    for k, axis in enumerate(setting.axes):
-        if axis == "x":
-            amps = apply_single_qubit(amps, _TO_X_BASIS, k, state.n)
-        elif axis == "y":
-            amps = apply_single_qubit(amps, _TO_Y_BASIS, k, state.n)
-    return np.abs(amps) ** 2
+    single = isinstance(settings, PauliSetting)
+    batch = [settings] if single else list(settings)
+    n = state.n
+    for setting in batch:
+        if setting.n != n:
+            raise ValueError(f"state has {n} qubits, setting has {setting.n}")
+    # Axis codes x=0, y=1, z=2 from the setting strings' bytes.
+    axes = np.frombuffer("".join(s.axes for s in batch).encode(), dtype=np.uint8)
+    axes = axes.reshape(len(batch), n).astype(np.int64) - ord("x")
+    rows = state.amplitudes.reshape((1,) + (2,) * n)
+    codes = np.zeros(1, dtype=np.int64)
+    prefix = np.zeros(len(batch), dtype=np.int64)
+    for k in range(n):
+        prefix = 3 * prefix + axes[:, k]
+        child, leaf = np.unique(prefix, return_inverse=True)
+        parent = np.searchsorted(codes, child // 3)
+        axis = child % 3
+        out = np.empty((child.size,) + rows.shape[1:], dtype=complex)
+        for code, gate in ((0, _TO_X_BASIS), (1, _TO_Y_BASIS), (2, None)):
+            sel = axis == code
+            src = rows[parent[sel]]
+            if gate is not None:  # apply_single_qubit's product, row by row
+                src = np.moveaxis(np.moveaxis(src, k + 1, -1) @ gate.T, -1, k + 1)
+            out[sel] = src
+        rows, codes = out, child
+    probs = np.abs(rows.reshape(codes.size, 2**n)[leaf]) ** 2
+    return probs[0] if single else probs
 
 
 def sample_record(
@@ -180,6 +214,11 @@ def sample_record(
 
     Sampling is inverse-CDF on a seeded uniform stream (one categorical
     draw per shot), so counts are reproducible per seed across platforms.
+    A shot with uniform u has outcome j when cdf[j-1] <= u < cdf[j].  The
+    counts are taken from the sorted uniforms with one lookup per outcome,
+    counts[j] = #{u < cdf[j]} - #{u < cdf[j-1]}, which equals a per-shot
+    lookup of every uniform followed by a bincount, at
+    O(shots log shots + d log shots) rather than O(shots log d).
     """
     probs = np.asarray(probs, dtype=float)
     if shots < 1:
@@ -191,8 +230,9 @@ def sample_record(
     rng = as_generator(seed)
     cdf = np.cumsum(np.maximum(probs, 0.0))
     cdf[-1] = max(cdf[-1], 1.0)  # guard against roundoff losing the last bin
-    outcomes = np.searchsorted(cdf, rng.random(shots), side="right")
-    counts = np.bincount(outcomes, minlength=probs.size)
+    below = np.searchsorted(np.sort(rng.random(shots)), cdf, side="left")
+    counts = below.copy()
+    counts[1:] -= below[:-1]
     return MeasurementRecord(setting=setting, shots=shots, counts=counts)
 
 

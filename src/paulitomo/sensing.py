@@ -38,6 +38,10 @@ from .measurements import (
 from .seeding import substream
 from .states import PureState
 
+# Complex amplitudes per born_probabilities call in simulate_records: 1024
+# rows at n=8, every setting at n <= 6.
+_BLOCK_BYTES = 4 << 20
+
 
 def _fwht(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of each row of a, in place.
@@ -255,10 +259,22 @@ def observe(
 
 
 def simulate_records(state: PureState, settings, shots: int, seed: int = 0) -> list:
-    """One measurement record per setting, with per-setting seed streams."""
-    records = []
-    for idx, setting in enumerate(settings):
-        probs = born_probabilities(state, setting)
-        rng = substream(seed, "shots", idx)
-        records.append(sample_record(setting, probs, shots, rng))
+    """One measurement record per setting, with per-setting seed streams.
+
+    Born distributions are computed in blocks of settings that hold about
+    _BLOCK_BYTES of complex amplitudes, one born_probabilities call per
+    block.  Blocks are cut from the settings in sorted axes order, so a
+    block shares as many rotated prefixes as it can.  Setting i (its
+    position in `settings`, and in the returned list) draws its shots from
+    substream(seed, "shots", i) whatever the blocking.
+    """
+    settings = list(settings)
+    rows = max(1, _BLOCK_BYTES // (16 * 2**state.n))
+    order = sorted(range(len(settings)), key=lambda i: settings[i].axes)
+    records = [None] * len(settings)
+    for lo in range(0, len(order), rows):
+        block = order[lo : lo + rows]
+        probs = born_probabilities(state, [settings[i] for i in block])
+        for idx, p in zip(block, probs):
+            records[idx] = sample_record(settings[idx], p, shots, substream(seed, "shots", idx))
     return records

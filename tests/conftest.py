@@ -1,13 +1,19 @@
 """Shared independent oracles: dense Pauli matrices built by Kronecker
-products, dense measurement projectors, dense sensing operators, and the
-shot-noise error of full-tomography linear inversion.  These never touch
-the package's signed-permutation fast paths, so they can certify them.
+products, dense measurement projectors, dense sensing operators, the
+shot-noise error of full-tomography linear inversion, and the
+one-setting-at-a-time record simulation.  These never touch the package's
+signed-permutation, prefix-sharing or sorted-uniform fast paths, so they
+can certify them.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+
+from paulitomo.measurements import _TO_X_BASIS, _TO_Y_BASIS
+from paulitomo.seeding import substream
+from paulitomo.states import apply_single_qubit
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -76,6 +82,29 @@ def inversion_shot_noise(amplitudes: np.ndarray, shots: int) -> float:
         value = np.vdot(amplitudes, dense_monomial(labels) @ amplitudes).real
         total += (1.0 - value**2) / (shots * 3 ** (n - weight))
     return total / d
+
+
+def reference_counts(probs: np.ndarray, shots: int, rng) -> np.ndarray:
+    """Per-shot inverse-CDF lookup: each uniform u lands in the first bin
+    whose cumulative weight exceeds it, with the last bin closed at 1."""
+    cdf = np.cumsum(np.maximum(probs, 0.0))
+    cdf[-1] = max(cdf[-1], 1.0)
+    return np.bincount(np.searchsorted(cdf, rng.random(shots), side="right"), minlength=probs.size)
+
+
+def reference_records(state, settings, shots: int, seed: int) -> list:
+    """Counts of each setting simulated alone: one apply_single_qubit
+    rotation per x/y qubit, |amplitude|^2, then per-shot lookups on
+    substream(seed, "shots", i) for the setting at position i."""
+    gates = {"x": _TO_X_BASIS, "y": _TO_Y_BASIS}
+    out = []
+    for i, setting in enumerate(settings):
+        amps = state.amplitudes
+        for k, axis in enumerate(setting.axes):
+            if axis in gates:
+                amps = apply_single_qubit(amps, gates[axis], k, state.n)
+        out.append(reference_counts(np.abs(amps) ** 2, shots, substream(seed, "shots", i)))
+    return out
 
 
 @pytest.fixture

@@ -118,6 +118,16 @@ def test_measure_exact_rejects_records_out(tmp_path):
     )
 
 
+def test_measure_exact_records_out_writes_nothing(tmp_path, capsys):
+    out, records = tmp_path / "m.json", tmp_path / "r.json"
+    code = invoke(
+        "measure", "--circuit", "ghz", "--n", 3, "--exact", "--out", out, "--records-out", records,
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() and not records.exists()
+
+
 def test_measure_reconstruct_round_trip(tmp_path):
     # File-mediated reconstruction must equal the in-memory pipeline.
     meas = tmp_path / "m.json"

@@ -23,7 +23,7 @@ from paulitomo import (
 )
 from paulitomo.measurements import monomial_action, monomial_actions, monomial_from_code
 
-from conftest import dense_basis_vector, dense_monomial, random_pure_state_vector
+from conftest import dense_basis_vector, dense_monomial, random_pure_state_vector, reference_counts
 
 
 def all_monomials(n):
@@ -125,6 +125,27 @@ def test_born_dimension_mismatch():
         born_probabilities(ghz(3), PauliSetting("zz"))
 
 
+def test_born_batch_rows_equal_single_calls():
+    # Prefix-shared rows are bit-identical to rotating each setting alone,
+    # repeated settings included.
+    for state in (ghz(4), hadamard_all(4), random_state(RandomCircuitSpec(n=4, depth=20, seed=5))):
+        settings = [
+            PauliSetting("".join(axes))
+            for axes in ("xyzx", "xyzy", "zzzz", "yxxz", "xyzx", "yyyy", "zxyz", "xxxx")
+        ]
+        batch = born_probabilities(state, settings)
+        assert batch.shape == (len(settings), 16)
+        for row, setting in zip(batch, settings):
+            single = born_probabilities(state, setting)
+            assert single.shape == (16,)
+            assert np.array_equal(row, single)
+
+
+def test_born_batch_dimension_mismatch():
+    with pytest.raises(ValueError):
+        born_probabilities(ghz(3), [PauliSetting("zzz"), PauliSetting("zz")])
+
+
 # -- shot sampling -----------------------------------------------------------
 
 def test_sample_record_degenerate():
@@ -151,6 +172,53 @@ def test_sample_record_deterministic():
 def test_sample_record_invalid_distribution():
     with pytest.raises(ValueError):
         sample_record(PauliSetting("z"), np.array([0.7, 0.6]), shots=10, seed=0)
+
+
+class FixedUniforms(np.random.Generator):
+    """Generator whose random() returns preset uniforms."""
+
+    def __init__(self, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, size=None):
+        return self.uniforms.copy()
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        np.array([0.0, 0.3, 0.0, 0.0, 0.45, 0.25, 0.0, 0.0]),  # exact zero bins
+        np.array([0.0, 0.0, 0.0, 1.0]),  # point mass on the last bin
+        np.array([0.152, 0.452, 0.187, 0.209]),  # cumulative sum 1 - 2^-53
+    ],
+)
+def test_sample_record_matches_per_shot_lookup(probs):
+    setting = PauliSetting("z" * (probs.size.bit_length() - 1))
+    for seed in range(120):
+        for shots in (1, 33):
+            record = sample_record(setting, probs, shots, np.random.default_rng(seed))
+            expected = reference_counts(probs, shots, np.random.default_rng(seed))
+            assert np.array_equal(record.counts, expected)
+
+
+def test_sample_record_last_bin_guard():
+    # The cumulative sum of these weights is 1 - 2^-53; a uniform at or
+    # above it falls in the last bin, not past the end.  A uniform equal to
+    # an inner cumulative weight belongs to the bin that starts there.
+    probs = np.array([0.152, 0.452, 0.187, 0.209])
+    cdf = np.cumsum(probs)
+    assert cdf[-1] < 1.0
+    top = np.nextafter(1.0, 0.0)
+    uniforms = [0.05, cdf[1], top, top, 0.5]
+    record = sample_record(PauliSetting("zz"), probs, 5, FixedUniforms(uniforms))
+    expected = reference_counts(probs, 5, FixedUniforms(uniforms))
+    assert np.array_equal(record.counts, expected)
+    assert record.counts.tolist() == [1, 1, 1, 2]
+    # A deficit inside the 1e-8 sum tolerance is closed the same way.
+    short = np.array([0.5, 0.5 - 5e-9])
+    record = sample_record(PauliSetting("z"), short, 3, FixedUniforms([0.25, 1 - 1e-9, 0.75]))
+    assert record.counts.tolist() == [1, 2]
 
 
 def test_measurement_record_validation():

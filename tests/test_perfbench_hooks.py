@@ -22,3 +22,16 @@ def test_instrumentation_patches_and_restores_every_name():
     assert patched
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, (owner, attr)
+
+
+def test_record_simulation_layers_are_traced():
+    # The traced run attributes time to the Born layer and to shot
+    # sampling through the names simulate_records calls in `sensing`.
+    from paulitomo import ghz, sensing
+    from paulitomo.cli import all_settings
+
+    tracer = tracing.Tracer()
+    with tracing.Instrumentation(tracer):
+        sensing.simulate_records(ghz(3), all_settings(3), 16, seed=0)
+    names = {span[0] for span in tracer.spans}
+    assert {"measurements.born", "measurements.sample_record", "baselines.simulate_records"} <= names

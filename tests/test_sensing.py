@@ -15,9 +15,11 @@ from paulitomo import (
     sample_monomials,
 )
 from paulitomo.measurements import expectation_from_record, monomial_from_code, setting_of
+from paulitomo import sensing
+from paulitomo.cli import all_settings
 from paulitomo.sensing import simulate_records
 
-from conftest import dense_adjoint, dense_forward, random_factor
+from conftest import dense_adjoint, dense_forward, random_factor, reference_records
 
 
 def full_map(n, normalized=False):
@@ -252,6 +254,44 @@ def test_observe_sampled_matches_record_reference(rng, n, m):
         smap.scale * expectation_from_record(by_setting[setting_of(p)], p).value for p in mono
     ]
     assert obs.values.tolist() == expected
+
+
+def simulation_states(n):
+    states = [hadamard_all(n), random_state(RandomCircuitSpec(n=n, depth=12, seed=n))]
+    return states + ([ghz(n)] if n > 2 else [])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_simulate_records_matches_per_setting_reference(n):
+    # Batched Born rows and sorted-uniform counts equal the one-setting
+    # rotation loop with per-shot lookups, count for count.
+    settings = all_settings(n)
+    settings = [settings[i] for i in np.random.default_rng(n).permutation(len(settings))]
+    for state in simulation_states(n):
+        for shots in (1, 7, 2048):
+            for seed in (0, 5, 123):
+                records = simulate_records(state, settings, shots, seed=seed)
+                assert [r.setting for r in records] == settings
+                expected = reference_records(state, settings, shots, seed)
+                for record, counts in zip(records, expected):
+                    assert np.array_equal(record.counts, counts)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_simulate_records_block_boundaries(monkeypatch, rows):
+    n = 4
+    settings = all_settings(n)
+    settings = [settings[i] for i in np.random.default_rng(7).permutation(len(settings))]
+    settings += settings[:5]  # repeated settings draw from their own streams
+    monkeypatch.setattr(sensing, "_BLOCK_BYTES", rows * 16 * 2**n)
+    calls = []
+    born = sensing.born_probabilities
+    monkeypatch.setattr(sensing, "born_probabilities", lambda s, b: calls.append(len(b)) or born(s, b))
+    for state in simulation_states(n):
+        records = simulate_records(state, settings, 64, seed=3)
+        for record, counts in zip(records, reference_records(state, settings, 64, 3)):
+            assert np.array_equal(record.counts, counts)
+    assert max(calls) == rows and sum(calls) == 3 * len(settings)
 
 
 def test_observe_dimension_mismatch(rng):
