@@ -1,123 +1,80 @@
-"""Power-iteration eigensolvers for Hermitian matrix-free operators.
+"""Randomized block Krylov eigensolver for Hermitian matrix-free operators.
 
-Operators are callables w -> M w on length-d complex vectors.  top_eigen
-returns the k algebraically largest eigenpairs by shifting the operator
-with its spectral-radius estimate (making it PSD, so magnitude order and
-algebraic order coincide) and deflating converged pairs.
+Operators are callables W -> M W on (dim, b) complex blocks.  A seeded
+random block of b = min(dim, k + 2) columns starts one orthonormal basis,
+extended without restarts by the image of its newest block (Halko, Martinsson and
+Tropp, arXiv:0909.4061; Musco and Musco, arXiv:1504.05477).  Rayleigh-Ritz
+on the whole basis follows every extension.  The basis stops at dim
+columns or an invariant subspace, where Rayleigh-Ritz is exact.
 """
 
 import numpy as np
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the last residual norm."""
+    """The eigensolver missed its tolerance; carries the residual norm."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
         self.residual = residual
 
 
-def _start_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+def _complement(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """At most dim - cols orthonormal columns spanning block outside span(basis).
+
+    Each round projects the basis out twice and keeps the singular directions
+    above rounding of the block's norm; the second round makes the weak
+    directions the first keeps orthogonal to full precision."""
+    dim, cols = basis.shape
+    for _ in range(2):
+        ref = np.linalg.norm(block)
+        for _ in range(2):
+            block = block - basis @ (basis.conj().T @ block)
+        u, s, _ = np.linalg.svd(block, full_matrices=False)
+        block = u[:, s > dim * np.finfo(float).eps * ref][:, : dim - cols]
+    return block
 
 
-def operator_norm(matvec, dim: int, tol: float = 1e-10, max_iter: int = 10000, seed: int = 0) -> float:
-    """Spectral norm (largest |eigenvalue|) of a Hermitian operator.
+def _ritz(matvec, dim: int, k: int, tol: float, seed: int, pick):
+    """Ritz pairs pick(theta), theta ascending, once each has ||M v - theta v||
+    <= tol * max(|theta|, 1e-6 ||M||) with ||M|| = max |theta|; raises
+    PowerIterationError if the basis can grow no further first."""
+    rng = np.random.default_rng([seed, 0xB10C])
+    shape = (dim, min(dim, k + 2))
+    basis = image = np.zeros((dim, 0), dtype=complex)
+    new = _complement(basis, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    while True:
+        basis = np.hstack([basis, new])
+        image = np.hstack([image, matvec(new)])
+        h = basis.conj().T @ image
+        theta, s = np.linalg.eigh((h + h.conj().T) / 2)
+        wanted = pick(theta)
+        values, vectors = theta[wanted], basis @ s[:, wanted]
+        residual = np.linalg.norm(image @ s[:, wanted] - vectors * values, axis=0)
+        missed = residual > tol * np.maximum(np.abs(values), 1e-6 * np.abs(theta).max())
+        if not missed.any():
+            return values, vectors
+        new = _complement(basis, image[:, -new.shape[1] :])
+        if not new.shape[1]:
+            j = int(np.argmax(missed))
+            raise PowerIterationError(f"eigenpair {j} did not converge", float(residual[j]))
 
-    Iterates on the squared operator, which is PSD regardless of the sign
-    pattern of the spectrum, and reports sqrt of its dominant eigenvalue.
-    """
-    rng = np.random.default_rng([seed, 0x5EC7])
-    v = _start_vector(dim, rng)
-    lam2 = 0.0
-    for _ in range(max_iter):
-        w = matvec(matvec(v))
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        lam2 = float(np.vdot(v, w).real)
-        residual = np.linalg.norm(w - lam2 * v)
-        v = w / norm_w
-        if residual <= tol * max(abs(lam2), 1e-300):
-            return float(np.sqrt(max(lam2, 0.0)))
-    raise PowerIterationError("operator norm estimate did not converge", residual)
+
+def operator_norm(matvec, dim: int, tol: float = 1e-10, seed: int = 0) -> float:
+    """Spectral norm (largest |eigenvalue|) of a Hermitian operator."""
+    values, _ = _ritz(matvec, dim, 1, tol, seed, lambda theta: [np.abs(theta).argmax()])
+    return float(abs(values[0]))
 
 
-def top_eigen(matvec, dim: int, k: int, tol: float = 1e-8, max_iter: int = 10000, seed: int = 0):
+def top_eigen(matvec, dim: int, k: int, tol: float = 1e-8, seed: int = 0):
     """Top-k eigenpairs (descending eigenvalue) of a Hermitian operator.
 
-    Returns (values, vectors) with vectors in columns.  Each accepted pair
-    satisfies ||M v - lambda v|| <= tol * max(|lambda|, 1e-6 * ||M||_2);
-    the absolute floor admits eigenvalues that are negligible against the
-    operator scale (they are clamped downstream anyway).
+    Returns (values, vectors) with vectors in columns.  Each pair satisfies
+    ||M v - lambda v|| <= tol * max(|lambda|, 1e-6 * ||M||_2); the floor
+    admits eigenvalues negligible against the operator scale.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if dim < k:
         raise ValueError(f"operator dimension {dim} is smaller than k={k}")
-    radius = operator_norm(matvec, dim, tol=max(tol, 1e-10), max_iter=max_iter, seed=seed)
-    values = np.zeros(k)
-    vectors = np.zeros((dim, k), dtype=complex)
-    if radius == 0.0:
-        vectors[np.arange(k), np.arange(k)] = 1.0
-        return values, vectors
-    rng = np.random.default_rng([seed, 0xE16E])
-    floor = 1e-6 * radius
-    for j in range(k):
-        v = _start_vector(dim, rng)
-        mv = matvec(v)
-        converged = False
-        residual = np.inf
-        lam = 0.0
-        for _ in range(max_iter):
-            # Shifted, deflated operator: (M + radius I) minus found pairs.
-            w = mv + radius * v
-            for l in range(j):
-                w -= (values[l] + radius) * vectors[:, l] * np.vdot(vectors[:, l], v)
-            # Kill leakage into the converged subspace before normalizing.
-            for l in range(j):
-                w -= vectors[:, l] * np.vdot(vectors[:, l], w)
-            norm_w = np.linalg.norm(w)
-            if norm_w == 0.0:
-                # v is in the kernel of the shifted deflated operator.
-                lam = -radius
-                residual = 0.0
-                converged = True
-                break
-            v = w / norm_w
-            mv = matvec(v)
-            lam = float(np.vdot(v, mv).real)
-            deflated = mv - lam * v
-            for l in range(j):
-                deflated -= vectors[:, l] * np.vdot(vectors[:, l], deflated)
-            residual = np.linalg.norm(deflated)
-            if residual <= tol * max(abs(lam), floor):
-                converged = True
-                break
-        if not converged:
-            raise PowerIterationError(f"eigenpair {j} did not converge", float(residual))
-        values[j] = lam
-        vectors[:, j] = v
-    if k > 1:
-        values, vectors = _rayleigh_ritz(matvec, vectors)
-    for j in range(k):
-        residual = float(np.linalg.norm(matvec(vectors[:, j]) - values[j] * vectors[:, j]))
-        if residual > tol * max(abs(values[j]), floor):
-            raise PowerIterationError(f"eigenpair {j} residual above tolerance", residual)
-    return values, vectors
-
-
-def _rayleigh_ritz(matvec, basis: np.ndarray):
-    """Refine approximate eigenpairs on the span of the collected vectors.
-
-    Deflation accuracy is limited by the earlier pairs; one projected
-    eigenproblem on the joint subspace removes that coupling.
-    """
-    q, _ = np.linalg.qr(basis)
-    mq = np.stack([matvec(q[:, j]) for j in range(q.shape[1])], axis=1)
-    h = q.conj().T @ mq
-    h = (h + h.conj().T) / 2
-    theta, s = np.linalg.eigh(h)
-    order = np.argsort(theta)[::-1]
-    return theta[order], q @ s[:, order]
+    return _ritz(matvec, dim, k, tol, seed, lambda theta: np.argsort(-theta)[:k])

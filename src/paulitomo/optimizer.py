@@ -166,27 +166,14 @@ def random_init(d: int, r: int, seed: int = 0, real: bool = False) -> np.ndarray
     return u / np.linalg.norm(u)
 
 
-def _fixed_adjoint_matvec(sensing_map, coeffs: np.ndarray):
-    """Matvec closure for the Hermitian operator w -> A^dagger(coeffs) w.
-
-    Maps that expose adjoint_dense (dense-storage ensembles) get the fixed
-    matrix materialized once; Pauli maps stay matrix-free.
-    """
-    if hasattr(sensing_map, "adjoint_dense"):
-        mat = sensing_map.adjoint_dense(coeffs)
-        return lambda w: mat @ w
-    return lambda w: sensing_map.adjoint_times(coeffs, w.reshape(-1, 1)).ravel()
-
-
 def spectral_init(sensing_map, y, r: int, L_hat: float = 1.1, seed: int = 0) -> np.ndarray:
     """Factor of the rank-r PSD part of A^dagger(y), scaled by 1/L_hat.
 
-    Runs deflated power iteration on the matrix-free Hermitian operator
-    w -> s * sum_i y_i P_i w; column j is v_j * sqrt(max(lambda_j, 0) / L_hat).
+    The block Krylov solver runs on the map's fixed operator
+    Z -> A^dagger(y) Z; column j is v_j * sqrt(max(lambda_j, 0) / L_hat).
     """
     y = observation_values(y)
-    matvec = _fixed_adjoint_matvec(sensing_map, y)
-    values, vectors = top_eigen(matvec, sensing_map.d, r, tol=1e-9, seed=seed)
+    values, vectors = top_eigen(sensing_map.adjoint_operator(y), sensing_map.d, r, tol=1e-9, seed=seed)
     cols = np.sqrt(np.maximum(values, 0.0) / L_hat)
     return vectors * cols[None, :]
 
@@ -195,7 +182,8 @@ def compute_step_size(sensing_map, y, z0: np.ndarray, L_hat: float = 1.1) -> flo
     """Constant step 1 / (4 (L_hat ||Z0 Z0*||_2 + ||A^dagger(A(Z0 Z0*) - y)||_2)).
 
     The first spectral norm comes from the r x r Gram eigenproblem, the
-    second from power iteration on the matrix-free gradient operator.
+    second from the block Krylov solver on the map's fixed operator
+    Z -> A^dagger(A(Z0 Z0*) - y) Z.
     """
     y = observation_values(y)
     z0 = np.asarray(z0)
@@ -206,8 +194,7 @@ def compute_step_size(sensing_map, y, z0: np.ndarray, L_hat: float = 1.1) -> flo
     gram = z0.conj().T @ z0
     top_sq = float(np.linalg.eigvalsh(gram).max())
     residual = sensing_map.forward_factored(z0) - y
-    grad_op = _fixed_adjoint_matvec(sensing_map, residual)
-    grad_norm = operator_norm(grad_op, sensing_map.d, tol=1e-8)
+    grad_norm = operator_norm(sensing_map.adjoint_operator(residual), sensing_map.d, tol=1e-8)
     return 1.0 / (4.0 * (L_hat * top_sq + grad_norm))
 
 

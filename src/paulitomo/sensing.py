@@ -20,7 +20,8 @@ G <= min(m, d) distinct flips a call touches.  The cache holds the (G, d)
 source indices k^f plus per-monomial group ids, sign masks and phases.
 Work on monomial subranges is exposed for the parallel engine; the
 full-range call is the serial path, so a one-worker partition reproduces
-it exactly.
+it exactly.  adjoint_operator fixes x and builds its table once, for the
+eigensolver; every path applies a table with the same _apply_table.
 """
 
 from dataclasses import dataclass
@@ -69,6 +70,14 @@ def _fwht(a: np.ndarray) -> np.ndarray:
         np.subtract(d01, d23, out=x[:, :, 3])
         h *= 4
     return a
+
+
+def _apply_table(src: np.ndarray, v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Table (src, v) of SensingMap._adjoint_table times z.  Per column c, row g
+    of v * z[:, c] is permuted by k -> k ^ f_g and rows are summed (a (G, d, b)
+    product would loop over b innermost, several times slower)."""
+    rows = np.arange(len(v))[:, None]
+    return np.stack([(v * col)[rows, src].sum(axis=0) for col in z.T], axis=1)
 
 
 class SensingMap:
@@ -164,9 +173,7 @@ class SensingMap:
     def adjoint_range(self, x: np.ndarray, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Partial adjoint product s * sum_{i in [lo,hi)} x_i P_i z."""
         z = self._check_factor(z)
-        src, v = self._adjoint_table(x, lo, hi)
-        # Row g of the product is permuted by k -> k ^ f_g, then rows are summed.
-        return (v[:, :, None] * z)[np.arange(len(v))[:, None], src].sum(axis=0)
+        return _apply_table(*self._adjoint_table(x, lo, hi), z)
 
     def adjoint_times(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """A^dagger(x) @ z = s * sum_i x_i P_i z, column-wise and matrix-free."""
@@ -174,6 +181,11 @@ class SensingMap:
         if x.shape != (self.m,):
             raise ValueError(f"coefficient vector has shape {x.shape}, expected ({self.m},)")
         return self.adjoint_range(x, z, 0, self.m)
+
+    def adjoint_operator(self, x: np.ndarray):
+        """The fixed operator Z -> A^dagger(x) Z, its table built once."""
+        table = self._adjoint_table(x, 0, self.m)
+        return lambda z: _apply_table(*table, self._check_factor(z))
 
     def residual_gradient_range(
         self, y: np.ndarray, z: np.ndarray, lo: int, hi: int

@@ -48,7 +48,10 @@ class SyntheticProblem:
 
 
 class GaussianSensingMap:
-    """m real symmetric Gaussian functionals on Hermitian d x d matrices."""
+    """m real symmetric Gaussian functionals on Hermitian d x d matrices.
+
+    A fixed operator Z -> A^dagger(x) Z reads the rows once, into a dense
+    d x d matrix; gradients read them twice per call."""
 
     real_factors = True  # random factor initialization may stay real
 
@@ -101,14 +104,10 @@ class GaussianSensingMap:
     def adjoint_times(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         return self.adjoint_range(x, z, 0, self.m)
 
-    def adjoint_dense(self, x: np.ndarray) -> np.ndarray:
-        """A^dagger(x) as an explicit symmetric d x d matrix.
-
-        One GEMV against the stored rows; lets fixed-coefficient operators
-        (spectral initialization, step-size rule) run power iteration on a
-        cached d x d matvec instead of re-reading the row array.
-        """
-        return self._unhvec(self.rows.T @ np.asarray(x, dtype=float))
+    def adjoint_operator(self, x: np.ndarray):
+        """The fixed operator Z -> A^dagger(x) Z, from one GEMV against the rows."""
+        mat = self._unhvec(self.rows.T @ np.asarray(x, dtype=float))
+        return lambda z: mat @ z
 
     def residual_gradient_range(self, y, z, lo: int, hi: int) -> np.ndarray:
         y = np.asarray(y, dtype=float)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,9 @@ from paulitomo import OptimizerConfig, SensingMap, ghz, observe, run, sample_mon
 from paulitomo import serialize
 from paulitomo.cli import cli_main, monomial_count
 from paulitomo.seeding import substream
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def invoke(*args):
@@ -78,6 +84,18 @@ def test_state_command_rejects_small_ghz(tmp_path, capsys):
 
 def test_unknown_flag_returns_nonzero(tmp_path):
     assert invoke("state", "--circuit", "ghz", "--n", 3, "--bogus", 1) != 0
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m paulitomo.cli` runs the same main as the paulitomo script.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = tmp_path / "r.json"
+    base = [sys.executable, "-m", "paulitomo.cli", "reconstruct", "--circuit", "ghz", "--n", "3"]
+    done = subprocess.run(base + ["--measpc", "50", "--out", str(out)], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert "iterations" in read(out)
+    bad = subprocess.run(base + ["--no-such-flag", "--out", str(out)], env=env, capture_output=True)
+    assert bad.returncode != 0
 
 
 def test_measure_monomial_count(tmp_path):

@@ -16,9 +16,11 @@ from paulitomo import (
     spectral_init,
     theoretical_mu,
 )
+from paulitomo.cli import build_state, cli_main, monomial_count
 from paulitomo.measurements import monomial_from_code
 from paulitomo.metrics import fidelity_rank1, frobenius_error
 from paulitomo.optimizer import resolve_mu
+from paulitomo.seeding import substream
 
 from conftest import dense_adjoint, dense_forward, dense_monomial, random_factor
 
@@ -82,6 +84,21 @@ def test_spectral_init_matches_dense_top_r(rng):
         if vals[j] > 0:
             expected += (vals[j] / 1.05) * np.outer(vecs[:, j], vecs[:, j].conj())
     assert np.allclose(rho0, expected, atol=1e-6)
+
+
+@pytest.mark.parametrize("circuit,seed", [("ghz", 0), ("ghz", 1), ("hadamard", 3), ("hadamard", 7)])
+def test_spectral_init_small_eigengap_data(tmp_path, circuit, seed):
+    # A^dagger(y) here has a top relative eigengap of 0.2-1.5% and
+    # |lambda_min| ~ |lambda_max|, which stalls power iteration on the
+    # squared operator.
+    args = ["reconstruct", "--circuit", circuit, "--n", "6", "--measpc", "5", "--shots", "4096"]
+    assert cli_main(args + ["--seed", str(seed), "--out", str(tmp_path / "r.json")]) == 0
+    state = build_state(circuit, 6, 20, seed)
+    smap = SensingMap(6, sample_monomials(6, monomial_count(5, 6), substream(seed, "monomials")))
+    y = observe(state, smap, shots=4096, seed=seed)
+    u0 = spectral_init(smap, y, r=1, L_hat=1.1, seed=seed)
+    top = np.linalg.eigvalsh(smap.adjoint_operator(y.values)(np.eye(64)))[-1]
+    assert np.linalg.norm(u0[:, 0]) ** 2 * 1.1 == pytest.approx(top, rel=1e-9)
 
 
 # -- step size ----------------------------------------------------------------
