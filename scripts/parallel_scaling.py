@@ -3,8 +3,10 @@
 
 Times full reconstructions at several worker counts and reports speedups
 T_1/T_p, the median seconds per gradient evaluation, and the fidelity
-agreement against the serial run.  Speedups track the machine's physical
-cores; on a single-core box this only demonstrates determinism.
+agreement against the serial run.  Each worker transforms only the flip
+groups of its own contiguous range of the map's flip order, so with one
+core per worker the gradient time falls roughly as 1/p; on a single-core
+box this only demonstrates determinism.
 
     PYTHONPATH=src python scripts/parallel_scaling.py --n 8 --workers 1,2
 """

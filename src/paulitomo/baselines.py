@@ -145,7 +145,7 @@ def pauli_linear_inversion(expectations) -> np.ndarray:
         raise ValueError(f"need each of the 4^{n} monomials exactly once")
     d = 2**n
     sensing_map = SensingMap(n, [s.monomial for s in samples], normalized=False)
-    x = np.array([s.value for s in samples]) / d
+    x = sensing_map._flip_ordered(np.array([s.value for s in samples]) / d)
     # One flip group per off-diagonal pattern: each table row fills one
     # generalized diagonal rho[j ^ f, j].
     src, table = sensing_map._adjoint_table(x, 0, len(samples))

@@ -192,9 +192,7 @@ def _simulate_pipeline(args, normalized=True):
 def _run_one(sensing_map, obs, config, workers, target):
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1:
-        return parallel.parallel_run(sensing_map, obs, config, workers, target=target)
-    return optimizer.run(sensing_map, obs, config, target=target)
+    return parallel.parallel_run(sensing_map, obs, config, workers, target=target)
 
 
 def _result_json(config, trace, factor, target_state, save_factor=False):

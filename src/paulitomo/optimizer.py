@@ -103,11 +103,12 @@ class TraceRecord:
 
 @dataclass
 class ConvergenceTrace:
-    """Per-iteration diagnostics, append-only; remembers the resolved eta/mu."""
+    """Per-iteration diagnostics, append-only; remembers eta, mu and the stop reason."""
 
     records: list = field(default_factory=list)
     eta: float | None = None
     mu: float | None = None
+    stop_reason: str | None = None
 
     def append(self, record: TraceRecord):
         self.records.append(record)
@@ -238,7 +239,7 @@ def run(sensing_map, y, config: OptimizerConfig, target=None, gradient_fn=None):
     if gradient_fn is None:
         gradient_fn = lambda z: sensing_map.residual_gradient(y, z)
 
-    trace = ConvergenceTrace(eta=eta, mu=mu)
+    trace = ConvergenceTrace(eta=eta, mu=mu, stop_reason="maxiters")
     z = u
     start = time.perf_counter()
     for i in range(1, config.maxiters + 1):
@@ -263,5 +264,6 @@ def run(sensing_map, y, config: OptimizerConfig, target=None, gradient_fn=None):
         )
         u = u_next
         if change <= config.reltol:
+            trace.stop_reason = "reltol"
             break
     return u, trace

@@ -5,7 +5,9 @@ computes the residual-gradient contribution of its own monomials against
 a read-only Z; partial matrices are then summed in ascending worker
 order, so the reduction is deterministic and agrees with the serial
 gradient to floating-point reassociation (p = 1 is bit-identical, since
-it runs the serial code path on the full range).
+it runs the serial code path on the full range).  A SensingMap's ranges
+index its flip order, so they cover disjoint runs of flip groups and each
+worker pays for about G/p of its G Walsh-Hadamard transforms.
 
 Workers are threads in one shared-memory pool; the per-iteration barrier
 is the join on the submitted futures.
@@ -67,8 +69,6 @@ def parallel_gradient(sensing_map, y, z: np.ndarray, p: int) -> np.ndarray:
     """Residual gradient computed by p workers and a fixed-order reduction."""
     y = optimizer.observation_values(y)
     part = partition(sensing_map.m, p)
-    if p == 1:
-        return sensing_map.residual_gradient_range(y, z, 0, sensing_map.m)
     with ThreadPoolExecutor(max_workers=p) as pool:
         return _reduce_partials(pool, sensing_map, y, z, part.ranges)
 

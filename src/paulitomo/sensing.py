@@ -17,11 +17,14 @@ so the map works per flip group:
 where WHT is the unnormalized Walsh-Hadamard transform and P_f the index
 permutation k -> k^f.  Both directions cost O(G d (log d + r)) for the
 G <= min(m, d) distinct flips a call touches.  The cache holds the (G, d)
-source indices k^f plus per-monomial group ids, sign masks and phases.
-Work on monomial subranges is exposed for the parallel engine; the
-full-range call is the serial path, so a one-worker partition reproduces
-it exactly.  adjoint_operator fixes x and builds its table once, for the
-eigensolver; every path applies a table with the same _apply_table.
+source indices k^f plus per-monomial group ids, sign masks and phases, in
+flip order (monomials stably sorted by flip mask).  The *_range methods
+index that order, so the parallel engine's contiguous ranges touch
+disjoint runs of groups; all other methods keep the user order of
+`monomials`.  The full-range call is the serial path, so a one-worker
+partition reproduces it exactly.  adjoint_operator fixes x and builds its
+table once, for the eigensolver; every path applies a table with the same
+_apply_table.
 """
 
 from dataclasses import dataclass
@@ -92,10 +95,7 @@ class SensingMap:
         self.n = n
         self.monomials = monomials
         self.normalized = normalized
-        self._src = None
-        self._group = None
-        self._sign = None
-        self._iphase = None
+        self._src = None  # the flip-order cache, built on first use
 
     @property
     def m(self) -> int:
@@ -113,20 +113,29 @@ class SensingMap:
         if self._src is not None:
             return
         flips, sign_masks, nys = monomial_actions(self.monomials)
-        flip_values, self._group = np.unique(flips, return_inverse=True)
-        self._sign = sign_masks.astype(np.int32)
-        self._iphase = 1j ** (nys % 4)
+        # Stable, so repeated monomials keep their user order within a group.
+        self._order = np.argsort(flips, kind="stable")
+        self._rank = np.argsort(self._order)
+        flip_values, self._group = np.unique(flips[self._order], return_inverse=True)
+        self._sign = sign_masks[self._order].astype(np.int32)
+        self._iphase = 1j ** (nys[self._order] % 4)
         # Assigned last: concurrent callers gate on _src being present.
         self._src = (np.arange(self.d) ^ flip_values[:, None]).astype(np.int32)
 
     def _groups(self, lo: int, hi: int):
-        """Source rows of the flip groups that monomials lo..hi touch, and
-        each of those monomials' row index into them."""
-        group = self._group[lo:hi]
-        present = np.bincount(group, minlength=self._src.shape[0]) > 0
-        if present.all():
-            return self._src, group
-        return self._src[present], (np.cumsum(present) - 1)[group]
+        """The run of flip groups' source rows that positions lo..hi touch, and their rows."""
+        if hi <= lo:
+            return self._src[:0], self._group[:0]
+        g_lo, g_hi = self._group[lo], self._group[hi - 1] + 1
+        return self._src[g_lo:g_hi], self._group[lo:hi] - g_lo
+
+    def _flip_ordered(self, x: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Flip-order positions lo..hi of a user-order length-m vector."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.m,):
+            raise ValueError(f"vector has shape {x.shape}, expected ({self.m},)")
+        self._ensure_cache()
+        return x[self._order[lo:hi]]
 
     def _check_factor(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z)
@@ -137,7 +146,7 @@ class SensingMap:
         return z
 
     def _traces(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Unscaled Tr(P_i u u^dagger) for monomials lo..hi."""
+        """Unscaled Tr(P_i u u^dagger) for flip-order positions lo..hi."""
         u = self._check_factor(u)
         self._ensure_cache()
         src, row = self._groups(lo, hi)
@@ -145,19 +154,19 @@ class SensingMap:
         return (self._iphase[lo:hi] * w[row, self._sign[lo:hi]]).real
 
     def forward_range(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Entries lo..hi of A(u u^dagger), with the full-map scale."""
+        """Flip-order entries lo..hi of A(u u^dagger), with the full-map scale."""
         return self.scale * self._traces(u, lo, hi)
 
     def forward_factored(self, u: np.ndarray) -> np.ndarray:
         """Observation vector A(u u^dagger): s * Tr(P_i u u^dagger) per entry."""
-        return self.forward_range(u, 0, self.m)
+        return self.forward_range(u, 0, self.m)[self._rank]
 
     def _adjoint_table(self, x: np.ndarray, lo: int, hi: int):
         """(src, v) of the partial adjoint M = s * sum_{i in [lo,hi)} x_i P_i.
 
-        src holds the (G, d) source rows of the flip groups monomials lo..hi
-        touch and v = WHT(c_f) per group; M[src[g, j], j] = v[g, j] and M
-        is zero elsewhere.
+        lo..hi and x are in flip order.  src holds the (G, d) source rows of
+        the flip groups those positions touch and v = WHT(c_f) per group;
+        M[src[g, j], j] = v[g, j] and M is zero elsewhere.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (hi - lo,):
@@ -171,30 +180,22 @@ class SensingMap:
         return src, _fwht(coeffs.reshape(-1, d))
 
     def adjoint_range(self, x: np.ndarray, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Partial adjoint product s * sum_{i in [lo,hi)} x_i P_i z."""
+        """Partial adjoint s * sum_{i in [lo,hi)} x_i P_i z; lo..hi and x in flip order."""
         z = self._check_factor(z)
         return _apply_table(*self._adjoint_table(x, lo, hi), z)
 
     def adjoint_times(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """A^dagger(x) @ z = s * sum_i x_i P_i z, column-wise and matrix-free."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.m,):
-            raise ValueError(f"coefficient vector has shape {x.shape}, expected ({self.m},)")
-        return self.adjoint_range(x, z, 0, self.m)
+        return self.adjoint_range(self._flip_ordered(x), z, 0, self.m)
 
     def adjoint_operator(self, x: np.ndarray):
         """The fixed operator Z -> A^dagger(x) Z, its table built once."""
-        table = self._adjoint_table(x, 0, self.m)
+        table = self._adjoint_table(self._flip_ordered(x), 0, self.m)
         return lambda z: _apply_table(*table, self._check_factor(z))
 
-    def residual_gradient_range(
-        self, y: np.ndarray, z: np.ndarray, lo: int, hi: int
-    ) -> np.ndarray:
-        """Gradient contribution of monomials [lo, hi): A^dagger(A(zz*)-y) z."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.m,):
-            raise ValueError(f"observation vector has shape {y.shape}, expected ({self.m},)")
-        residual = self.forward_range(z, lo, hi) - y[lo:hi]
+    def residual_gradient_range(self, y: np.ndarray, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Flip-order positions [lo, hi) of A^dagger(A(zz*)-y) z; y is in user order."""
+        residual = self.forward_range(z, lo, hi) - self._flip_ordered(y, lo, hi)
         return self.adjoint_range(residual, z, lo, hi)
 
     def residual_gradient(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -241,7 +242,8 @@ def observe_with_records(
     if state.n != sensing_map.n:
         raise ValueError(f"state has {state.n} qubits, map has {sensing_map.n}")
     if shots is None:
-        values = np.clip(sensing_map._traces(state.amplitudes, 0, sensing_map.m), -1.0, 1.0)
+        traces = sensing_map._traces(state.amplitudes, 0, sensing_map.m)[sensing_map._rank]
+        values = np.clip(traces, -1.0, 1.0)
         return ObservationVector(sensing_map.scale * values), []
     flips, sign_masks, _ = monomial_actions(sensing_map.monomials)
     # Per qubit, x sets the flip bit and y the flip and sign bits; identity

@@ -8,6 +8,7 @@ Schemas:
                 "items": [{"monomial": "IXXZ..", "value": float}]}
   result       {"config": {...}, "final_fidelity": float|null,
                 "final_frobenius_error": float|null, "iterations": int,
+                "stop_reason": "reltol"|"maxiters", "eta": float, "mu": float,
                 "trace": [{"iter", "change", "error", "fidelity", "time_s",
                            "grad_time_s"}], "factor": optional}
   calibration  {"n": int, "columns": [[float, ...], ...]}  (column-major)
@@ -149,6 +150,7 @@ def result_to_json(
         "final_fidelity": final_fidelity,
         "final_frobenius_error": final_frobenius_error,
         "iterations": trace.iterations,
+        "stop_reason": trace.stop_reason,
         "eta": trace.eta,
         "mu": trace.mu,
         "trace": [

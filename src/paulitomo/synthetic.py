@@ -188,7 +188,7 @@ def run_synthetic_comparison(
                 "mu": mu,
                 "mu_spec": str(mu_spec),
                 "iterations": trace.iterations,
-                "converged": trace.final().change <= tol,
+                "converged": trace.stop_reason == "reltol",
                 "final_relative_error": frobenius_error(factor, u_star),
                 "wall_time_s": elapsed,
                 "eta": trace.eta,

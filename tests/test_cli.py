@@ -211,6 +211,31 @@ def test_reconstruct_workers_flag(tmp_path):
     assert read(res4)["trace"][0]["grad_time_s"] is not None
 
 
+def test_reconstruct_reports_stop_reason(tmp_path):
+    capped = tmp_path / "capped.json"
+    common = ["reconstruct", "--circuit", "ghz", "--n", 3]
+    assert invoke(*common, "--measpc", 20, "--maxiters", 3, "--out", capped) == 0
+    assert read(capped)["stop_reason"] == "maxiters"
+    assert read(capped)["iterations"] == 3
+    done = tmp_path / "done.json"
+    assert invoke(
+        *common, "--measpc", 100, "--exact", "--mu", "theory:1", "--maxiters", 400,
+        "--reltol", 1e-6, "--out", done,
+    ) == 0
+    assert read(done)["stop_reason"] == "reltol"
+    assert read(done)["iterations"] < 400
+
+
+def test_compare_reports_stop_reason(tmp_path):
+    out = tmp_path / "cmp.json"
+    assert invoke(
+        "compare", "--circuit", "ghz", "--n", 3, "--measpc", 100, "--exact",
+        "--eta", 0.001, "--mu", 0.75, "--maxiters", 2, "--init", "random", "--out", out,
+    ) == 0
+    obj = read(out)
+    assert obj["momentum"]["stop_reason"] == obj["plain"]["stop_reason"] == "maxiters"
+
+
 def test_reconstruct_requires_source(tmp_path):
     assert invoke("reconstruct", "--out", tmp_path / "x.json") == 2
 

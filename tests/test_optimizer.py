@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,23 @@ def test_run_single_iteration_is_one_step(rng):
     expected = u0 - 1e-3 * smap.residual_gradient(y.values, u0)
     assert trace.iterations == 1
     assert np.allclose(factor, expected, atol=1e-14)
+
+
+def test_stop_reason_tells_maxiters_from_reltol():
+    smap, y = full_exact_problem(ghz(3))
+    config = OptimizerConfig(
+        rank=1, eta=None, mu="theory:1", maxiters=1000, reltol=1e-6, init="spectral"
+    )
+    factor, trace = run(smap, y, config)
+    k = trace.iterations
+    assert trace.stop_reason == "reltol" and k < 1000
+    # A cap at the iteration that meets reltol still stops on reltol.
+    capped, capped_trace = run(smap, y, dataclasses.replace(config, maxiters=k))
+    assert capped_trace.stop_reason == "reltol"
+    assert np.array_equal(capped, factor)
+    _, short_trace = run(smap, y, dataclasses.replace(config, maxiters=k - 1))
+    assert short_trace.stop_reason == "maxiters"
+    assert short_trace.iterations == k - 1
 
 
 def test_maxiters_zero_forbidden():

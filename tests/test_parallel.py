@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,23 @@ def test_parallel_run_matches_serial_fidelity():
     _, t_par = parallel_run(smap, y, config, 4, target=state)
     assert t_par.final().fidelity == pytest.approx(t_serial.final().fidelity, abs=1e-6)
     assert all(rec.grad_time_s is not None for rec in t_par)
+
+
+def test_workers_share_a_cold_cache(rng):
+    # Every worker may find the flip-order cache unbuilt and build it; the
+    # builds are equal, so no mix of them can change a partial.
+    mono = sample_monomials(4, 120, rng)
+    z = random_factor(rng, 16, 2)
+    y = rng.standard_normal(120)
+    serial = SensingMap(4, mono, normalized=True).residual_gradient(y, z)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            par = parallel_gradient(SensingMap(4, mono, normalized=True), y, z, 8)
+            assert np.max(np.abs(par - serial)) < 1e-10
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_worker_failure_propagates(rng):

@@ -14,7 +14,13 @@ from paulitomo import (
     random_state,
     sample_monomials,
 )
-from paulitomo.measurements import expectation_from_record, monomial_from_code, setting_of
+from paulitomo.measurements import (
+    exact_expectation,
+    expectation_from_record,
+    monomial_from_code,
+    setting_of,
+)
+from paulitomo.parallel import partition
 from paulitomo import sensing
 from paulitomo.cli import all_settings
 from paulitomo.sensing import simulate_records
@@ -144,8 +150,18 @@ def test_range_calls_compose_to_full(rng):
         ranges = list(zip(cuts[:-1], cuts[1:]))
         parts = sum(smap.residual_gradient_range(y, z, lo, hi) for lo, hi in ranges)
         assert np.allclose(full, parts, atol=1e-12)
+        # Ranges index flip order; forward_factored returns user order.
         pieces = np.concatenate([smap.forward_range(z, lo, hi) for lo, hi in ranges])
-        assert np.allclose(pieces, smap.forward_factored(z), atol=1e-12)
+        assert np.allclose(pieces, smap.forward_factored(z)[smap._order], atol=1e-12)
+
+
+def test_empty_range_contributes_nothing(rng):
+    smap = small_random_map(rng, 3, 17, normalized=True)
+    z = random_factor(rng, 8, 2)
+    y = rng.standard_normal(17)
+    for at in (0, 9, 17):
+        assert smap.forward_range(z, at, at).shape == (0,)
+        assert np.array_equal(smap.residual_gradient_range(y, z, at, at), np.zeros((8, 2)))
 
 
 # -- flip-group operator against the dense oracle ----------------------------
@@ -209,6 +225,55 @@ def test_shuffled_order_permutes_outputs(rng):
     assert np.allclose(
         shuffled.residual_gradient(x[order], z), smap.residual_gradient(x, z), atol=1e-12
     )
+
+
+def test_shuffled_map_matches_dense_and_exact_expectation(rng):
+    # A deliberately shuffled list: flip groups interleave in user order.
+    n = 4
+    mono = [monomial_from_code(int(c), n) for c in rng.permutation(4**n)[:90]]
+    smap = SensingMap(n, mono, normalized=True)
+    smap._ensure_cache()
+    assert not np.array_equal(smap._order, np.arange(smap.m))
+    for r in (1, 2):
+        assert_matches_dense(smap, rng, r)
+    state = random_state(RandomCircuitSpec(n=n, depth=12, seed=3))
+    expected = [smap.scale * exact_expectation(state, p) for p in mono]
+    assert np.allclose(observe(state, smap).values, expected, atol=1e-12)
+
+
+def test_shuffled_map_gradient_equals_sorted_map(rng):
+    # The cache is kept in flip order, so the serial gradient does not
+    # depend on the order the monomials were given in, bit for bit.
+    n = 5
+    mono = sample_monomials(n, 300, rng)
+    mono = mono + mono[:7]
+    shuffled = SensingMap(n, mono, normalized=True)
+    shuffled._ensure_cache()
+    ordered = SensingMap(n, [mono[i] for i in shuffled._order], normalized=True)
+    z = random_factor(rng, 2**n, 2)
+    y = rng.standard_normal(len(mono))
+    assert np.array_equal(
+        shuffled.residual_gradient(y, z), ordered.residual_gradient(y[shuffled._order], z)
+    )
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_worker_ranges_split_flip_groups(p):
+    # The engine's p ranges cover disjoint runs of flip groups, sharing at
+    # most the group each boundary cuts, so every transform is paid about
+    # once in all rather than once per worker.  Groups differ in size, so a
+    # range of m/p monomials spans about, not exactly, G/p groups.
+    n = 8
+    smap = SensingMap(n, sample_monomials(n, int(0.2 * 4**n), 0), normalized=True)
+    smap._ensure_cache()
+    groups = smap._src.shape[0]
+    spans = []
+    for lo, hi in partition(smap.m, p).ranges:
+        src, row = smap._groups(lo, hi)
+        assert row.min() == 0 and row.max() == src.shape[0] - 1
+        spans.append(src.shape[0])
+    assert sum(spans) <= groups + p - 1
+    assert max(spans) <= 1.2 * groups / p
 
 
 # -- observe -----------------------------------------------------------------
