@@ -3,23 +3,27 @@
 Linear inversion expands rho in the Pauli basis from a complete set of
 4^n expectation values and projects the result onto the density-matrix
 set (nearest in Frobenius norm: eigenvalues projected onto the
-probability simplex).  Mitigation inverts a measured calibration matrix
-by simplex-constrained least squares.
+probability simplex).  Completion and inversion share one format: a float
+array of the 4^n expectations indexed by base-4 monomial code, qubit 0 the
+most significant digit; the inversion expands it one qubit at a time.
+Mitigation inverts a measured calibration matrix by simplex-constrained
+least squares.
 
 The dense d x d paths are capped at n = 8; beyond that the arrays stop
 fitting in desk-scale memory and the call is refused outright.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measurements import ExpectationSample, PauliMonomial
-from .sensing import SensingMap, _fwht
+from .measurements import VALUE_ATOL
+from .sensing import _fwht
 
 DENSE_QUBIT_CAP = 8
 _LABEL_FOR_AXIS = {"x": 1, "y": 2, "z": 3}
+# I, X, Y, Z: _PAULIS[label] is the 2x2 matrix of that monomial label.
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 class MitigationError(RuntimeError):
@@ -80,18 +84,18 @@ def project_to_density(h: np.ndarray) -> np.ndarray:
     return (eigvecs * projected[None, :]) @ eigvecs.conj().T
 
 
-def complete_expectations(records) -> list:
+def complete_expectations(records) -> np.ndarray:
     """All 4^n monomial expectations from full-tomography records.
 
-    Expects one record per measurement setting, all 3^n of them.  A
-    monomial is estimated from every compatible setting (identity
-    positions may be measured along any axis), which cuts the variance of
-    identity-heavy monomials by the number of contributing settings; this
-    is what full-tomography fitters consume.
+    Expects one record per measurement setting, all 3^n of them, and
+    returns the code-indexed array (see the module docstring).  A monomial
+    is estimated from every compatible setting (identity positions may be
+    measured along any axis), which cuts the variance of identity-heavy
+    monomials by the number of contributing settings.
 
     With S shots per setting, a monomial P of weight |P| is averaged over
     3^(n-|P|) independent settings, so its estimate is unbiased with
-    variance (1 - <P>^2) / (S * 3^(n-|P|)).  The identity is exact.
+    variance (1 - <P>^2) / (S * 3^(n-|P|)).  The identity entry is exactly 1.
     """
     records = list(records)
     if not records:
@@ -112,19 +116,16 @@ def complete_expectations(records) -> list:
         bit = (np.arange(d) >> (n - 1 - k)) & 1
         codes |= (axis_labels[:, k, None] * bit) << (2 * (n - 1 - k))
     sums = np.bincount(codes.ravel(), weights=values.ravel(), minlength=4**n)
-    means = sums / np.bincount(codes.ravel(), minlength=4**n)
-    return [
-        ExpectationSample(PauliMonomial(labels), float(means[code]))
-        for code, labels in enumerate(itertools.product(range(4), repeat=n))
-    ]
+    return sums / np.bincount(codes.ravel(), minlength=4**n)
 
 
-def pauli_linear_inversion(expectations) -> np.ndarray:
-    """rho_raw = (1/d) sum_P <P> P from a complete, unnormalized sample set.
+def pauli_linear_inversion(values) -> np.ndarray:
+    """rho_raw = (1/d) sum_c v_c P_c from all 4^n unnormalized expectations.
 
-    Requires exactly one sample per monomial over all 4^n of them.  The
-    sum is the unnormalized sensing map's adjoint at x = <P>/d: one
-    Walsh-Hadamard transform per flip mask, O(d^2 log d) in all.
+    `values` is the code-indexed array `complete_expectations` returns.
+    P_c is a Kronecker product over qubits, so the sum is built by one
+    contraction per qubit of its base-4 digit against the four 2x2 Paulis,
+    O(n 4^n) work in all.
 
     Fed by `complete_expectations`, rho_raw is unbiased and, since
     ||P||_F^2 = d, its expected squared Frobenius error is
@@ -134,24 +135,19 @@ def pauli_linear_inversion(expectations) -> np.ndarray:
     it moves rho_raw no further from any density matrix, the true state
     included.
     """
-    samples = list(expectations)
-    if not samples:
-        raise ValueError("no expectation samples given")
-    n = samples[0].monomial.n
-    if n > DENSE_QUBIT_CAP:
-        raise ValueError(f"dense path capped at n <= {DENSE_QUBIT_CAP} qubits")
-    seen = {s.monomial.labels for s in samples}
-    if len(seen) != len(samples) or len(samples) != 4**n:
-        raise ValueError(f"need each of the 4^{n} monomials exactly once")
+    values = np.asarray(values, dtype=float)
+    n = (values.size.bit_length() - 1) // 2
+    if values.ndim != 1 or values.size != 4**n or not 1 <= n <= DENSE_QUBIT_CAP:
+        raise ValueError(f"need 4^n values, 1 <= n <= {DENSE_QUBIT_CAP}; got {values.shape}")
+    if not np.all(np.abs(values) <= 1.0 + VALUE_ATOL):
+        raise ValueError("expectation values must be finite and lie in [-1, 1]")
+    # After k contractions the axes are (digits of qubits k.., row_0, col_0,
+    # .., row_{k-1}, col_{k-1}); one transpose gathers rows before columns.
+    rho = values.reshape((4,) * n)
+    for _ in range(n):
+        rho = np.tensordot(rho, _PAULIS, axes=(0, 0))
     d = 2**n
-    sensing_map = SensingMap(n, [s.monomial for s in samples], normalized=False)
-    x = sensing_map._flip_ordered(np.array([s.value for s in samples]) / d)
-    # One flip group per off-diagonal pattern: each table row fills one
-    # generalized diagonal rho[j ^ f, j].
-    src, table = sensing_map._adjoint_table(x, 0, len(samples))
-    rho = np.zeros((d, d), dtype=complex)
-    rho[src, np.arange(d)] = table
-    return rho
+    return rho.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(d, d) / d
 
 
 def readout_mitigate(calibration: CalibrationMatrix, v_meas: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 import itertools
 
 from . import baselines, metrics, optimizer, parallel, serialize, synthetic
-from .measurements import ExpectationSample, PauliSetting, monomial_from_code, sample_monomials
+from .measurements import PauliSetting, monomial_from_code, sample_monomials
 from .seeding import substream
 from .sensing import SensingMap, observe_with_records, simulate_records
 from .states import RandomCircuitSpec, ghz, ghz_minus, hadamard_all, random_state
@@ -189,12 +189,6 @@ def _simulate_pipeline(args, normalized=True):
     return state, sensing_map, obs, records
 
 
-def _run_one(sensing_map, obs, config, workers, target):
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return parallel.parallel_run(sensing_map, obs, config, workers, target=target)
-
-
 def _result_json(config, trace, factor, target_state, save_factor=False):
     final_fidelity = metrics.fidelity_rank1(factor, target_state) if target_state else None
     final_error = (
@@ -244,7 +238,7 @@ def _cmd_reconstruct(args) -> int:
         if args.circuit is None or args.n is None:
             raise ValueError("reconstruct needs either --in or --circuit/--n")
         target_state, sensing_map, obs, _ = _simulate_pipeline(args)
-    factor, trace = _run_one(sensing_map, obs, config, args.workers, target_state)
+    factor, trace = parallel.parallel_run(sensing_map, obs, config, args.workers, target_state)
     serialize.save_json(
         _result_json(config, trace, factor, target_state, args.save_factor), args.out
     )
@@ -254,20 +248,19 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    if args.n > baselines.DENSE_QUBIT_CAP:
+        raise ValueError(f"baseline is capped at n <= {baselines.DENSE_QUBIT_CAP} qubits")
     state = build_state(args.circuit, args.n, args.depth, args.seed)
     start = time.perf_counter()
     if args.exact:
+        # Monomials in code order, so the values are already code-indexed.
         monomials = [monomial_from_code(code, args.n) for code in range(4**args.n)]
         sensing_map = SensingMap(args.n, monomials, normalized=False)
-        obs, _ = observe_with_records(state, sensing_map, shots=None, seed=args.seed)
-        samples = [
-            ExpectationSample(p, float(v)) for p, v in zip(sensing_map.monomials, obs.values)
-        ]
+        values = observe_with_records(state, sensing_map, shots=None, seed=args.seed)[0].values
     else:
-        settings = all_settings(args.n)
-        records = simulate_records(state, settings, args.shots, seed=args.seed)
-        samples = baselines.complete_expectations(records)
-    rho = baselines.project_to_density(baselines.pauli_linear_inversion(samples))
+        records = simulate_records(state, all_settings(args.n), args.shots, seed=args.seed)
+        values = baselines.complete_expectations(records)
+    rho = baselines.project_to_density(baselines.pauli_linear_inversion(values))
     elapsed = time.perf_counter() - start
     fidelity = metrics.fidelity_density(rho, state)
     serialize.save_json(
@@ -286,7 +279,7 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_mitigate(args) -> int:
     calibration = serialize.calibration_from_json(serialize.load_json(args.calibration))
-    v_meas = np.asarray(serialize.load_json(args.infile), dtype=float)
+    v_meas = serialize.floats_from_json(serialize.load_json(args.infile), "probability file")
     v_cal = baselines.readout_mitigate(calibration, v_meas)
     serialize.save_json(v_cal.tolist(), args.out)
     return 0
@@ -313,7 +306,7 @@ def _cmd_compare(args) -> int:
     target_state, sensing_map, obs, _ = _simulate_pipeline(args)
     out = {}
     for label, cfg in (("momentum", config), ("plain", replace(config, mu=0.0))):
-        factor, trace = _run_one(sensing_map, obs, cfg, args.workers, target_state)
+        factor, trace = parallel.parallel_run(sensing_map, obs, cfg, args.workers, target_state)
         out[label] = _result_json(cfg, trace, factor, target_state)
         if args.trace_csv:
             serialize.trace_to_csv(trace, f"{args.trace_csv}.{label}.csv")
@@ -343,7 +336,9 @@ def cli_main(argv) -> int:
         path = argv[at]
         try:
             cfg = serialize.load_json(path)
-        except OSError as exc:
+            if not isinstance(cfg, dict):
+                raise ValueError("expected a JSON object")
+        except (OSError, ValueError) as exc:
             print(f"error: cannot read config file: {exc}", file=sys.stderr)
             return 2
         for sub in registry.values():

@@ -25,10 +25,30 @@ from dataclasses import asdict
 import numpy as np
 
 from .baselines import CalibrationMatrix
-from .measurements import ExpectationSample, MeasurementRecord, PauliMonomial, PauliSetting
+from .measurements import MeasurementRecord, PauliMonomial, PauliSetting
 from .optimizer import ConvergenceTrace, OptimizerConfig
 from .sensing import ObservationVector, SensingMap
 from .states import PureState
+
+
+def _field(obj, kind: str, key: str, types):
+    """obj[key] read from a `kind` file; a missing or mistyped field is a ValueError."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{kind} file has no {key!r} field")
+    if not isinstance(obj[key], types):
+        raise ValueError(f"{kind} file: {key!r} has the wrong type")
+    return obj[key]
+
+
+def floats_from_json(value, what: str) -> np.ndarray:
+    """A JSON array of finite numbers as a float array; anything else is a ValueError."""
+    try:
+        out = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if not isinstance(value, list) or out is None or not np.all(np.isfinite(out)):
+        raise ValueError(f"{what} must be a JSON array of finite numbers")
+    return out
 
 
 def _complex_pairs(values) -> list:
@@ -95,29 +115,17 @@ def expectations_to_json(n: int, normalized: bool, monomials, values) -> dict:
 
 def expectations_from_json(obj: dict):
     """Returns (SensingMap, ObservationVector) rebuilt from the file."""
-    n = int(obj["n"])
-    monomials = [PauliMonomial.from_string(item["monomial"]) for item in obj["items"]]
-    values = np.array([float(item["value"]) for item in obj["items"]])
-    sensing_map = SensingMap(n, monomials, normalized=bool(obj["normalized"]))
-    return sensing_map, ObservationVector(values)
-
-
-def samples_from_json(obj: dict) -> list:
-    """The same file, as raw expectation samples (requires unnormalized values)."""
-    if obj["normalized"]:
-        raise ValueError("expectation samples require unnormalized values")
-    return [
-        ExpectationSample(PauliMonomial.from_string(item["monomial"]), float(item["value"]))
-        for item in obj["items"]
-    ]
+    n = _field(obj, "expectations", "n", int)
+    items = _field(obj, "expectations", "items", list)
+    labels = [_field(i, "expectations", "monomial", str) for i in items]
+    monomials = [PauliMonomial.from_string(text) for text in labels]
+    values = [_field(i, "expectations", "value", (int, float)) for i in items]
+    normalized = _field(obj, "expectations", "normalized", bool)
+    return SensingMap(n, monomials, normalized=normalized), ObservationVector(values)
 
 
 def config_to_json(config: OptimizerConfig) -> dict:
     return asdict(config)
-
-
-def config_from_json(obj: dict) -> OptimizerConfig:
-    return OptimizerConfig(**obj)
 
 
 def factor_to_json(factor: np.ndarray) -> dict:
@@ -193,8 +201,8 @@ def calibration_to_json(calibration: CalibrationMatrix) -> dict:
 
 
 def calibration_from_json(obj: dict) -> CalibrationMatrix:
-    cols = np.array(obj["columns"], dtype=float).T
-    return CalibrationMatrix(cols)
+    columns = _field(obj, "calibration", "columns", list)
+    return CalibrationMatrix(floats_from_json(columns, "calibration columns").T)
 
 
 def save_json(obj: dict, path):

@@ -19,7 +19,7 @@ from paulitomo import (
 )
 from paulitomo.baselines import complete_expectations
 from paulitomo.cli import all_settings
-from paulitomo.measurements import ExpectationSample, exact_expectation, monomial_from_code
+from paulitomo.measurements import exact_expectation, monomial_from_code
 from paulitomo.sensing import simulate_records
 
 from conftest import dense_monomial, inversion_shot_noise
@@ -27,10 +27,7 @@ from conftest import dense_monomial, inversion_shot_noise
 
 def exact_samples(state):
     n = state.n
-    return [
-        ExpectationSample(p, exact_expectation(state, p))
-        for p in (monomial_from_code(c, n) for c in range(4**n))
-    ]
+    return np.array([exact_expectation(state, monomial_from_code(c, n)) for c in range(4**n)])
 
 
 # -- simplex projection --------------------------------------------------------
@@ -132,19 +129,16 @@ def test_linear_inversion_recovers_pure_states():
 
 def test_linear_inversion_identity_only():
     n = 2
-    samples = [
-        ExpectationSample(monomial_from_code(c, n), 1.0 if c == 0 else 0.0)
-        for c in range(4**n)
-    ]
-    rho = pauli_linear_inversion(samples)
+    values = np.zeros(4**n)
+    values[0] = 1.0
+    rho = pauli_linear_inversion(values)
     assert np.allclose(rho, np.eye(4) / 4, atol=1e-12)
 
 
 def test_linear_inversion_trace_is_identity_value(rng):
     n = 2
     values = rng.uniform(-1, 1, size=16)
-    samples = [ExpectationSample(monomial_from_code(c, n), values[c]) for c in range(16)]
-    rho = pauli_linear_inversion(samples)
+    rho = pauli_linear_inversion(values)
     identity_value = values[0]
     assert np.trace(rho).real == pytest.approx(identity_value, abs=1e-12)
 
@@ -152,8 +146,7 @@ def test_linear_inversion_trace_is_identity_value(rng):
 def test_linear_inversion_matches_kron_oracle(rng):
     n = 2
     values = rng.uniform(-1, 1, size=16)
-    samples = [ExpectationSample(monomial_from_code(c, n), values[c]) for c in range(16)]
-    rho = pauli_linear_inversion(samples)
+    rho = pauli_linear_inversion(values)
     expected = sum(
         v * dense_monomial(monomial_from_code(c, n).labels) for c, v in enumerate(values)
     ) / 4
@@ -161,11 +154,13 @@ def test_linear_inversion_matches_kron_oracle(rng):
 
 
 def test_linear_inversion_requires_complete_set():
-    samples = exact_samples(ghz(3))
-    with pytest.raises(ValueError):
-        pauli_linear_inversion(samples[:-1])
-    with pytest.raises(ValueError):
-        pauli_linear_inversion(samples[:-1] + [samples[0]])
+    values = exact_samples(ghz(3))
+    out_of_range, not_finite = values.copy(), values.copy()
+    out_of_range[5], not_finite[5] = 1.5, np.nan
+    for bad in (values[:-1], np.append(values, 0.0), values[:15], values.reshape(8, 8),
+                out_of_range, not_finite, np.ones(1), np.zeros(4**9)):
+        with pytest.raises(ValueError):
+            pauli_linear_inversion(bad)
 
 
 # -- full-tomography estimation ---------------------------------------------------
@@ -173,20 +168,18 @@ def test_linear_inversion_requires_complete_set():
 def test_complete_expectations_order_and_coverage():
     state = hadamard_all(2)
     records = simulate_records(state, all_settings(2), shots=512, seed=0)
-    samples = complete_expectations(records)
-    assert len(samples) == 16
-    assert [s.monomial.labels for s in samples] == [
-        monomial_from_code(c, 2).labels for c in range(16)
-    ]
-    assert samples[0].value == 1.0  # identity estimate is exact
+    values = complete_expectations(records)
+    assert isinstance(values, np.ndarray) and values.shape == (16,)
+    assert values[0] == 1.0  # identity estimate is exact
 
 
 def test_complete_expectations_large_shot_convergence():
     state = random_state(RandomCircuitSpec(2, 10, 3))
     records = simulate_records(state, all_settings(2), shots=400_000, seed=1)
-    samples = complete_expectations(records)
-    for s in samples:
-        assert s.value == pytest.approx(exact_expectation(state, s.monomial), abs=0.02)
+    values = complete_expectations(records)
+    for code, value in enumerate(values):
+        expected = exact_expectation(state, monomial_from_code(code, 2))
+        assert value == pytest.approx(expected, abs=0.02)
 
 
 def test_complete_expectations_averages_compatible_settings():
@@ -197,8 +190,8 @@ def test_complete_expectations_averages_compatible_settings():
     for n in (2, 3):
         state = random_state(RandomCircuitSpec(n, 8, 5))
         records = simulate_records(state, all_settings(n), shots=256, seed=2)
-        samples = complete_expectations(records)
-        for code, sample in enumerate(samples):
+        values = complete_expectations(records)
+        for code in range(4**n):
             p = monomial_from_code(code, n)
             measured_by = [
                 r for r in records
@@ -206,7 +199,7 @@ def test_complete_expectations_averages_compatible_settings():
             ]
             per_record = [expectation_from_record(r, p).value for r in measured_by]
             assert len(per_record) == 3 ** p.labels.count(0)
-            assert sample.value == pytest.approx(np.mean(per_record), abs=1e-12)
+            assert values[code] == pytest.approx(np.mean(per_record), abs=1e-12)
 
 
 def test_complete_expectations_requires_all_settings():

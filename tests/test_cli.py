@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from paulitomo import OptimizerConfig, SensingMap, ghz, observe, run, sample_monomials
-from paulitomo import serialize
+from paulitomo import cli, serialize
 from paulitomo.cli import cli_main, monomial_count
 from paulitomo.seeding import substream
 
@@ -322,3 +322,73 @@ def test_config_file_missing(tmp_path, capsys):
 def test_config_flag_without_path(tmp_path, capsys):
     assert invoke("reconstruct", "--out", tmp_path / "r.json", "--config") == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("circuit,n", [("ghz", 3), ("random", 4)])
+def test_baseline_exact_recovers_state(tmp_path, circuit, n):
+    out = tmp_path / "b.json"
+    assert invoke("baseline", "--circuit", circuit, "--n", n, "--exact", "--out", out) == 0
+    obj = read(out)
+    assert obj["shots"] is None
+    assert obj["fidelity"] >= 1 - 1e-10
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["shots", "exact"])
+def test_baseline_refuses_large_n_before_simulating(tmp_path, monkeypatch, capsys, exact):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("simulated before the qubit cap was checked")
+
+    monkeypatch.setattr(cli, "simulate_records", forbidden)
+    monkeypatch.setattr(cli, "observe_with_records", forbidden)
+    flags = ["--exact"] if exact else []
+    code = invoke("baseline", "--circuit", "ghz", "--n", 9, *flags, "--out", tmp_path / "b.json")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def write(path, text):
+    path.write_text(text)
+    return path
+
+
+def assert_clean_failure(capsys, code, *names):
+    # Exit 2 with a one-line message that names what is wrong, never a traceback.
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert all(name in err for name in names), err
+
+
+def test_config_file_invalid_json(tmp_path, capsys):
+    cfg = write(tmp_path / "cfg.json", "{not json")
+    code = invoke("reconstruct", "--config", cfg, "--out", tmp_path / "r.json")
+    assert_clean_failure(capsys, code, "config")
+
+
+def test_config_file_not_an_object(tmp_path, capsys):
+    cfg = write(tmp_path / "cfg.json", '["circuit", "ghz"]')
+    code = invoke("reconstruct", "--config", cfg, "--out", tmp_path / "r.json")
+    assert_clean_failure(capsys, code, "config", "JSON object")
+
+
+def test_reconstruct_expectations_file_without_items(tmp_path, capsys):
+    infile = write(tmp_path / "e.json", '{"n": 3}')
+    code = invoke("reconstruct", "--in", infile, "--out", tmp_path / "r.json")
+    assert_clean_failure(capsys, code, "expectations", "'items'")
+
+
+def test_mitigate_input_not_a_list(tmp_path, capsys):
+    cal = tmp_path / "cal.json"
+    serialize.save_json({"n": 1, "columns": [[0.9, 0.1], [0.2, 0.8]]}, cal)
+    vec = write(tmp_path / "v.json", '{"a": 1}')
+    code = invoke("mitigate", "--calibration", cal, "--in", vec, "--out", tmp_path / "o.json")
+    assert_clean_failure(capsys, code, "probability file")
+
+
+def test_mitigate_calibration_without_columns(tmp_path, capsys):
+    cal = write(tmp_path / "cal.json", '{"n": 1}')
+    vec = tmp_path / "v.json"
+    serialize.save_json([0.7, 0.3], vec)
+    code = invoke("mitigate", "--calibration", cal, "--in", vec, "--out", tmp_path / "o.json")
+    assert_clean_failure(capsys, code, "calibration", "'columns'")

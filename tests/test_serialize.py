@@ -128,9 +128,3 @@ def test_calibration_round_trip(tmp_path):
     assert obj["columns"] == [[0.9, 0.1], [0.2, 0.8]]
     loaded = serialize.calibration_from_json(obj)
     assert np.array_equal(loaded.entries, raw)
-
-
-def test_samples_from_json_rejects_normalized():
-    obj = {"version": 1, "n": 1, "normalized": True, "items": [{"monomial": "I", "value": 1.0}]}
-    with pytest.raises(ValueError):
-        serialize.samples_from_json(obj)
