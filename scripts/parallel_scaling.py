@@ -15,9 +15,10 @@ import argparse
 import statistics
 import time
 
+import numpy as np
+
 from paulitomo import OptimizerConfig, SensingMap, observe, parallel_run, run
 from paulitomo.cli import build_state
-from paulitomo.measurements import monomial_from_code
 
 
 def grad_seconds(trace) -> float:
@@ -35,8 +36,7 @@ def main():
     args = ap.parse_args()
 
     state = build_state(args.circuit, args.n, depth=3 * args.n, seed=0)
-    monomials = [monomial_from_code(c, args.n) for c in range(4**args.n)]
-    smap = SensingMap(args.n, monomials, normalized=True)
+    smap = SensingMap(args.n, np.arange(4**args.n), normalized=True)
     y = observe(state, smap)
     config = OptimizerConfig(
         rank=1, eta=args.eta, mu=0.75, maxiters=args.maxiters,

@@ -1,9 +1,9 @@
 """Low-rank quantum state tomography from sampled Pauli expectation values.
 
-Pipeline: build a target pure state, sample Pauli monomials, simulate
-basis measurements, form the (normalized) observation vector, and recover
-a d x r factor U with rho = U U^dagger by momentum-accelerated factored
-gradient descent.  Baselines, a data-parallel gradient engine, and a
+Pipeline: build a target pure state, sample Pauli monomials (base-4
+codes), simulate basis measurements, form the (normalized) observation
+vector, and recover a d x r factor U with rho = U U^dagger by
+momentum-accelerated factored gradient descent.  Baselines, a data-parallel gradient engine, and a
 generic Gaussian matrix-sensing benchmark live alongside.
 """
 
@@ -17,7 +17,6 @@ from .baselines import (
 )
 from .linalg import PowerIterationError, operator_norm, top_eigen
 from .measurements import (
-    ExpectationSample,
     MeasurementRecord,
     PauliMonomial,
     PauliSetting,
@@ -26,6 +25,7 @@ from .measurements import (
     exact_expectation,
     expectation_from_distribution,
     expectation_from_record,
+    sample_codes,
     sample_monomials,
     sample_record,
     setting_of,
@@ -49,7 +49,7 @@ from .optimizer import (
     spectral_init,
     theoretical_mu,
 )
-from .parallel import WorkPartition, parallel_gradient, parallel_run, partition
+from .parallel import parallel_gradient, parallel_run, partition
 from .sensing import ObservationVector, SensingMap, observe, observe_with_records
 from .states import (
     PureState,

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurements import VALUE_ATOL
+from .measurements import setting_labels
 from .sensing import _fwht
 
 DENSE_QUBIT_CAP = 8
-_LABEL_FOR_AXIS = {"x": 1, "y": 2, "z": 3}
+VALUE_ATOL = 1e-12
 # I, X, Y, Z: _PAULIS[label] is the 2x2 matrix of that monomial label.
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
@@ -107,14 +107,13 @@ def complete_expectations(records) -> np.ndarray:
         raise ValueError(f"need each of the 3^{n} settings exactly once")
     d = 2**n
     # Entry s of a record's Walsh-Hadamard transform is the parity sum of the
-    # monomial with the setting's axis where s has a bit and identity elsewhere.
+    # monomial with the setting's axis where s has a bit and identity elsewhere:
+    # the setting's code with the digits outside s cleared.
     shots = np.array([r.shots for r in records])
     values = _fwht(np.stack([r.counts for r in records])) / shots[:, None]
-    axis_labels = np.array([[_LABEL_FOR_AXIS[a] for a in r.setting.axes] for r in records])
-    codes = np.zeros((len(records), d), dtype=np.int64)
-    for k in range(n):
-        bit = (np.arange(d) >> (n - 1 - k)) & 1
-        codes |= (axis_labels[:, k, None] * bit) << (2 * (n - 1 - k))
+    setting_codes = setting_labels([r.setting for r in records], n) @ 4 ** np.arange(n - 1, -1, -1)
+    digit_masks = 3 * sum(((np.arange(d) >> j) & 1) << (2 * j) for j in range(n))
+    codes = setting_codes[:, None] & digit_masks
     sums = np.bincount(codes.ravel(), weights=values.ravel(), minlength=4**n)
     return sums / np.bincount(codes.ravel(), minlength=4**n)
 

@@ -1,22 +1,22 @@
 """Command-line surface: state/measure/reconstruct/baseline/mitigate/
 synthetic/compare subcommands, JSON in and out.
 
-A --config FILE (JSON object whose keys mirror flag names) supplies
-defaults; explicit flags win.  All domain failures exit nonzero with a
-message on stderr.
+A --config FILE (JSON object keyed by option dest: l_hat for --l-hat,
+infile for --in) supplies flags that explicit ones override; its values
+are converted and checked as the flags are.  All domain failures exit
+nonzero with a message on stderr.
 """
 
 import argparse
+import itertools
 import sys
 import time
 from dataclasses import replace
 
 import numpy as np
 
-import itertools
-
 from . import baselines, metrics, optimizer, parallel, serialize, synthetic
-from .measurements import PauliSetting, monomial_from_code, sample_monomials
+from .measurements import PauliSetting, sample_codes
 from .seeding import substream
 from .sensing import SensingMap, observe_with_records, simulate_records
 from .states import RandomCircuitSpec, ghz, ghz_minus, hadamard_all, random_state
@@ -182,8 +182,8 @@ def _simulate_pipeline(args, normalized=True):
         raise ValueError(f"shots must be >= 1, got {args.shots}")
     state = build_state(args.circuit, args.n, args.depth, args.seed)
     m = monomial_count(args.measpc, args.n)
-    monomials = sample_monomials(args.n, m, substream(args.seed, "monomials"))
-    sensing_map = SensingMap(args.n, monomials, normalized=normalized)
+    codes = sample_codes(args.n, m, substream(args.seed, "monomials"))
+    sensing_map = SensingMap(args.n, codes, normalized=normalized)
     shots = None if args.exact else args.shots
     obs, records = observe_with_records(state, sensing_map, shots=shots, seed=args.seed)
     return state, sensing_map, obs, records
@@ -214,12 +214,8 @@ def _cmd_state(args) -> int:
 def _cmd_measure(args) -> int:
     if args.records_out and args.exact:
         raise ValueError("exact mode produces no measurement records")
-    normalized = not args.unnormalized
-    state, sensing_map, obs, records = _simulate_pipeline(args, normalized=normalized)
-    serialize.save_json(
-        serialize.expectations_to_json(args.n, normalized, sensing_map.monomials, obs.values),
-        args.out,
-    )
+    _, sensing_map, obs, records = _simulate_pipeline(args, normalized=not args.unnormalized)
+    serialize.save_json(serialize.expectations_to_json(sensing_map, obs.values), args.out)
     if args.records_out:
         serialize.save_json(
             serialize.records_to_json(args.n, args.shots, records), args.records_out
@@ -254,8 +250,7 @@ def _cmd_baseline(args) -> int:
     start = time.perf_counter()
     if args.exact:
         # Monomials in code order, so the values are already code-indexed.
-        monomials = [monomial_from_code(code, args.n) for code in range(4**args.n)]
-        sensing_map = SensingMap(args.n, monomials, normalized=False)
+        sensing_map = SensingMap(args.n, np.arange(4**args.n), normalized=False)
         values = observe_with_records(state, sensing_map, shots=None, seed=args.seed)[0].values
     else:
         records = simulate_records(state, all_settings(args.n), args.shots, seed=args.seed)
@@ -325,6 +320,27 @@ _COMMANDS = {
 }
 
 
+def _config_flags(cfg: dict, registry: dict, command: str) -> list:
+    """The flags that a config object, keyed by option dest, gives `command`.
+
+    A key no subcommand has is an error; a key only others have is skipped.
+    """
+    known = {a.dest for sub in registry.values() for a in sub._actions} - {"help", "config"}
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise ValueError(f"keys {unknown} name no option (keys are dests such as l_hat)")
+    flags = []
+    for action in registry[command]._actions if command in registry else []:
+        if action.dest not in known or action.dest not in cfg:
+            continue
+        value, flag, switch = cfg[action.dest], action.option_strings[-1], action.nargs == 0
+        if switch != isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            wanted = "true or false" if switch else "a string or a number"
+            raise ValueError(f"key {action.dest!r} takes {wanted}")
+        flags += [flag] * value if switch else [f"{flag}={value}"]
+    return flags
+
+
 def cli_main(argv) -> int:
     argv = list(argv)
     parser, registry = build_parser()
@@ -333,20 +349,15 @@ def cli_main(argv) -> int:
         if at == len(argv):
             print("error: --config needs a file path", file=sys.stderr)
             return 2
-        path = argv[at]
         try:
-            cfg = serialize.load_json(path)
+            cfg = serialize.load_json(argv[at])
             if not isinstance(cfg, dict):
                 raise ValueError("expected a JSON object")
+            # Before the explicit flags, which parse later and so win.
+            argv[1:1] = _config_flags(cfg, registry, argv[0])
         except (OSError, ValueError) as exc:
-            print(f"error: cannot read config file: {exc}", file=sys.stderr)
+            print(f"error: config file: {exc}", file=sys.stderr)
             return 2
-        for sub in registry.values():
-            known = {action.dest for action in sub._actions}
-            sub.set_defaults(**{k: v for k, v in cfg.items() if k in known})
-            for action in sub._actions:
-                if action.dest in cfg:
-                    action.required = False
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,15 +1,17 @@
 """Pauli monomial sampling, basis-measurement simulation, and conversion of
 outcome counts to monomial expectation values.
 
-Encoding: a monomial is a length-n tuple of labels over {0, 1, 2, 3} for
-(identity, x, y, z); equivalently a string over {I, X, Y, Z} with qubit 0
-first.  A measurement setting is a string over {x, y, z}, one axis per
-qubit.  Outcomes are integers j in [0, 2^n) with qubit 0 as the most
-significant bit, the package-wide convention, and bit value b at a qubit
-means eigenvalue (-1)^b of that qubit's measured Pauli axis.  A record's
-counts are a length-2^n integer array, counts[j] being the number of
-shots with outcome j; bit strings appear only in the records file
-(serialize.py).
+Encoding: inside the library a monomial is its base-4 code, an integer in
+[0, 4^n) whose digit k (qubit 0 the most significant digit) is qubit k's
+label over {0, 1, 2, 3} for (identity, x, y, z), and a set of monomials is
+an int64 code array.  The label tuple PauliMonomial and the string over
+{I, X, Y, Z} (qubit 0 first) exist only at the API and file edges.  A
+measurement setting is a string over {x, y, z}, one axis per qubit.
+Outcomes are integers j in [0, 2^n) with qubit 0 as the most significant
+bit, the package-wide convention, and bit value b at a qubit means
+eigenvalue (-1)^b of that qubit's measured Pauli axis.  A record's counts
+are a length-2^n integer array, counts[j] being the number of shots with
+outcome j; bit strings appear only in the records file (serialize.py).
 
 Measurement simulation is batched.  born_probabilities takes a block of
 settings and rotates qubit by qubit over their prefix tree, so settings
@@ -21,8 +23,9 @@ lookup on the same uniforms.
 
 The action of a monomial on a state vector is a signed index permutation:
 x and y flip the qubit's bit, y and z contribute a sign from the bit value,
-and each y contributes one factor of i.  apply_monomial exploits this for
-an O(2^n) matrix-free product.
+and each y contributes one factor of i.  monomial_actions reads these masks
+off the codes, and apply_monomial uses them for an O(2^n) matrix-free
+product.
 """
 
 from dataclasses import dataclass
@@ -33,13 +36,13 @@ from .seeding import as_generator
 from .states import PureState, _HADAMARD
 
 LABEL_CHARS = "IXYZ"
-_AXIS_FOR_LABEL = ("z", "x", "y", "z")
+# The axis each label is measured along, identity along z; labels 1, 2, 3
+# are the axes x, y, z.
+_AXIS_FOR_LABEL = "zxyz"
 
 # Inverse basis-change matrices: rows are the measurement-basis bras.
 _TO_X_BASIS = _HADAMARD
 _TO_Y_BASIS = _HADAMARD @ np.diag([1.0, -1.0j])  # Hadamard after S^dagger
-
-VALUE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,10 @@ class PauliMonomial:
             return cls(tuple(LABEL_CHARS.index(ch) for ch in text.upper()))
         except ValueError:
             raise ValueError(f"monomial string must be over IXYZ, got {text!r}") from None
+
+    @property
+    def code(self) -> int:
+        return int("".join(map(str, self.labels)), 4)
 
     def __str__(self) -> str:
         return "".join(LABEL_CHARS[l] for l in self.labels)
@@ -116,26 +123,33 @@ class MeasurementRecord:
         self.counts = counts
 
 
-@dataclass
-class ExpectationSample:
-    """Estimated expectation value of one monomial."""
-
-    monomial: PauliMonomial
-    value: float
-
-    def __post_init__(self):
-        if abs(self.value) > 1.0 + VALUE_ATOL:
-            raise ValueError(f"expectation value out of [-1, 1]: {self.value}")
-
-
 def monomial_from_code(code: int, n: int) -> PauliMonomial:
     """Decode a base-4 integer (qubit 0 = most significant digit)."""
-    labels = tuple((code >> (2 * (n - 1 - k))) & 3 for k in range(n))
-    return PauliMonomial(labels)
+    return PauliMonomial(tuple((code >> (2 * (n - 1 - k))) & 3 for k in range(n)))
 
 
-def sample_monomials(n: int, m: int, seed) -> list:
-    """Draw m distinct monomials uniformly without replacement.
+def _labels(codes, n: int) -> np.ndarray:
+    """(m, n) labels of a code array: column k is qubit k's base-4 digit."""
+    return (np.asarray(codes, dtype=np.int64)[:, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
+
+
+def monomial_codes(monomials, n: int) -> np.ndarray:
+    """The int64 codes of n-qubit monomials given as integer codes or as
+    PauliMonomials, which are encoded here, at the API edge."""
+    if not isinstance(monomials, np.ndarray):
+        monomials = list(monomials)
+        if monomials and all(isinstance(p, PauliMonomial) and p.n == n for p in monomials):
+            monomials = np.array([p.labels for p in monomials]) @ 4 ** np.arange(n - 1, -1, -1)
+    codes = np.asarray(monomials)
+    if codes.ndim != 1 or codes.size == 0 or not np.issubdtype(codes.dtype, np.integer):
+        raise ValueError(f"need one or more {n}-qubit PauliMonomials or integer codes")
+    if codes.min() < 0 or codes.max() >= 4**n:
+        raise ValueError(f"monomial codes must lie in [0, 4^{n})")
+    return codes.astype(np.int64)
+
+
+def sample_codes(n: int, m: int, seed) -> np.ndarray:
+    """Draw m distinct monomial codes uniformly without replacement.
 
     Deterministic per seed.  Uses a full permutation when m is a large
     fraction of 4^n and rejection sampling otherwise; the branch depends
@@ -146,22 +160,36 @@ def sample_monomials(n: int, m: int, seed) -> list:
         raise ValueError(f"need 1 <= m <= 4^n = {total}, got m={m}")
     rng = as_generator(seed)
     if m * 2 >= total:
-        codes = rng.permutation(total)[:m]
-    else:
-        seen = {}
-        while len(seen) < m:
-            for code in rng.integers(total, size=2 * (m - len(seen))):
-                if int(code) not in seen:
-                    seen[int(code)] = None
-                    if len(seen) == m:
-                        break
-        codes = np.fromiter(seen.keys(), dtype=np.int64)
-    return [monomial_from_code(int(c), n) for c in codes]
+        return rng.permutation(total)[:m]
+    seen = {}  # insertion-ordered, so the codes keep their draw order
+    while len(seen) < m:
+        for code in map(int, rng.integers(total, size=2 * (m - len(seen)))):
+            seen.setdefault(code, None)
+            if len(seen) == m:
+                break
+    return np.fromiter(seen, dtype=np.int64, count=m)
+
+
+def sample_monomials(n: int, m: int, seed) -> list:
+    """sample_codes' draws as PauliMonomials."""
+    return [monomial_from_code(c, n) for c in sample_codes(n, m, seed).tolist()]
 
 
 def setting_of(p: PauliMonomial) -> PauliSetting:
     """Measurement setting of a monomial; identity positions default to z."""
-    return PauliSetting("".join(_AXIS_FOR_LABEL[l] for l in p.labels))
+    return code_settings([p.code], p.n)[0]
+
+
+def code_settings(codes, n: int) -> list:
+    """The measurement setting of each monomial code; identity digits read as z."""
+    axes = np.frombuffer(_AXIS_FOR_LABEL.encode(), dtype=np.uint8)[_labels(codes, n)]
+    return [PauliSetting(row.tobytes().decode()) for row in axes]
+
+
+def setting_labels(settings, n: int) -> np.ndarray:
+    """(S, n) labels of the settings' axes (x 1, y 2, z 3), read from their bytes."""
+    axes = np.frombuffer("".join(s.axes for s in settings).encode(), dtype=np.uint8)
+    return 1 + np.searchsorted(list(_AXIS_FOR_LABEL[1:].encode()), axes).reshape(len(settings), n)
 
 
 def born_probabilities(state: PureState, settings) -> np.ndarray:
@@ -184,26 +212,24 @@ def born_probabilities(state: PureState, settings) -> np.ndarray:
     for setting in batch:
         if setting.n != n:
             raise ValueError(f"state has {n} qubits, setting has {setting.n}")
-    # Axis codes x=0, y=1, z=2 from the setting strings' bytes.
-    axes = np.frombuffer("".join(s.axes for s in batch).encode(), dtype=np.uint8)
-    axes = axes.reshape(len(batch), n).astype(np.int64) - ord("x")
+    labels = setting_labels(batch, n)
     rows = state.amplitudes.reshape((1,) + (2,) * n)
-    codes = np.zeros(1, dtype=np.int64)
+    nodes = np.zeros(1, dtype=np.int64)  # the distinct prefixes so far, sorted
     prefix = np.zeros(len(batch), dtype=np.int64)
     for k in range(n):
-        prefix = 3 * prefix + axes[:, k]
+        prefix = 4 * prefix + labels[:, k]
         child, leaf = np.unique(prefix, return_inverse=True)
-        parent = np.searchsorted(codes, child // 3)
-        axis = child % 3
+        parent = np.searchsorted(nodes, child // 4)
+        label = child % 4
         out = np.empty((child.size,) + rows.shape[1:], dtype=complex)
-        for code, gate in ((0, _TO_X_BASIS), (1, _TO_Y_BASIS), (2, None)):
-            sel = axis == code
+        for value, gate in ((1, _TO_X_BASIS), (2, _TO_Y_BASIS), (3, None)):
+            sel = label == value
             src = rows[parent[sel]]
             if gate is not None:  # apply_single_qubit's product, row by row
                 src = np.moveaxis(np.moveaxis(src, k + 1, -1) @ gate.T, -1, k + 1)
             out[sel] = src
-        rows, codes = out, child
-    probs = np.abs(rows.reshape(codes.size, 2**n)[leaf]) ** 2
+        rows, nodes = out, child
+    probs = np.abs(rows.reshape(nodes.size, 2**n)[leaf]) ** 2
     return probs[0] if single else probs
 
 
@@ -258,19 +284,18 @@ def expectation_from_distribution(
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (2**setting.n,):
         raise ValueError(f"expected {2**setting.n} outcome weights, got shape {probs.shape}")
-    flip, sign_mask, _ = monomial_action(p)
-    signs = 1.0 - 2.0 * _bit_parity(np.arange(probs.size) & (flip | sign_mask))
+    flips, sign_masks, _ = monomial_actions([p.code], p.n)
+    signs = 1.0 - 2.0 * _bit_parity(np.arange(probs.size) & (flips | sign_masks))
     return float(np.dot(signs, probs))
 
 
-def expectation_from_record(record: MeasurementRecord, p: PauliMonomial) -> ExpectationSample:
+def expectation_from_record(record: MeasurementRecord, p: PauliMonomial) -> float:
     """Estimate <P> from one record's counts.
 
     The signed count sum is an integer, held exactly in float64; the single
     final division keeps e.g. the all-identity monomial at exactly 1.0.
     """
-    value = expectation_from_distribution(record.setting, record.counts, p) / record.shots
-    return ExpectationSample(monomial=p, value=value)
+    return expectation_from_distribution(record.setting, record.counts, p) / record.shots
 
 
 def _bit_parity(values: np.ndarray) -> np.ndarray:
@@ -283,32 +308,17 @@ def _bit_parity(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def monomial_action(p: PauliMonomial):
-    """Signed-permutation data (flip mask, sign mask, #y factors) of P."""
-    n = p.n
-    flip = 0
-    sign_mask = 0
-    ny = 0
-    for k, label in enumerate(p.labels):
-        bit = 1 << (n - 1 - k)
-        if label == 1:
-            flip |= bit
-        elif label == 2:
-            flip |= bit
-            sign_mask |= bit
-            ny += 1
-        elif label == 3:
-            sign_mask |= bit
-    return flip, sign_mask, ny
+def monomial_actions(codes, n: int):
+    """Signed-permutation data (flips, sign_masks, nys) of monomial codes.
 
-
-def monomial_actions(monomials):
-    """monomial_action of each monomial, as (flips, sign_masks, nys) int64 arrays."""
-    labels = np.array([p.labels for p in monomials], dtype=np.int64)
-    bits = 1 << np.arange(labels.shape[1] - 1, -1, -1, dtype=np.int64)
-    flips = ((labels == 1) | (labels == 2)) @ bits
-    sign_masks = ((labels == 2) | (labels == 3)) @ bits
-    return flips, sign_masks, np.count_nonzero(labels == 2, axis=1)
+    Three int64 arrays; bit n-1-k of a mask is qubit k.  A label's two bits
+    (hi, lo) are I 00, X 01, Y 10, Z 11: x and y flip the qubit's bit
+    (hi ^ lo), y and z add a sign from it (hi), and each y adds a factor i.
+    """
+    labels = _labels(codes, n)
+    bits = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    hi, lo = (labels >> 1) @ bits, (labels & 1) @ bits
+    return hi ^ lo, hi, np.count_nonzero(labels == 2, axis=1)
 
 
 def apply_monomial(p: PauliMonomial, v: np.ndarray) -> np.ndarray:
@@ -322,10 +332,9 @@ def apply_monomial(p: PauliMonomial, v: np.ndarray) -> np.ndarray:
     d = 2**p.n
     if v.shape[0] != d:
         raise ValueError(f"vector has leading dimension {v.shape[0]}, expected {d}")
-    flip, sign_mask, ny = monomial_action(p)
-    src = np.arange(d) ^ flip
-    signs = 1.0 - 2.0 * _bit_parity(src & sign_mask)
-    phase = (1j**ny) * signs
+    flips, sign_masks, nys = monomial_actions([p.code], p.n)
+    src = np.arange(d) ^ flips[0]
+    phase = (1j ** nys[0]) * (1.0 - 2.0 * _bit_parity(src & sign_masks[0]))
     if v.ndim == 1:
         return phase * v[src]
     return phase[:, None] * v[src, :]

@@ -14,43 +14,20 @@ is the join on the submitted futures.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import optimizer
 
 
-@dataclass(frozen=True)
-class WorkPartition:
-    """Contiguous ranges covering [0, m), sizes differing by at most one."""
-
-    worker_count: int
-    ranges: tuple
-
-    def __post_init__(self):
-        stop = 0
-        for lo, hi in self.ranges:
-            if lo != stop or hi < lo:
-                raise ValueError(f"ranges must be contiguous and ordered, got {self.ranges}")
-            stop = hi
-        sizes = [hi - lo for lo, hi in self.ranges]
-        if max(sizes) - min(sizes) > 1:
-            raise ValueError(f"range sizes must differ by at most 1, got {sizes}")
-
-
-def partition(m: int, p: int) -> WorkPartition:
-    """Split m labels over p workers; the first m mod p ranges get one extra."""
+def partition(m: int, p: int) -> tuple:
+    """Split m labels over p workers: contiguous (lo, hi) ranges covering
+    [0, m) in order, the first m mod p of them one longer than the rest."""
     if p < 1 or p > m:
         raise ValueError(f"need 1 <= workers <= labels, got p={p}, m={m}")
     base, extra = divmod(m, p)
-    ranges = []
-    lo = 0
-    for w in range(p):
-        hi = lo + base + (1 if w < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return WorkPartition(worker_count=p, ranges=tuple(ranges))
+    bounds = [w * base + min(w, extra) for w in range(p + 1)]
+    return tuple(zip(bounds[:-1], bounds[1:]))
 
 
 def _reduce_partials(pool, sensing_map, y, z, ranges) -> np.ndarray:
@@ -68,9 +45,9 @@ def _reduce_partials(pool, sensing_map, y, z, ranges) -> np.ndarray:
 def parallel_gradient(sensing_map, y, z: np.ndarray, p: int) -> np.ndarray:
     """Residual gradient computed by p workers and a fixed-order reduction."""
     y = optimizer.observation_values(y)
-    part = partition(sensing_map.m, p)
+    ranges = partition(sensing_map.m, p)
     with ThreadPoolExecutor(max_workers=p) as pool:
-        return _reduce_partials(pool, sensing_map, y, z, part.ranges)
+        return _reduce_partials(pool, sensing_map, y, z, ranges)
 
 
 def parallel_run(sensing_map, y, config, p: int, target=None):
@@ -82,10 +59,10 @@ def parallel_run(sensing_map, y, config, p: int, target=None):
     if p == 1:
         return optimizer.run(sensing_map, y, config, target=target)
     y = optimizer.observation_values(y)
-    part = partition(sensing_map.m, p)
+    ranges = partition(sensing_map.m, p)
     with ThreadPoolExecutor(max_workers=p) as pool:
 
         def gradient_fn(z):
-            return _reduce_partials(pool, sensing_map, y, z, part.ranges)
+            return _reduce_partials(pool, sensing_map, y, z, ranges)
 
         return optimizer.run(sensing_map, y, config, target=target, gradient_fn=gradient_fn)

@@ -3,10 +3,12 @@
 The map sends a factor U (d x r, representing rho = U U^dagger) to the m
 real values s * Tr(P_i U U^dagger), where s = d / sqrt(m) when the map is
 normalized and 1 otherwise.  The adjoint sends a coefficient vector x to
-s * sum_i x_i P_i Z without ever materializing a d x d matrix.
+s * sum_i x_i P_i Z without ever materializing a d x d matrix.  The map
+holds its monomials as an int64 array of base-4 codes (measurements.py);
+monomial objects given at the API edge are encoded once, on construction.
 
 A monomial acts as a signed index permutation (see
-measurements.apply_monomial): (P z)[k] = i^ny (-1)^{popcount((k^f) & s)}
+measurements.monomial_actions): (P z)[k] = i^ny (-1)^{popcount((k^f) & s)}
 z[k^f], with flip mask f, sign mask s and ny y-factors.  Monomials that
 share a flip f differ only in the Walsh-Hadamard character picked by s,
 so the map works per flip group:
@@ -21,7 +23,7 @@ source indices k^f plus per-monomial group ids, sign masks and phases, in
 flip order (monomials stably sorted by flip mask).  The *_range methods
 index that order, so the parallel engine's contiguous ranges touch
 disjoint runs of groups; all other methods keep the user order of
-`monomials`.  The full-range call is the serial path, so a one-worker
+`codes`.  The full-range call is the serial path, so a one-worker
 partition reproduces it exactly.  adjoint_operator fixes x and builds its
 table once, for the eigensolver; every path applies a table with the same
 _apply_table.
@@ -34,10 +36,11 @@ import numpy as np
 from .measurements import (
     exact_expectation,  # noqa: F401  (module attribute that perfbench/tracing.py wraps)
     expectation_from_record,  # noqa: F401  (likewise)
-    monomial_actions,
-    sample_record,
-    setting_of,
     born_probabilities,
+    code_settings,
+    monomial_actions,
+    monomial_codes,
+    sample_record,
 )
 from .seeding import substream
 from .states import PureState
@@ -84,22 +87,17 @@ def _apply_table(src: np.ndarray, v: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 class SensingMap:
-    """Ordered Pauli monomials defining A and its adjoint."""
+    """Ordered Pauli monomials, kept as the code array `codes`, defining A and A^dagger."""
 
     def __init__(self, n: int, monomials, normalized: bool = True):
-        monomials = list(monomials)
-        if not monomials:
-            raise ValueError("sensing map needs at least one monomial")
-        if any(p.n != n for p in monomials):
-            raise ValueError("all monomials must cover n qubits")
         self.n = n
-        self.monomials = monomials
+        self.codes = monomial_codes(monomials, n)
         self.normalized = normalized
         self._src = None  # the flip-order cache, built on first use
 
     @property
     def m(self) -> int:
-        return len(self.monomials)
+        return self.codes.size
 
     @property
     def d(self) -> int:
@@ -112,7 +110,7 @@ class SensingMap:
     def _ensure_cache(self):
         if self._src is not None:
             return
-        flips, sign_masks, nys = monomial_actions(self.monomials)
+        flips, sign_masks, nys = monomial_actions(self.codes, self.n)
         # Stable, so repeated monomials keep their user order within a group.
         self._order = np.argsort(flips, kind="stable")
         self._rank = np.argsort(self._order)
@@ -230,7 +228,7 @@ def observe_with_records(
     Exact mode (shots None) evaluates every <psi|P_i|psi> with one pass of
     the map's forward operator, clamped to [-1, 1] as exact_expectation
     does, and returns an empty record list.  Sampled mode groups monomials
-    by measurement setting and simulates one record per distinct setting
+    by measurement setting (an identity digit read as z) and simulates one record per distinct setting
     through simulate_records, settings in first-occurrence order (so the
     stream id is the setting's index in that order, and a record is shared
     by every monomial mapped to its setting).  One Walsh-Hadamard transform
@@ -245,14 +243,14 @@ def observe_with_records(
         traces = sensing_map._traces(state.amplitudes, 0, sensing_map.m)[sensing_map._rank]
         values = np.clip(traces, -1.0, 1.0)
         return ObservationVector(sensing_map.scale * values), []
-    flips, sign_masks, _ = monomial_actions(sensing_map.monomials)
+    flips, sign_masks, _ = monomial_actions(sensing_map.codes, sensing_map.n)
     # Per qubit, x sets the flip bit and y the flip and sign bits; identity
     # and z set neither once signs are masked by flips.  So two monomials
     # have equal keys exactly when they have equal settings.
     keys = (flips << sensing_map.n) | (flips & sign_masks)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    settings = [setting_of(sensing_map.monomials[i]) for i in first[order]]
+    settings = code_settings(sensing_map.codes[first[order]], sensing_map.n)
     records = simulate_records(state, settings, shots, seed)
     # Integer transform: every parity sum is exact before the one division.
     parity_sums = _fwht(np.stack([r.counts for r in records]))

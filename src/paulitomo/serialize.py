@@ -13,9 +13,9 @@ Schemas:
                            "grad_time_s"}], "factor": optional}
   calibration  {"n": int, "columns": [[float, ...], ...]}  (column-major)
 
-Bit strings and monomial strings put qubit 0 first.  Outcome bit strings
-exist only here: in the library a record's counts are an integer array
-indexed by outcome, and the records file lists the nonzero entries.
+Bit strings and monomial strings put qubit 0 first and exist only here:
+in the library a record's counts are an integer array indexed by outcome
+(the records file lists the nonzero entries) and monomials are codes.
 """
 
 import csv
@@ -25,7 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .baselines import CalibrationMatrix
-from .measurements import MeasurementRecord, PauliMonomial, PauliSetting
+from .measurements import MeasurementRecord, PauliMonomial, PauliSetting, monomial_from_code
 from .optimizer import ConvergenceTrace, OptimizerConfig
 from .sensing import ObservationVector, SensingMap
 from .states import PureState
@@ -102,13 +102,15 @@ def records_from_json(obj: dict) -> list:
     return records
 
 
-def expectations_to_json(n: int, normalized: bool, monomials, values) -> dict:
+def expectations_to_json(sensing_map: SensingMap, values) -> dict:
+    n = sensing_map.n
     return {
         "version": 1,
         "n": n,
-        "normalized": bool(normalized),
+        "normalized": bool(sensing_map.normalized),
         "items": [
-            {"monomial": str(p), "value": float(v)} for p, v in zip(monomials, values)
+            {"monomial": str(monomial_from_code(int(c), n)), "value": float(v)}
+            for c, v in zip(sensing_map.codes, values)
         ],
     }
 

@@ -29,6 +29,31 @@ AXIS_VECTORS = {
 }
 
 
+def code_labels(code: int, n: int) -> tuple:
+    """Base-4 digits of a monomial code, qubit 0 (the most significant) first."""
+    return tuple((int(code) >> (2 * (n - 1 - k))) & 3 for k in range(n))
+
+
+def monomial_action(labels):
+    """Signed-permutation data (flip mask, sign mask, #y factors) of one
+    monomial's label tuple, qubit by qubit."""
+    n = len(labels)
+    flip = 0
+    sign_mask = 0
+    ny = 0
+    for k, label in enumerate(labels):
+        bit = 1 << (n - 1 - k)
+        if label == 1:
+            flip |= bit
+        elif label == 2:
+            flip |= bit
+            sign_mask |= bit
+            ny += 1
+        elif label == 3:
+            sign_mask |= bit
+    return flip, sign_mask, ny
+
+
 def dense_monomial(labels) -> np.ndarray:
     """P as an explicit 2^n x 2^n matrix via Kronecker products."""
     mat = np.eye(1, dtype=complex)
@@ -47,19 +72,18 @@ def dense_basis_vector(axes: str, outcome: int) -> np.ndarray:
     return vec
 
 
-def dense_forward(monomials, rho: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """A(rho) computed entirely through dense matrices."""
+def dense_forward(codes, n: int, rho: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """A(rho) over n-qubit monomial codes, computed entirely through dense matrices."""
     return np.array(
-        [scale * np.trace(dense_monomial(p.labels) @ rho).real for p in monomials]
+        [scale * np.trace(dense_monomial(code_labels(c, n)) @ rho).real for c in codes]
     )
 
 
-def dense_adjoint(monomials, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """A^dagger(x) as an explicit d x d matrix."""
-    d = 2 ** len(monomials[0].labels)
-    out = np.zeros((d, d), dtype=complex)
-    for xi, p in zip(x, monomials):
-        out += scale * xi * dense_monomial(p.labels)
+def dense_adjoint(codes, n: int, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """A^dagger(x) over n-qubit monomial codes as an explicit d x d matrix."""
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for xi, c in zip(x, codes):
+        out += scale * xi * dense_monomial(code_labels(c, n))
     return out
 
 

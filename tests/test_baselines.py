@@ -197,7 +197,7 @@ def test_complete_expectations_averages_compatible_settings():
                 r for r in records
                 if all(l == 0 or a == "xyz"[l - 1] for a, l in zip(r.setting.axes, p.labels))
             ]
-            per_record = [expectation_from_record(r, p).value for r in measured_by]
+            per_record = [expectation_from_record(r, p) for r in measured_by]
             assert len(per_record) == 3 ** p.labels.count(0)
             assert values[code] == pytest.approx(np.mean(per_record), abs=1e-12)
 

@@ -315,6 +315,42 @@ def test_config_file_defaults(tmp_path):
     assert read(out)["n"] == 3
 
 
+def test_config_number_converts_like_its_flag(tmp_path):
+    # A JSON number reaches --mu as the flag's text would, not as a raw float.
+    cfg = tmp_path / "cfg.json"
+    serialize.save_json({"mu": 0.5, "circuit": "ghz", "n": 3, "measpc": 30, "maxiters": 5}, cfg)
+    out = tmp_path / "r.json"
+    assert invoke("reconstruct", "--config", cfg, "--exact", "--out", out) == 0
+    assert read(out)["config"]["mu"] == 0.5
+
+
+def test_config_value_of_wrong_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    serialize.save_json({"n": [1], "circuit": "ghz"}, cfg)
+    code = invoke("state", "--config", cfg, "--out", tmp_path / "s.json")
+    assert_clean_failure(capsys, code, "'n'")
+
+
+def test_config_switch_true_turns_it_on(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    serialize.save_json({"exact": True, "circuit": "ghz", "n": 3}, cfg)
+    out = tmp_path / "b.json"
+    assert invoke("baseline", "--config", cfg, "--out", out) == 0
+    assert read(out)["shots"] is None
+
+
+def test_config_unknown_key(tmp_path, capsys):
+    # Keys are option dests: l_hat works, the flag spelling l-hat is refused.
+    cfg = tmp_path / "cfg.json"
+    serialize.save_json({"l-hat": 1.05, "circuit": "ghz", "n": 3}, cfg)
+    code = invoke("reconstruct", "--config", cfg, "--exact", "--maxiters", 3, "--out", tmp_path / "r.json")
+    assert_clean_failure(capsys, code, "'l-hat'")
+    serialize.save_json({"l_hat": 1.05, "circuit": "ghz", "n": 3}, cfg)
+    out = tmp_path / "r.json"
+    assert invoke("reconstruct", "--config", cfg, "--exact", "--maxiters", 3, "--out", out) == 0
+    assert read(out)["config"]["L_hat"] == 1.05
+
+
 def test_config_file_missing(tmp_path, capsys):
     assert invoke("state", "--config", tmp_path / "nope.json", "--out", tmp_path / "s.json") == 2
 

@@ -21,9 +21,15 @@ from paulitomo import (
     sample_record,
     setting_of,
 )
-from paulitomo.measurements import monomial_action, monomial_actions, monomial_from_code
+from paulitomo.measurements import monomial_actions, monomial_from_code, sample_codes
 
-from conftest import dense_basis_vector, dense_monomial, random_pure_state_vector, reference_counts
+from conftest import (
+    dense_basis_vector,
+    dense_monomial,
+    monomial_action,
+    random_pure_state_vector,
+    reference_counts,
+)
 
 
 def all_monomials(n):
@@ -50,6 +56,25 @@ def test_sample_monomials_distinct():
         assert len(mono) == 5
         assert len({p.labels for p in mono}) == 5
         assert all(p.n == 2 for p in mono)
+
+
+@pytest.mark.parametrize(
+    "n, m, seed, expected",
+    [
+        # m >= 4^n / 2: the permutation branch.
+        (2, 10, 3, [11, 15, 9, 1, 12, 2, 14, 10, 0, 4]),
+        # m < 4^n / 2: the rejection branch, in one batch of draws and in three.
+        (3, 12, 7, [60, 40, 43, 57, 37, 49, 53, 14, 3, 19, 18, 55]),
+        (2, 7, 45, [14, 9, 11, 8, 12, 6, 4]),
+    ],
+)
+def test_sample_codes_pinned_draws(n, m, seed, expected):
+    # Literal draws, so a change to the sampler that changes every seeded
+    # data set fails here rather than passing as "still deterministic".
+    codes = sample_codes(n, m, seed)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == expected
+    assert sample_monomials(n, m, seed) == [monomial_from_code(c, n) for c in expected]
 
 
 def test_sample_monomials_bounds():
@@ -234,8 +259,7 @@ def test_identity_monomial_expectation_is_one():
     record = MeasurementRecord(
         PauliSetting("zzz"), shots=10, counts=np.array([0, 0, 3, 0, 0, 0, 0, 7])
     )
-    sample = expectation_from_record(record, PauliMonomial((0, 0, 0)))
-    assert sample.value == 1.0
+    assert expectation_from_record(record, PauliMonomial((0, 0, 0))) == 1.0
 
 
 def test_infinite_shot_ghz_distribution():
@@ -262,7 +286,7 @@ def test_shared_record_consistency():
     record = sample_record(setting, probs, shots=4096, seed=1)
     freq = record.counts / record.shots
     for labels in [(1, 2, 3), (0, 2, 3), (1, 0, 3), (1, 2, 0), (0, 0, 3)]:
-        est = expectation_from_record(record, PauliMonomial(labels)).value
+        est = expectation_from_record(record, PauliMonomial(labels))
         direct = expectation_from_distribution(setting, freq, PauliMonomial(labels))
         assert est == pytest.approx(direct, abs=1e-12)
 
@@ -338,7 +362,7 @@ def test_apply_monomial_on_columns(rng):
 
 def test_monomial_actions_match_per_monomial_loop():
     mono = all_monomials(3)
-    flips, sign_masks, nys = monomial_actions(mono)
+    flips, sign_masks, nys = monomial_actions(np.arange(64), 3)
     assert [tuple(map(int, t)) for t in zip(flips, sign_masks, nys)] == [
-        monomial_action(p) for p in mono
+        monomial_action(p.labels) for p in mono
     ]

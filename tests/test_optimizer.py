@@ -24,7 +24,7 @@ from paulitomo.metrics import fidelity_rank1, frobenius_error
 from paulitomo.optimizer import resolve_mu
 from paulitomo.seeding import substream
 
-from conftest import dense_adjoint, dense_forward, dense_monomial, random_factor
+from conftest import code_labels, dense_adjoint, dense_forward, dense_monomial, random_factor
 
 
 def full_exact_problem(state, normalized=True):
@@ -51,7 +51,7 @@ def test_spectral_init_complete_ghz3():
     smap, y = full_exact_problem(state, normalized=False)
     u0 = spectral_init(smap, y, r=1, L_hat=1.1)
     # Oracle: eigen-decompose the explicitly built sum of y_i P_i.
-    mat = dense_adjoint(smap.monomials, y.values)
+    mat = dense_adjoint(smap.codes, smap.n, y.values)
     vals, vecs = np.linalg.eigh(mat)
     expected = vecs[:, -1] * np.sqrt(vals[-1] / 1.1)
     phase = np.vdot(u0[:, 0], expected)
@@ -78,7 +78,7 @@ def test_spectral_init_matches_dense_top_r(rng):
     smap = SensingMap(3, sample_monomials(3, 30, rng), normalized=True)
     y = rng.standard_normal(30)
     u0 = spectral_init(smap, y, r=2, L_hat=1.05)
-    mat = dense_adjoint(smap.monomials, y, scale=smap.scale)
+    mat = dense_adjoint(smap.codes, smap.n, y, scale=smap.scale)
     vals, vecs = np.linalg.eigh(mat)
     rho0 = u0 @ u0.conj().T
     expected = np.zeros_like(mat)
@@ -131,8 +131,8 @@ def test_step_size_matches_dense(rng):
     rho0 = z0 @ z0.conj().T
     znorm = np.linalg.norm(np.linalg.eigvalsh(rho0)).max()
     znorm = float(np.abs(np.linalg.eigvalsh(rho0)).max())
-    residual = dense_forward(smap.monomials, rho0, scale=smap.scale) - y
-    gnorm = float(np.abs(np.linalg.eigvalsh(dense_adjoint(smap.monomials, residual, scale=smap.scale))).max())
+    residual = dense_forward(smap.codes, smap.n, rho0, scale=smap.scale) - y
+    gnorm = float(np.abs(np.linalg.eigvalsh(dense_adjoint(smap.codes, smap.n, residual, scale=smap.scale))).max())
     expected = 1.0 / (4 * (1.1 * znorm + gnorm))
     assert compute_step_size(smap, y, z0, 1.1) == pytest.approx(expected, rel=1e-6)
 
@@ -180,7 +180,7 @@ def test_fgd_equivalence_dense_recursion(rng):
     factor, trace = run(smap, y, config)
 
     u = random_init(8, 1, seed=3)
-    dense_ps = [dense_monomial(p.labels) for p in smap.monomials]
+    dense_ps = [dense_monomial(code_labels(c, smap.n)) for c in smap.codes]
     s = smap.scale
     for _ in range(20):
         rho = u @ u.conj().T

@@ -24,19 +24,35 @@ def full_map(n):
     return SensingMap(n, [monomial_from_code(c, n) for c in range(4**n)], normalized=True)
 
 
+def assert_contiguous_near_equal(ranges, m):
+    # Ordered ranges that tile [0, m), sizes differing by at most one.
+    stop = 0
+    for lo, hi in ranges:
+        assert lo == stop and hi >= lo
+        stop = hi
+    assert stop == m
+    sizes = [hi - lo for lo, hi in ranges]
+    assert max(sizes) - min(sizes) <= 1
+
+
 def test_partition_sizes():
-    part = partition(10, 4)
-    assert [hi - lo for lo, hi in part.ranges] == [3, 3, 2, 2]
-    assert part.ranges[0][0] == 0 and part.ranges[-1][1] == 10
+    ranges = partition(10, 4)
+    assert [hi - lo for lo, hi in ranges] == [3, 3, 2, 2]
+    assert ranges[0][0] == 0 and ranges[-1][1] == 10
+    for m in range(1, 40):
+        for p in range(1, m + 1):
+            ranges = partition(m, p)
+            assert len(ranges) == p
+            assert_contiguous_near_equal(ranges, m)
 
 
 def test_partition_single_worker():
-    assert partition(7, 1).ranges == ((0, 7),)
+    assert partition(7, 1) == ((0, 7),)
 
 
 def test_partition_one_label_each():
-    part = partition(5, 5)
-    assert all(hi - lo == 1 for lo, hi in part.ranges)
+    ranges = partition(5, 5)
+    assert all(hi - lo == 1 for lo, hi in ranges)
 
 
 def test_partition_bounds():

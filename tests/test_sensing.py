@@ -63,7 +63,7 @@ def test_forward_matches_dense(rng):
         u = random_factor(rng, 8, r)
         smap = small_random_map(rng, 3, 20)
         rho = u @ u.conj().T
-        assert np.allclose(smap.forward_factored(u), dense_forward(smap.monomials, rho), atol=1e-10)
+        assert np.allclose(smap.forward_factored(u), dense_forward(smap.codes, smap.n, rho), atol=1e-10)
 
 
 def test_forward_normalization_scale(rng):
@@ -94,7 +94,7 @@ def test_adjoint_matches_dense(rng):
         smap = small_random_map(rng, 3, 25)
         z = random_factor(rng, 8, r)
         x = rng.standard_normal(25)
-        expected = dense_adjoint(smap.monomials, x) @ z
+        expected = dense_adjoint(smap.codes, smap.n, x) @ z
         assert np.allclose(smap.adjoint_times(x, z), expected, atol=1e-10)
 
 
@@ -109,7 +109,7 @@ def test_adjointness_identity(rng):
         x = rng.standard_normal(m)
         lhs = float(np.dot(smap.forward_factored(u), x))
         rho = u @ u.conj().T
-        adjoint_mat = dense_adjoint(smap.monomials, x, scale=smap.scale)
+        adjoint_mat = dense_adjoint(smap.codes, smap.n, x, scale=smap.scale)
         rhs = float(np.trace(rho.conj().T @ adjoint_mat).real)
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
@@ -135,8 +135,8 @@ def test_residual_gradient_matches_dense_pipeline(rng):
     smap = small_random_map(rng, 3, 20, normalized=True)
     z = random_factor(rng, 8, 2)
     y = rng.standard_normal(20)
-    residual = dense_forward(smap.monomials, z @ z.conj().T, scale=smap.scale) - y
-    expected = dense_adjoint(smap.monomials, residual, scale=smap.scale) @ z
+    residual = dense_forward(smap.codes, smap.n, z @ z.conj().T, scale=smap.scale) - y
+    expected = dense_adjoint(smap.codes, smap.n, residual, scale=smap.scale) @ z
     assert np.allclose(smap.residual_gradient(y, z), expected, atol=1e-10)
 
 
@@ -170,11 +170,11 @@ def assert_matches_dense(smap, rng, r):
     """Forward, adjoint and residual gradient agree with dense matrices."""
     z = random_factor(rng, smap.d, r)
     x = rng.standard_normal(smap.m)
-    forward = dense_forward(smap.monomials, z @ z.conj().T, scale=smap.scale)
+    forward = dense_forward(smap.codes, smap.n, z @ z.conj().T, scale=smap.scale)
     assert np.allclose(smap.forward_factored(z), forward, atol=1e-10)
-    adjoint = dense_adjoint(smap.monomials, x, scale=smap.scale)
+    adjoint = dense_adjoint(smap.codes, smap.n, x, scale=smap.scale)
     assert np.allclose(smap.adjoint_times(x, z), adjoint @ z, atol=1e-10)
-    residual_adjoint = dense_adjoint(smap.monomials, forward - x, scale=smap.scale)
+    residual_adjoint = dense_adjoint(smap.codes, smap.n, forward - x, scale=smap.scale)
     assert np.allclose(smap.residual_gradient(x, z), residual_adjoint @ z, atol=1e-10)
 
 
@@ -268,7 +268,7 @@ def test_worker_ranges_split_flip_groups(p):
     smap._ensure_cache()
     groups = smap._src.shape[0]
     spans = []
-    for lo, hi in partition(smap.m, p).ranges:
+    for lo, hi in partition(smap.m, p):
         src, row = smap._groups(lo, hi)
         assert row.min() == 0 and row.max() == src.shape[0] - 1
         spans.append(src.shape[0])
@@ -282,7 +282,7 @@ def test_observe_exact_full_map_matches_dense():
     state = ghz(3)
     smap = full_map(3, normalized=False)
     obs = observe(state, smap)
-    assert np.allclose(obs.values, dense_forward(smap.monomials, density_of(state)), atol=1e-10)
+    assert np.allclose(obs.values, dense_forward(smap.codes, smap.n, density_of(state)), atol=1e-10)
 
 
 def test_observe_identity_entry_sampled_exact_value(rng):
@@ -316,7 +316,7 @@ def test_observe_sampled_matches_record_reference(rng, n, m):
         assert np.array_equal(a.counts, b.counts)
     by_setting = {r.setting: r for r in records}
     expected = [
-        smap.scale * expectation_from_record(by_setting[setting_of(p)], p).value for p in mono
+        smap.scale * expectation_from_record(by_setting[setting_of(p)], p) for p in mono
     ]
     assert obs.values.tolist() == expected
 
@@ -394,3 +394,15 @@ def test_map_validation():
         SensingMap(3, [])
     with pytest.raises(ValueError):
         SensingMap(3, [PauliMonomial((1, 2))])
+    for codes in (np.array([64]), np.array([-1]), np.array([1.0]), np.zeros((2, 2), dtype=int)):
+        with pytest.raises(ValueError):
+            SensingMap(3, codes)
+
+
+def test_map_keeps_base4_codes():
+    # Qubit 0 is the most significant digit: "XZ" is 1 * 4 + 3.
+    assert SensingMap(2, [PauliMonomial.from_string("XZ")]).codes.tolist() == [7]
+    mono = [monomial_from_code(c, 2) for c in (5, 0, 15, 5)]
+    codes = SensingMap(2, mono).codes
+    assert codes.dtype == np.int64 and codes.tolist() == [5, 0, 15, 5]
+    assert np.array_equal(SensingMap(2, [5, 0, 15, 5]).codes, codes)

@@ -73,10 +73,10 @@ def test_expectations_round_trip(tmp_path):
     state = ghz(3)
     smap = SensingMap(3, sample_monomials(3, 25, 4), normalized=True)
     obs, _ = observe_with_records(state, smap, shots=128, seed=4)
-    obj = serialize.expectations_to_json(3, True, smap.monomials, obs.values)
+    obj = serialize.expectations_to_json(smap, obs.values)
     loaded_map, loaded_obs = serialize.expectations_from_json(obj)
     assert loaded_map.normalized
-    assert [p.labels for p in loaded_map.monomials] == [p.labels for p in smap.monomials]
+    assert np.array_equal(loaded_map.codes, smap.codes)
     assert np.array_equal(loaded_obs.values, obs.values)
 
 
