@@ -40,7 +40,6 @@ from .metrics import (
 from .optimizer import (
     ConvergenceTrace,
     DivergenceError,
-    MomentumParams,
     OptimizerConfig,
     TraceRecord,
     compute_step_size,

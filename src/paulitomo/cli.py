@@ -48,22 +48,11 @@ def all_settings(n: int) -> list:
     return [PauliSetting("".join(axes)) for axes in itertools.product("xyz", repeat=n)]
 
 
-def _parse_mu(text: str):
-    if text.startswith("theory"):
-        optimizer.parse_theory_mu(text)
-        return text
-    return float(text)
-
-
-def _parse_eta(text: str):
-    return None if text == "auto" else float(text)
-
-
 def _optimizer_config(args) -> optimizer.OptimizerConfig:
     return optimizer.OptimizerConfig(
         rank=args.rank,
-        eta=_parse_eta(args.eta),
-        mu=_parse_mu(args.mu),
+        eta=None if args.eta == "auto" else float(args.eta),
+        mu=optimizer.parse_mu(args.mu)[0],
         maxiters=args.maxiters,
         reltol=args.reltol,
         seed=args.seed,
@@ -72,17 +61,25 @@ def _optimizer_config(args) -> optimizer.OptimizerConfig:
     )
 
 
-def _add_state_flags(sub, with_depth=True):
-    sub.add_argument("--circuit", choices=CIRCUITS, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    if with_depth:
-        sub.add_argument("--depth", type=int, default=20, help="random circuit depth")
+def _add_state_flags(sub, required=True):
+    sub.add_argument("--circuit", choices=CIRCUITS, required=required)
+    sub.add_argument("--n", type=int, required=required)
+    sub.add_argument("--depth", type=int, default=20, help="random circuit depth")
+
+
+def _add_data_flags(sub, measpc=None):
+    """Measurement flags; --measpc only where a default is given."""
+    if measpc is not None:
+        sub.add_argument("--measpc", type=float, default=measpc)
+    sub.add_argument("--shots", type=int, default=2048)
+    sub.add_argument("--exact", action="store_true", help="noiseless expectation values")
+    sub.add_argument("--seed", type=int, default=0)
 
 
 def _add_optimizer_flags(sub):
     sub.add_argument("--rank", type=int, default=1)
     sub.add_argument("--eta", default="auto", help='step size, or "auto" for the eigenvalue rule')
-    sub.add_argument("--mu", default="0", help='momentum: float, "0", or "theory:EPS"')
+    sub.add_argument("--mu", default="0", help='momentum: float, "theory" or "theory:EPS"')
     sub.add_argument("--maxiters", type=int, default=1000)
     sub.add_argument("--reltol", type=float, default=5e-4)
     sub.add_argument("--init", choices=("spectral", "random"), default="spectral")
@@ -91,62 +88,49 @@ def _add_optimizer_flags(sub):
 
 
 def build_parser():
+    """The parser and its subparsers action, whose choices map each
+    command to a subparser that carries its handler as `func`."""
     parser = argparse.ArgumentParser(prog="paulitomo")
     subs = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
-    sub = registry["state"] = subs.add_parser("state", help="write a target state as JSON")
+    def command(name, func, help):
+        sub = subs.add_parser(name, help=help)
+        sub.set_defaults(func=func)
+        sub.add_argument("--config", default=None, help=argparse.SUPPRESS)
+        return sub
+
+    sub = command("state", _cmd_state, "write a target state as JSON")
     _add_state_flags(sub)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
 
-    sub = registry["measure"] = subs.add_parser(
-        "measure", help="simulate measurements; write the expectation-value file"
-    )
+    sub = command("measure", _cmd_measure, "simulate measurements; write the expectation-value file")
     _add_state_flags(sub)
-    sub.add_argument("--measpc", type=float, default=100.0)
-    sub.add_argument("--shots", type=int, default=2048)
-    sub.add_argument("--exact", action="store_true", help="noiseless expectation values")
-    sub.add_argument("--seed", type=int, default=0)
+    _add_data_flags(sub, measpc=100.0)
     sub.add_argument("--unnormalized", action="store_true", help="store raw Tr(P rho) values")
     sub.add_argument("--out", required=True)
     sub.add_argument("--records-out", default=None, help="also write the counts file")
 
-    sub = registry["reconstruct"] = subs.add_parser(
-        "reconstruct", help="run the factored-gradient reconstruction"
-    )
+    sub = command("reconstruct", _cmd_reconstruct, "run the factored-gradient reconstruction")
     sub.add_argument("--in", dest="infile", default=None, help="expectation-value file")
-    sub.add_argument("--circuit", choices=CIRCUITS, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--depth", type=int, default=20)
-    sub.add_argument("--measpc", type=float, default=100.0)
-    sub.add_argument("--shots", type=int, default=2048)
-    sub.add_argument("--exact", action="store_true")
-    sub.add_argument("--seed", type=int, default=0)
+    _add_state_flags(sub, required=False)
+    _add_data_flags(sub, measpc=100.0)
     _add_optimizer_flags(sub)
     sub.add_argument("--out", required=True)
     sub.add_argument("--trace-csv", default=None)
     sub.add_argument("--save-factor", action="store_true")
 
-    sub = registry["baseline"] = subs.add_parser(
-        "baseline", help="full-tomography linear inversion + density projection"
-    )
+    sub = command("baseline", _cmd_baseline, "full-tomography linear inversion + density projection")
     _add_state_flags(sub)
-    sub.add_argument("--shots", type=int, default=2048)
-    sub.add_argument("--exact", action="store_true")
-    sub.add_argument("--seed", type=int, default=0)
+    _add_data_flags(sub)
     sub.add_argument("--out", required=True)
 
-    sub = registry["mitigate"] = subs.add_parser(
-        "mitigate", help="readout-error mitigation of a probability vector"
-    )
+    sub = command("mitigate", _cmd_mitigate, "readout-error mitigation of a probability vector")
     sub.add_argument("--calibration", required=True)
     sub.add_argument("--in", dest="infile", required=True)
     sub.add_argument("--out", required=True)
 
-    sub = registry["synthetic"] = subs.add_parser(
-        "synthetic", help="generic matrix-sensing momentum benchmark"
-    )
+    sub = command("synthetic", _cmd_synthetic, "generic matrix-sensing momentum benchmark")
     sub.add_argument("--d", type=int, default=256)
     sub.add_argument("--r", type=int, default=5)
     sub.add_argument("--c", type=int, default=5)
@@ -154,24 +138,16 @@ def build_parser():
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--tol", type=float, default=1e-3)
     sub.add_argument("--maxiters", type=int, default=4000)
-    sub.add_argument("--mu-values", default="0,0.6667,theory")
+    sub.add_argument("--mu-values", default="0,0.6667,theory", help="comma-separated --mu values")
     sub.add_argument("--out", required=True)
 
-    sub = registry["compare"] = subs.add_parser(
-        "compare", help="momentum vs plain gradient descent on one problem"
-    )
+    sub = command("compare", _cmd_compare, "momentum vs plain gradient descent on one problem")
     _add_state_flags(sub)
-    sub.add_argument("--measpc", type=float, default=20.0)
-    sub.add_argument("--shots", type=int, default=2048)
-    sub.add_argument("--exact", action="store_true")
-    sub.add_argument("--seed", type=int, default=0)
+    _add_data_flags(sub, measpc=20.0)
     _add_optimizer_flags(sub)
     sub.add_argument("--out", required=True)
     sub.add_argument("--trace-csv", default=None, help="prefix; writes PREFIX.momentum.csv and PREFIX.plain.csv")
-
-    for name, sub in registry.items():
-        sub.add_argument("--config", default=None, help=argparse.SUPPRESS)
-    return parser, registry
+    return parser, subs
 
 
 def _simulate_pipeline(args, normalized=True):
@@ -190,19 +166,12 @@ def _simulate_pipeline(args, normalized=True):
 
 
 def _result_json(config, trace, factor, target_state, save_factor=False):
-    final_fidelity = metrics.fidelity_rank1(factor, target_state) if target_state else None
-    final_error = (
-        metrics.frobenius_error(factor, target_state.amplitudes[:, None])
-        if target_state
-        else None
-    )
-    return serialize.result_to_json(
-        config,
-        trace,
-        final_fidelity,
-        final_error,
-        factor=factor if save_factor else None,
-    )
+    fidelity = error = None
+    if target_state:
+        fidelity = metrics.fidelity_rank1(factor, target_state)
+        error = metrics.frobenius_error(factor, target_state.amplitudes[:, None])
+    factor = factor if save_factor else None
+    return serialize.result_to_json(config, trace, fidelity, error, factor=factor)
 
 
 def _cmd_state(args) -> int:
@@ -284,9 +253,7 @@ def _cmd_synthetic(args) -> int:
     problem = synthetic.SyntheticProblem(
         d=args.d, r=args.r, c=args.c, noise_norm=args.noise, seed=args.seed
     )
-    mu_values = [
-        v if v == "theory" else float(v) for v in args.mu_values.split(",") if v
-    ]
+    mu_values = [optimizer.parse_mu(v)[0] for v in args.mu_values.split(",") if v]
     report = synthetic.run_synthetic_comparison(
         problem, mu_values, tol=args.tol, maxiters=args.maxiters
     )
@@ -309,28 +276,17 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "state": _cmd_state,
-    "measure": _cmd_measure,
-    "reconstruct": _cmd_reconstruct,
-    "baseline": _cmd_baseline,
-    "mitigate": _cmd_mitigate,
-    "synthetic": _cmd_synthetic,
-    "compare": _cmd_compare,
-}
-
-
-def _config_flags(cfg: dict, registry: dict, command: str) -> list:
+def _config_flags(cfg: dict, commands: dict, command: str) -> list:
     """The flags that a config object, keyed by option dest, gives `command`.
 
     A key no subcommand has is an error; a key only others have is skipped.
     """
-    known = {a.dest for sub in registry.values() for a in sub._actions} - {"help", "config"}
+    known = {a.dest for sub in commands.values() for a in sub._actions} - {"help", "config"}
     unknown = sorted(set(cfg) - known)
     if unknown:
         raise ValueError(f"keys {unknown} name no option (keys are dests such as l_hat)")
     flags = []
-    for action in registry[command]._actions if command in registry else []:
+    for action in commands[command]._actions if command in commands else []:
         if action.dest not in known or action.dest not in cfg:
             continue
         value, flag, switch = cfg[action.dest], action.option_strings[-1], action.nargs == 0
@@ -343,7 +299,7 @@ def _config_flags(cfg: dict, registry: dict, command: str) -> list:
 
 def cli_main(argv) -> int:
     argv = list(argv)
-    parser, registry = build_parser()
+    parser, subs = build_parser()
     if "--config" in argv:
         at = argv.index("--config") + 1
         if at == len(argv):
@@ -354,7 +310,7 @@ def cli_main(argv) -> int:
             if not isinstance(cfg, dict):
                 raise ValueError("expected a JSON object")
             # Before the explicit flags, which parse later and so win.
-            argv[1:1] = _config_flags(cfg, registry, argv[0])
+            argv[1:1] = _config_flags(cfg, subs.choices, argv[0])
         except (OSError, ValueError) as exc:
             print(f"error: config file: {exc}", file=sys.stderr)
             return 2
@@ -363,7 +319,7 @@ def cli_main(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

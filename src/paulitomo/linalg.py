@@ -37,8 +37,10 @@ def _complement(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 def _ritz(matvec, dim: int, k: int, tol: float, seed: int, pick):
     """Ritz pairs pick(theta), theta ascending, once each has ||M v - theta v||
-    <= tol * max(|theta|, 1e-6 ||M||) with ||M|| = max |theta|; raises
-    PowerIterationError if the basis can grow no further first."""
+    <= max(tol |theta|, floor ||M||) with ||M|| = max |theta| and floor =
+    min(tol, max(tol 1e-6, dim eps)); raises PowerIterationError if the
+    basis can grow no further first."""
+    floor = min(tol, max(tol * 1e-6, dim * np.finfo(float).eps))
     rng = np.random.default_rng([seed, 0xB10C])
     shape = (dim, min(dim, k + 2))
     basis = image = np.zeros((dim, 0), dtype=complex)
@@ -51,7 +53,7 @@ def _ritz(matvec, dim: int, k: int, tol: float, seed: int, pick):
         wanted = pick(theta)
         values, vectors = theta[wanted], basis @ s[:, wanted]
         residual = np.linalg.norm(image @ s[:, wanted] - vectors * values, axis=0)
-        missed = residual > tol * np.maximum(np.abs(values), 1e-6 * np.abs(theta).max())
+        missed = residual > np.maximum(tol * np.abs(values), floor * np.abs(theta).max())
         if not missed.any():
             return values, vectors
         new = _complement(basis, image[:, -new.shape[1] :])
@@ -70,8 +72,11 @@ def top_eigen(matvec, dim: int, k: int, tol: float = 1e-8, seed: int = 0):
     """Top-k eigenpairs (descending eigenvalue) of a Hermitian operator.
 
     Returns (values, vectors) with vectors in columns.  Each pair satisfies
-    ||M v - lambda v|| <= tol * max(|lambda|, 1e-6 * ||M||_2); the floor
-    admits eigenvalues negligible against the operator scale.
+    ||M v - lambda v|| <= max(tol |lambda|, floor ||M||_2) with floor =
+    min(tol, max(tol 1e-6, dim eps)).  The floor admits eigenvalues
+    negligible against the operator scale; for tol >= dim eps it is at or
+    above the rounding of a matvec, dim eps ||M||_2, so a pair at eigenvalue
+    0 cannot miss on rounding alone.  A tol below dim eps is unreachable.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")

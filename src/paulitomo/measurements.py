@@ -259,6 +259,9 @@ def sample_record(
     below = np.searchsorted(np.sort(rng.random(shots)), cdf, side="left")
     counts = below.copy()
     counts[1:] -= below[:-1]
+    if probs[-1] <= 0:  # what the guard caught belongs to the last bin of nonzero probability
+        last = np.flatnonzero(probs > 0)[-1]
+        counts[last], counts[-1] = counts[last] + counts[-1], 0
     return MeasurementRecord(setting=setting, shots=shots, counts=counts)
 
 

@@ -25,6 +25,8 @@ from .seeding import substream
 from .sensing import ObservationVector
 from .states import PureState
 
+KAPPA = 1.223  # sensing condition number of the pure-state analysis
+
 
 class DivergenceError(RuntimeError):
     """Iterates left the finite range; carries the failing iteration."""
@@ -38,9 +40,8 @@ class DivergenceError(RuntimeError):
 class OptimizerConfig:
     """Hyperparameters of the factored-gradient run.
 
-    eta None means the two-eigenvalue step rule evaluated at Z_0.  mu is a
-    float in [0, 1), or a string "theory:EPS" for the momentum value that
-    the convergence analysis permits (pure-state sensing constants).
+    eta None means the two-eigenvalue step rule evaluated at Z_0.  mu is
+    any spec that parse_mu reads.
     """
 
     rank: int = 1
@@ -61,34 +62,11 @@ class OptimizerConfig:
             raise ValueError(f"reltol must be positive, got {self.reltol}")
         if self.eta is not None and self.eta <= 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if isinstance(self.mu, str):
-            parse_theory_mu(self.mu)  # validates the format
-        elif not 0.0 <= float(self.mu) < 1.0:
-            raise ValueError(f"mu must satisfy 0 <= mu < 1, got {self.mu}")
+        parse_mu(self.mu)
         if self.init not in ("spectral", "random"):
             raise ValueError(f"init must be 'spectral' or 'random', got {self.init!r}")
         if not 1.0 < self.L_hat <= 1.1:
             raise ValueError(f"L_hat must lie in (1, 1.1], got {self.L_hat}")
-
-
-@dataclass
-class MomentumParams:
-    """Quantities entering the theoretically safe momentum value."""
-
-    r: int
-    tau: float = 1.0
-    kappa: float = 1.223
-    epsilon: float = 1.0
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"rank must be >= 1, got {self.r}")
-        if self.tau < 1.0:
-            raise ValueError(f"condition number tau must be >= 1, got {self.tau}")
-        if self.kappa < 1.0:
-            raise ValueError(f"sensing condition number must be >= 1, got {self.kappa}")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
 
 
 @dataclass
@@ -124,32 +102,50 @@ class ConvergenceTrace:
         return self.records[-1]
 
 
-def theoretical_mu(params: MomentumParams) -> float:
-    """Momentum value epsilon / (2000 r tau sqrt(kappa)).
+def theoretical_mu(r: int, tau: float = 1.0, epsilon: float = 1.0) -> float:
+    """Momentum value epsilon / (2000 r tau sqrt(KAPPA)).
 
-    With pure-state constants (r=1, tau=1, kappa ~ 1.223) this evaluates
-    to roughly epsilon / 2212.
+    With pure-state constants (r=1, tau=1) this evaluates to roughly
+    epsilon / 2212.
     """
-    return params.epsilon / (2000.0 * params.r * params.tau * np.sqrt(params.kappa))
+    if r < 1:
+        raise ValueError(f"rank must be >= 1, got {r}")
+    if tau < 1.0:
+        raise ValueError(f"condition number tau must be >= 1, got {tau}")
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    return epsilon / (2000.0 * r * tau * np.sqrt(KAPPA))
 
 
-def parse_theory_mu(text: str) -> float:
-    """Parse "theory:EPS" into its epsilon."""
-    head, sep, tail = text.partition(":")
-    if head != "theory" or not sep:
-        raise ValueError(f"mu string must look like 'theory:EPS', got {text!r}")
-    eps = float(tail)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
-    return eps
+def parse_mu(spec):
+    """Read a momentum spec: a float in [0, 1), or "theory" / "theory:EPS"
+    for theoretical_mu with epsilon EPS in (0, 1] ("theory" is "theory:1").
+
+    Returns (value, epsilon): (the float, None) for a plain value and
+    (spec, EPS) for a theory spec, so value is what a config stores.
+    """
+    head, sep, tail = str(spec).partition(":")
+    if head == "theory":
+        try:
+            epsilon = float(tail) if sep else 1.0
+        except ValueError:
+            raise ValueError(f"mu 'theory:EPS' needs a number EPS, got {spec!r}") from None
+        if not 0.0 < epsilon <= 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+        return spec, epsilon
+    try:
+        mu = float(spec)
+    except (TypeError, ValueError):
+        raise ValueError(f"mu must be a float, 'theory' or 'theory:EPS', got {spec!r}") from None
+    if not 0.0 <= mu < 1.0:
+        raise ValueError(f"mu must satisfy 0 <= mu < 1, got {spec}")
+    return mu, None
 
 
-def resolve_mu(config: OptimizerConfig, tau: float = 1.0, kappa: float = 1.223) -> float:
+def resolve_mu(config: OptimizerConfig, tau: float = 1.0) -> float:
     """Numeric momentum for a config (pure-state constants by default)."""
-    if isinstance(config.mu, str):
-        eps = parse_theory_mu(config.mu)
-        return theoretical_mu(MomentumParams(r=config.rank, tau=tau, kappa=kappa, epsilon=eps))
-    return float(config.mu)
+    mu, epsilon = parse_mu(config.mu)
+    return mu if epsilon is None else theoretical_mu(config.rank, tau, epsilon)
 
 
 def observation_values(y) -> np.ndarray:

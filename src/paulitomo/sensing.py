@@ -211,6 +211,8 @@ class ObservationVector:
         values = np.asarray(self.values, dtype=float).ravel()
         if values.size < 1:
             raise ValueError("observation vector must be nonempty")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("observation values must be finite")
         self.values = values
 
     def __len__(self) -> int:

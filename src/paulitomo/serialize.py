@@ -120,6 +120,9 @@ def expectations_from_json(obj: dict):
     n = _field(obj, "expectations", "n", int)
     items = _field(obj, "expectations", "items", list)
     labels = [_field(i, "expectations", "monomial", str) for i in items]
+    for text in labels:
+        if len(text) != n or set(text.upper()) - set("IXYZ"):
+            raise ValueError(f"expectations file: monomial {text!r} is not {n} letters of IXYZ")
     monomials = [PauliMonomial.from_string(text) for text in labels]
     values = [_field(i, "expectations", "value", (int, float)) for i in items]
     normalized = _field(obj, "expectations", "normalized", bool)

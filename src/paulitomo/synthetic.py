@@ -154,10 +154,10 @@ def run_synthetic_comparison(
 ) -> dict:
     """Head-to-head momentum comparison on one synthetic instance.
 
-    Each entry of mu_values is a float or the string "theory" (momentum
-    from the known spectrum of rho*).  All runs share the problem, the
-    random initialization seed, and the step-size rule; reported per run
-    are iterations, final relative error, and wall time.
+    Each entry of mu_values is a momentum spec (optimizer.parse_mu); a
+    theory spec takes tau from the known spectrum of rho*.  All runs share
+    the problem, the random initialization seed, and the step-size rule;
+    reported per run are iterations, final relative error, and wall time.
     """
     sensing_map, y, u_star = generate_synthetic(problem)
     spectrum = np.linalg.eigvalsh(u_star.T @ u_star)
@@ -167,10 +167,8 @@ def run_synthetic_comparison(
 
     runs = []
     for mu_spec in mu_values:
-        if mu_spec == "theory":
-            mu = optimizer.theoretical_mu(optimizer.MomentumParams(r=problem.r, tau=tau))
-        else:
-            mu = float(mu_spec)
+        mu, epsilon = optimizer.parse_mu(mu_spec)
+        mu = mu if epsilon is None else optimizer.theoretical_mu(problem.r, tau, epsilon)
         config = optimizer.OptimizerConfig(
             rank=problem.r,
             eta=None,

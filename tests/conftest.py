@@ -110,9 +110,10 @@ def inversion_shot_noise(amplitudes: np.ndarray, shots: int) -> float:
 
 def reference_counts(probs: np.ndarray, shots: int, rng) -> np.ndarray:
     """Per-shot inverse-CDF lookup: each uniform u lands in the first bin
-    whose cumulative weight exceeds it, with the last bin closed at 1."""
+    whose cumulative weight exceeds it, with the last nonzero bin closed at 1."""
     cdf = np.cumsum(np.maximum(probs, 0.0))
-    cdf[-1] = max(cdf[-1], 1.0)
+    last = np.flatnonzero(probs > 0)[-1]
+    cdf[last:] = max(cdf[last], 1.0)
     return np.bincount(np.searchsorted(cdf, rng.random(shots), side="right"), minlength=probs.size)
 
 

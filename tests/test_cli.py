@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -428,3 +429,56 @@ def test_mitigate_calibration_without_columns(tmp_path, capsys):
     serialize.save_json([0.7, 0.3], vec)
     code = invoke("mitigate", "--calibration", cal, "--in", vec, "--out", tmp_path / "o.json")
     assert_clean_failure(capsys, code, "calibration", "'columns'")
+
+
+def test_reconstruct_expectations_file_with_non_finite_value(tmp_path, capsys):
+    # JSON reads 1e400 as inf; the file is refused before any arithmetic on it.
+    text = '{"version": 1, "n": 2, "normalized": true, "items": [{"monomial": "XX", '
+    text += '"value": 1e400}, {"monomial": "ZZ", "value": 0.5}, {"monomial": "YY", "value": -0.5}]}'
+    infile = write(tmp_path / "e.json", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = invoke("reconstruct", "--in", infile, "--out", tmp_path / "r.json")
+    assert_clean_failure(capsys, code, "observation values", "finite")
+
+
+@pytest.mark.parametrize("monomial", ["XZZ", "X", "XQ"])
+def test_reconstruct_expectations_file_with_bad_monomial(tmp_path, capsys, monomial):
+    items = [{"monomial": "XZ", "value": 0.5}, {"monomial": monomial, "value": 0.25}]
+    infile = tmp_path / "e.json"
+    serialize.save_json({"version": 1, "n": 2, "normalized": True, "items": items}, infile)
+    code = invoke("reconstruct", "--in", infile, "--out", tmp_path / "r.json")
+    assert_clean_failure(capsys, code, "expectations", repr(monomial))
+
+
+def test_mu_bare_theory_means_theory_1(tmp_path):
+    outs = {}
+    for spec in ("theory", "theory:1"):
+        outs[spec] = tmp_path / f"{spec}.json"
+        args = ("--circuit", "ghz", "--n", 3, "--exact", "--maxiters", 20, "--out", outs[spec])
+        assert invoke("reconstruct", "--mu", spec, *args) == 0
+    bare, explicit = read(outs["theory"]), read(outs["theory:1"])
+    assert bare["config"]["mu"] == "theory"
+    assert bare["mu"] == explicit["mu"] > 0
+    assert bare["iterations"] == explicit["iterations"]
+    out = tmp_path / "syn.json"
+    assert invoke("synthetic", "--d", 8, "--r", 1, "--c", 2, "--maxiters", 5,
+                  "--mu-values", "theory,theory:0.5", "--out", out) == 0
+    runs = read(out)["runs"]
+    assert [r["mu_spec"] for r in runs] == ["theory", "theory:0.5"]
+    assert runs[1]["mu"] == pytest.approx(runs[0]["mu"] / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "command,flags,name",
+    [
+        ("reconstruct", ["--mu", "fast"], "'fast'"),
+        ("reconstruct", ["--mu", "theory:2"], "epsilon"),
+        ("compare", ["--mu", "1.5"], "mu"),
+        ("synthetic", ["--d", 8, "--r", 1, "--c", 2, "--mu-values", "0,theory:x"], "'theory:x'"),
+    ],
+)
+def test_bad_mu_exits_with_message(tmp_path, capsys, command, flags, name):
+    state = [] if command == "synthetic" else ["--circuit", "ghz", "--n", 3, "--exact"]
+    code = invoke(command, *state, *flags, "--out", tmp_path / "o.json")
+    assert_clean_failure(capsys, code, name)

@@ -246,6 +246,19 @@ def test_sample_record_last_bin_guard():
     assert record.counts.tolist() == [1, 2]
 
 
+def test_sample_record_roundoff_skips_zero_probability_tail():
+    # Ten weights of 0.1 sum to 1 - 2^-53.  A uniform at that sum belongs to
+    # the last bin of nonzero probability (9), never to the zero tail (15).
+    probs = np.array([0.1] * 10 + [0.0] * 6)
+    top = np.nextafter(1.0, 0.0)
+    assert np.cumsum(probs)[-1] == top
+    uniforms = [0.05, top, 0.95]
+    record = sample_record(PauliSetting("zzzz"), probs, 3, FixedUniforms(uniforms))
+    assert np.array_equal(record.counts, reference_counts(probs, 3, FixedUniforms(uniforms)))
+    assert record.counts[9] == 2 and record.counts[15] == 0
+    assert np.flatnonzero(record.counts).tolist() == [0, 9]
+
+
 def test_measurement_record_validation():
     with pytest.raises(ValueError):
         MeasurementRecord(PauliSetting("zz"), shots=5, counts=np.array([4, 0, 0, 0]))

@@ -5,7 +5,6 @@ import pytest
 
 from paulitomo import (
     DivergenceError,
-    MomentumParams,
     OptimizerConfig,
     SensingMap,
     compute_step_size,
@@ -21,7 +20,7 @@ from paulitomo import (
 from paulitomo.cli import build_state, cli_main, monomial_count
 from paulitomo.measurements import monomial_from_code
 from paulitomo.metrics import fidelity_rank1, frobenius_error
-from paulitomo.optimizer import resolve_mu
+from paulitomo.optimizer import parse_mu, resolve_mu
 from paulitomo.seeding import substream
 
 from conftest import code_labels, dense_adjoint, dense_forward, dense_monomial, random_factor
@@ -146,15 +145,15 @@ def test_step_size_rejects_zero_factor(rng):
 # -- momentum value ------------------------------------------------------------
 
 def test_theoretical_mu_reference_value():
-    mu = theoretical_mu(MomentumParams(r=1, tau=1.0, kappa=1.223, epsilon=1.0))
+    mu = theoretical_mu(r=1, tau=1.0, epsilon=1.0)
     assert mu == pytest.approx(1.0 / (2000.0 * np.sqrt(1.223)), rel=1e-12)
     assert mu == pytest.approx(4.5e-4, rel=0.01)
 
 
 def test_theoretical_mu_scalings():
-    base = theoretical_mu(MomentumParams(r=1, tau=1.0, kappa=1.223, epsilon=1.0))
-    half_eps = theoretical_mu(MomentumParams(r=1, tau=1.0, kappa=1.223, epsilon=0.5))
-    double_r = theoretical_mu(MomentumParams(r=2, tau=1.0, kappa=1.223, epsilon=1.0))
+    base = theoretical_mu(r=1, tau=1.0, epsilon=1.0)
+    half_eps = theoretical_mu(r=1, tau=1.0, epsilon=0.5)
+    double_r = theoretical_mu(r=2, tau=1.0, epsilon=1.0)
     assert half_eps == pytest.approx(base / 2, rel=1e-12)
     assert double_r == pytest.approx(base / 2, rel=1e-12)
 
@@ -166,6 +165,18 @@ def test_resolve_mu_theory_string():
         OptimizerConfig(rank=1, mu="theory:2")
     with pytest.raises(ValueError):
         OptimizerConfig(rank=1, mu=1.0)
+
+
+def test_parse_mu_grammar():
+    assert parse_mu(0.25) == (0.25, None)
+    assert parse_mu("0.25") == (0.25, None)
+    assert parse_mu("theory") == ("theory", 1.0)
+    assert parse_mu("theory:0.5") == ("theory:0.5", 0.5)
+    bare, explicit = (resolve_mu(OptimizerConfig(rank=2, mu=m)) for m in ("theory", "theory:1"))
+    assert bare == explicit == theoretical_mu(r=2)
+    for bad in (1.0, -0.1, "nan", "1e400", "theory:0", "theory:1.5", "theory:x", "theoryx", "", None):
+        with pytest.raises(ValueError):
+            parse_mu(bad)
 
 
 # -- the iteration -------------------------------------------------------------
@@ -299,11 +310,9 @@ def test_config_validation_bounds():
     with pytest.raises(ValueError):
         OptimizerConfig(rank=1, reltol=0.0)
     with pytest.raises(ValueError):
-        MomentumParams(r=1, tau=0.5)
+        theoretical_mu(r=1, tau=0.5)
     with pytest.raises(ValueError):
-        MomentumParams(r=1, kappa=0.9)
-    with pytest.raises(ValueError):
-        MomentumParams(r=1, epsilon=0.0)
+        theoretical_mu(r=1, epsilon=0.0)
 
 
 def test_rank2_target_metrics(rng):

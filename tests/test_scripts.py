@@ -25,7 +25,6 @@ def run_script(name, *args, cwd):
     [
         ("fidelity_table.py", ["--n-values", "3", "--circuits", "ghz"]),
         ("momentum_sweep.py", ["--n", "3", "--seeds", "1"]),
-        ("synthetic_benchmark.py", ["--d", "16", "--r", "1", "--c", "3", "--maxiters", "50"]),
     ],
 )
 def test_script_writes_json(tmp_path, name, args):

@@ -389,6 +389,12 @@ def test_observation_vector_validation():
         ObservationVector(np.array([]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_observation_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ObservationVector(np.array([0.5, bad, -0.25]))
+
+
 def test_map_validation():
     with pytest.raises(ValueError):
         SensingMap(3, [])
