@@ -170,8 +170,9 @@ def _result_json(config, trace, factor, target_state, save_factor=False):
     if target_state:
         fidelity = metrics.fidelity_rank1(factor, target_state)
         error = metrics.frobenius_error(factor, target_state.amplitudes[:, None])
+    rho_trace = float(np.linalg.norm(factor) ** 2)
     factor = factor if save_factor else None
-    return serialize.result_to_json(config, trace, fidelity, error, factor=factor)
+    return serialize.result_to_json(config, trace, fidelity, error, rho_trace, factor=factor)
 
 
 def _cmd_state(args) -> int:

@@ -65,12 +65,14 @@ def frobenius_error(u, v) -> float:
 
 
 def fidelity_rank1(u, psi) -> float:
-    """Tr(|psi><psi| u u^dagger) = ||u^dagger psi||^2 for a pure target."""
+    """Fidelity of rho = u u^dagger / Tr(u u^dagger) to a pure target:
+    ||u^dagger psi||^2 / ||u||_F^2, and 0.0 for a zero factor."""
     u = _as_factor(u)
     vec = _state_vector(psi)
     if u.shape[0] != vec.size:
         raise ValueError(f"factor has {u.shape[0]} rows, state has {vec.size}")
-    return float(np.linalg.norm(u.conj().T @ vec) ** 2)
+    trace = np.linalg.norm(u) ** 2
+    return float(np.linalg.norm(u.conj().T @ vec) ** 2 / trace) if trace else 0.0
 
 
 def fidelity_density(rho: np.ndarray, psi) -> float:

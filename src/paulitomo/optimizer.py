@@ -164,22 +164,24 @@ def random_init(d: int, r: int, seed: int = 0, real: bool = False) -> np.ndarray
 
 
 def spectral_init(sensing_map, y, r: int, L_hat: float = 1.1, seed: int = 0) -> np.ndarray:
-    """Factor of the rank-r PSD part of A^dagger(y), scaled by 1/L_hat.
+    """Factor of the rank-r PSD part of A^dagger(y) / c, scaled by 1/L_hat.
 
-    The block Krylov solver runs on the map's fixed operator
-    Z -> A^dagger(y) Z; column j is v_j * sqrt(max(lambda_j, 0) / L_hat).
+    c is the map's gain (E[A^dagger A] = c I).  The block Krylov solver
+    runs on the map's fixed operator Z -> A^dagger(y) Z; column j is
+    v_j * sqrt(max(lambda_j / c, 0) / L_hat).
     """
     y = observation_values(y)
     values, vectors = top_eigen(sensing_map.adjoint_operator(y), sensing_map.d, r, tol=1e-9, seed=seed)
-    cols = np.sqrt(np.maximum(values, 0.0) / L_hat)
+    cols = np.sqrt(np.maximum(values / sensing_map.gain, 0.0) / L_hat)
     return vectors * cols[None, :]
 
 
 def compute_step_size(sensing_map, y, z0: np.ndarray, L_hat: float = 1.1) -> float:
-    """Constant step 1 / (4 (L_hat ||Z0 Z0*||_2 + ||A^dagger(A(Z0 Z0*) - y)||_2)).
+    """Constant step 1 / (4 c (L_hat ||Z0 Z0*||_2 + ||A^dagger(A(Z0 Z0*) - y)||_2 / c)).
 
-    The first spectral norm comes from the r x r Gram eigenproblem, the
-    second from the block Krylov solver on the map's fixed operator
+    c is the map's gain (E[A^dagger A] = c I; c = 1 is the RIP-normalized
+    rule).  The first spectral norm comes from the r x r Gram eigenproblem,
+    the second from the block Krylov solver on the map's fixed operator
     Z -> A^dagger(A(Z0 Z0*) - y) Z.
     """
     y = observation_values(y)
@@ -192,7 +194,8 @@ def compute_step_size(sensing_map, y, z0: np.ndarray, L_hat: float = 1.1) -> flo
     top_sq = float(np.linalg.eigvalsh(gram).max())
     residual = sensing_map.forward_factored(z0) - y
     grad_norm = operator_norm(sensing_map.adjoint_operator(residual), sensing_map.d, tol=1e-8)
-    return 1.0 / (4.0 * (L_hat * top_sq + grad_norm))
+    c = sensing_map.gain
+    return 1.0 / (4.0 * c * (L_hat * top_sq + grad_norm / c))
 
 
 def _gram_change(u_new: np.ndarray, u_old: np.ndarray) -> float:

@@ -3,9 +3,12 @@
 The map sends a factor U (d x r, representing rho = U U^dagger) to the m
 real values s * Tr(P_i U U^dagger), where s = d / sqrt(m) when the map is
 normalized and 1 otherwise.  The adjoint sends a coefficient vector x to
-s * sum_i x_i P_i Z without ever materializing a d x d matrix.  The map
-holds its monomials as an int64 array of base-4 codes (measurements.py);
-monomial objects given at the API edge are encoded once, on construction.
+s * sum_i x_i P_i Z without ever materializing a d x d matrix.  For
+uniformly sampled monomials E[A^dagger A] = c I with gain c = s^2 m / d
+(d normalized, m / d not); spectral init and the auto step divide c out.
+The map holds its monomials as an int64 array of base-4 codes
+(measurements.py); monomial objects given at the API edge are encoded
+once, on construction.
 
 A monomial acts as a signed index permutation (see
 measurements.monomial_actions): (P z)[k] = i^ny (-1)^{popcount((k^f) & s)}
@@ -105,7 +108,12 @@ class SensingMap:
 
     @property
     def scale(self) -> float:
+        """s, so that E[A^dagger A] = gain * I with gain = s^2 m / d."""
         return self.d / np.sqrt(self.m) if self.normalized else 1.0
+
+    @property
+    def gain(self) -> float:
+        return self.scale**2 * self.m / self.d
 
     def _ensure_cache(self):
         if self._src is not None:

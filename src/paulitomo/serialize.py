@@ -7,7 +7,8 @@ Schemas:
   expectations {"version": 1, "n": int, "normalized": bool,
                 "items": [{"monomial": "IXXZ..", "value": float}]}
   result       {"config": {...}, "final_fidelity": float|null,
-                "final_frobenius_error": float|null, "iterations": int,
+                "final_frobenius_error": float|null,
+                "final_rho_trace": float, "iterations": int,
                 "stop_reason": "reltol"|"maxiters", "eta": float, "mu": float,
                 "trace": [{"iter", "change", "error", "fidelity", "time_s",
                            "grad_time_s"}], "factor": optional}
@@ -57,11 +58,6 @@ def _complex_pairs(values) -> list:
 
 def state_to_json(state: PureState) -> dict:
     return {"n": state.n, "amplitudes": _complex_pairs(state.amplitudes)}
-
-
-def state_from_json(obj: dict) -> PureState:
-    amps = np.array([complex(re, im) for re, im in obj["amplitudes"]])
-    return PureState(int(obj["n"]), amps)
 
 
 def records_to_json(n: int, shots: int, records) -> dict:
@@ -144,24 +140,20 @@ def factor_to_json(factor: np.ndarray) -> dict:
     }
 
 
-def factor_from_json(obj: dict) -> np.ndarray:
-    cols = [
-        np.array([complex(re, im) for re, im in col]) for col in obj["columns"]
-    ]
-    return np.stack(cols, axis=1)
-
-
 def result_to_json(
     config: OptimizerConfig,
     trace: ConvergenceTrace,
     final_fidelity: float | None,
     final_frobenius_error: float | None,
+    final_rho_trace: float,
     factor: np.ndarray | None = None,
 ) -> dict:
+    """final_fidelity is that of U U^dagger / Tr(U U^dagger); the trace is final_rho_trace."""
     out = {
         "config": config_to_json(config),
         "final_fidelity": final_fidelity,
         "final_frobenius_error": final_frobenius_error,
+        "final_rho_trace": final_rho_trace,
         "iterations": trace.iterations,
         "stop_reason": trace.stop_reason,
         "eta": trace.eta,
@@ -197,12 +189,6 @@ def trace_to_csv(trace: ConvergenceTrace, path):
                     rec.time_s,
                 ]
             )
-
-
-def calibration_to_json(calibration: CalibrationMatrix) -> dict:
-    c = calibration.entries
-    n = int(np.log2(c.shape[0]))
-    return {"n": n, "columns": [c[:, j].tolist() for j in range(c.shape[1])]}
 
 
 def calibration_from_json(obj: dict) -> CalibrationMatrix:

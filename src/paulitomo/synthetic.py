@@ -54,6 +54,7 @@ class GaussianSensingMap:
     d x d matrix; gradients read them twice per call."""
 
     real_factors = True  # random factor initialization may stay real
+    gain = 1.0  # E[A^dagger A] = I: entries have variance 1/m
 
     def __init__(self, d: int, rows: np.ndarray):
         self.d = d

@@ -175,6 +175,7 @@ def test_measure_reconstruct_round_trip(tmp_path):
     factor, trace = run(smap, y, config, target=ghz(3))
     assert result["iterations"] == trace.iterations
     assert result["final_fidelity"] == pytest.approx(trace.final().fidelity, abs=1e-12)
+    assert result["final_rho_trace"] == pytest.approx(np.linalg.norm(factor) ** 2, abs=1e-12)
     changes = [rec["change"] for rec in result["trace"]]
     expected = [rec.change for rec in trace]
     assert np.allclose(changes, expected, atol=1e-12)
@@ -293,6 +294,7 @@ def test_compare_command(tmp_path):
     for label in ("momentum", "plain"):
         lines = (tmp_path / f"cmp.{label}.csv").read_text().strip().splitlines()
         assert len(lines) == obj[label]["iterations"] + 1
+        assert obj[label]["final_fidelity"] <= 1.0 and obj[label]["final_rho_trace"] > 0
 
 
 def test_compare_rejects_zero_mu(tmp_path):

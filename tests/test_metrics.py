@@ -129,8 +129,15 @@ def test_fidelity_matches_dense_trace(rng):
     for _ in range(10):
         psi = random_pure_state_vector(rng, 3)
         u = random_factor(rng, 8, 2)
-        dense = np.trace(np.outer(psi, psi.conj()) @ (u @ u.conj().T)).real
+        rho = u @ u.conj().T
+        dense = np.trace(np.outer(psi, psi.conj()) @ (rho / np.trace(rho))).real
         assert fidelity_rank1(u, psi) == pytest.approx(dense, abs=1e-10)
+
+
+def test_fidelity_normalizes_the_factor():
+    state = ghz(3)
+    assert fidelity_rank1(1.2 * state.amplitudes[:, None], state) == 1.0
+    assert fidelity_rank1(np.zeros((8, 2)), state) == 0.0
 
 
 def test_fidelity_density_consistency(rng):

@@ -18,7 +18,7 @@ from paulitomo import (
     theoretical_mu,
 )
 from paulitomo.cli import build_state, cli_main, monomial_count
-from paulitomo.measurements import monomial_from_code
+from paulitomo.measurements import monomial_from_code, sample_codes
 from paulitomo.metrics import fidelity_rank1, frobenius_error
 from paulitomo.optimizer import parse_mu, resolve_mu
 from paulitomo.seeding import substream
@@ -49,10 +49,11 @@ def test_spectral_init_complete_ghz3():
     state = ghz(3)
     smap, y = full_exact_problem(state, normalized=False)
     u0 = spectral_init(smap, y, r=1, L_hat=1.1)
-    # Oracle: eigen-decompose the explicitly built sum of y_i P_i.
+    # Oracle: eigen-decompose the explicitly built sum of y_i P_i, divided
+    # by the unnormalized gain m / d = 64 / 8.
     mat = dense_adjoint(smap.codes, smap.n, y.values)
     vals, vecs = np.linalg.eigh(mat)
-    expected = vecs[:, -1] * np.sqrt(vals[-1] / 1.1)
+    expected = vecs[:, -1] * np.sqrt(vals[-1] / 8.0 / 1.1)
     phase = np.vdot(u0[:, 0], expected)
     phase /= abs(phase)
     assert np.allclose(u0[:, 0] * phase, expected, atol=1e-6)
@@ -67,10 +68,11 @@ def test_spectral_init_zero_data(rng):
 
 
 def test_spectral_init_constructed_eigenpair(rng):
-    # Single identity monomial: M = s * y_0 * I, dominant eigenpair (s*y_0, any v).
+    # Single identity monomial: M = s * y_0 * I, dominant eigenpair (s*y_0, any v);
+    # the unnormalized gain is m / d = 1 / 4.
     smap = SensingMap(2, [monomial_from_code(0, 2)], normalized=False)
     u0 = spectral_init(smap, np.array([2.0]), r=1, L_hat=1.1)
-    assert np.linalg.norm(u0) ** 2 == pytest.approx(2.0 / 1.1, rel=1e-8)
+    assert np.linalg.norm(u0) ** 2 == pytest.approx(2.0 * 4.0 / 1.1, rel=1e-8)
 
 
 def test_spectral_init_matches_dense_top_r(rng):
@@ -82,8 +84,8 @@ def test_spectral_init_matches_dense_top_r(rng):
     rho0 = u0 @ u0.conj().T
     expected = np.zeros_like(mat)
     for j in (-1, -2):
-        if vals[j] > 0:
-            expected += (vals[j] / 1.05) * np.outer(vecs[:, j], vecs[:, j].conj())
+        if vals[j] > 0:  # divided by the normalized gain d = 8
+            expected += (vals[j] / 8.0 / 1.05) * np.outer(vecs[:, j], vecs[:, j].conj())
     assert np.allclose(rho0, expected, atol=1e-6)
 
 
@@ -99,7 +101,8 @@ def test_spectral_init_small_eigengap_data(tmp_path, circuit, seed):
     y = observe(state, smap, shots=4096, seed=seed)
     u0 = spectral_init(smap, y, r=1, L_hat=1.1, seed=seed)
     top = np.linalg.eigvalsh(smap.adjoint_operator(y.values)(np.eye(64)))[-1]
-    assert np.linalg.norm(u0[:, 0]) ** 2 * 1.1 == pytest.approx(top, rel=1e-9)
+    # Divided by the normalized gain d = 64.
+    assert np.linalg.norm(u0[:, 0]) ** 2 * 1.1 == pytest.approx(top / 64.0, rel=1e-9)
 
 
 # -- step size ----------------------------------------------------------------
@@ -109,8 +112,9 @@ def test_step_size_zero_residual(rng):
     z0 = random_factor(rng, 8, 1)
     y = smap.forward_factored(z0)
     sigma1_sq = np.linalg.norm(z0) ** 2  # rank-1: top eigenvalue of the Gram
+    # Zero residual leaves 1 / (4 c L_hat sigma1^2), with normalized gain c = d = 8.
     assert compute_step_size(smap, y, z0, L_hat=1.1) == pytest.approx(
-        1.0 / (4 * 1.1 * sigma1_sq), rel=1e-6
+        1.0 / (4 * 8.0 * 1.1 * sigma1_sq), rel=1e-6
     )
 
 
@@ -132,7 +136,8 @@ def test_step_size_matches_dense(rng):
     znorm = float(np.abs(np.linalg.eigvalsh(rho0)).max())
     residual = dense_forward(smap.codes, smap.n, rho0, scale=smap.scale) - y
     gnorm = float(np.abs(np.linalg.eigvalsh(dense_adjoint(smap.codes, smap.n, residual, scale=smap.scale))).max())
-    expected = 1.0 / (4 * (1.1 * znorm + gnorm))
+    c = 8.0  # normalized gain d
+    expected = 1.0 / (4 * c * (1.1 * znorm + gnorm / c))
     assert compute_step_size(smap, y, z0, 1.1) == pytest.approx(expected, rel=1e-6)
 
 
@@ -230,6 +235,20 @@ def test_stop_reason_tells_maxiters_from_reltol():
     _, short_trace = run(smap, y, dataclasses.replace(config, maxiters=k - 1))
     assert short_trace.stop_reason == "maxiters"
     assert short_trace.iterations == k - 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_n7_spectral_auto_step_converges_fast(seed):
+    # Random circuit, depth 20, measpc 30, exact data, spectral init, auto
+    # step, mu theory:1: with the gain divided out, reltol stops the run in
+    # tens of iterations.
+    state = build_state("random", 7, 20, seed)
+    smap = SensingMap(7, sample_codes(7, monomial_count(30, 7), substream(seed, "monomials")))
+    y = observe(state, smap, seed=seed)
+    config = OptimizerConfig(rank=1, eta=None, mu="theory:1", init="spectral", seed=seed)
+    factor, trace = run(smap, y, config)
+    assert trace.stop_reason == "reltol" and trace.iterations <= 50
+    assert frobenius_error(factor, state.amplitudes[:, None]) <= 0.01
 
 
 def test_maxiters_zero_forbidden():

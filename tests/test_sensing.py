@@ -25,7 +25,14 @@ from paulitomo import sensing
 from paulitomo.cli import all_settings
 from paulitomo.sensing import simulate_records
 
-from conftest import dense_adjoint, dense_forward, random_factor, reference_records
+from conftest import (
+    code_labels,
+    dense_adjoint,
+    dense_forward,
+    dense_monomial,
+    random_factor,
+    reference_records,
+)
 
 
 def full_map(n, normalized=False):
@@ -382,6 +389,20 @@ def test_near_isometry_band_on_rank1(rng):
         ratios.append(np.linalg.norm(smap.forward_factored(u)) ** 2 / d)
     ratios = np.array(ratios)
     assert np.all(ratios >= 0.5) and np.all(ratios <= 1.5)
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("copies", [1, 2])
+def test_gain_complete_set_dense(normalized, copies):
+    # Paulis / sqrt(d) are an orthonormal basis, so for the complete set
+    # (taken `copies` times) A^dagger A = s^2 m / d I exactly: d normalized,
+    # m / d unnormalized.
+    n, d = 3, 8
+    codes = np.tile(np.arange(4**n), copies)
+    smap = SensingMap(n, codes, normalized=normalized)
+    assert smap.gain == pytest.approx(d if normalized else codes.size / d, rel=1e-12)
+    rows = np.array([smap.scale * dense_monomial(code_labels(c, n)).T.ravel() for c in codes])
+    assert np.allclose(rows.conj().T @ rows, smap.gain * np.eye(d * d), rtol=0, atol=1e-10)
 
 
 def test_observation_vector_validation():

@@ -22,9 +22,10 @@ def test_state_round_trip(tmp_path):
     state = random_state(RandomCircuitSpec(3, 15, 2))
     path = tmp_path / "state.json"
     serialize.save_json(serialize.state_to_json(state), path)
-    loaded = serialize.state_from_json(serialize.load_json(path))
-    assert loaded.n == 3
-    assert np.array_equal(loaded.amplitudes, state.amplitudes)
+    obj = serialize.load_json(path)
+    assert obj["n"] == 3
+    amplitudes = np.array([complex(re, im) for re, im in obj["amplitudes"]])
+    assert np.array_equal(amplitudes, state.amplitudes)
 
 
 def test_state_schema_shape(tmp_path):
@@ -96,12 +97,14 @@ def test_result_schema(tmp_path):
     obs, _ = observe_with_records(state, smap, shots=256, seed=5)
     config = OptimizerConfig(rank=1, eta=1e-3, mu=0.5, maxiters=10, reltol=1e-300, init="random")
     factor, trace = run(smap, obs, config, target=state)
-    obj = serialize.result_to_json(config, trace, 0.9, 0.1, factor=factor)
+    obj = serialize.result_to_json(config, trace, 0.9, 0.1, 1.02, factor=factor)
     assert obj["iterations"] == 10
+    assert obj["final_rho_trace"] == 1.02
     assert len(obj["trace"]) == 10
     rec = obj["trace"][0]
     assert set(rec) == {"iter", "change", "error", "fidelity", "time_s", "grad_time_s"}
-    restored = serialize.factor_from_json(obj["factor"])
+    assert (obj["factor"]["rows"], obj["factor"]["cols"]) == factor.shape
+    restored = np.array([[complex(re, im) for re, im in col] for col in obj["factor"]["columns"]]).T
     assert np.allclose(restored, factor)
     json.dumps(obj)  # must be serializable as-is
 
@@ -122,9 +125,7 @@ def test_trace_csv(tmp_path):
 
 def test_calibration_round_trip(tmp_path):
     raw = np.array([[0.9, 0.2], [0.1, 0.8]])
-    cal = CalibrationMatrix(raw)
-    obj = serialize.calibration_to_json(cal)
-    assert obj["n"] == 1
-    assert obj["columns"] == [[0.9, 0.1], [0.2, 0.8]]
+    obj = {"n": 1, "columns": [[0.9, 0.1], [0.2, 0.8]]}  # column-major
     loaded = serialize.calibration_from_json(obj)
+    assert isinstance(loaded, CalibrationMatrix)
     assert np.array_equal(loaded.entries, raw)

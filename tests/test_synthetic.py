@@ -7,6 +7,8 @@ from paulitomo import (
     generate_synthetic,
     run_synthetic_comparison,
 )
+from paulitomo.linalg import operator_norm
+from paulitomo.optimizer import compute_step_size, random_init
 from paulitomo.synthetic import theory_step_interval
 
 
@@ -91,6 +93,18 @@ def test_adjointness_inner_product(rng):
     lhs = float(np.dot(smap.forward_factored(u), x))
     rhs = float(np.trace((u @ u.T).T @ smap.adjoint_operator(x)(np.eye(smap.d))))
     assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def test_gaussian_gain_keeps_the_step_rule():
+    # E[A^dagger A] = I for the Gaussian ensemble, so the auto step is the
+    # unscaled 1 / (4 (L_hat sigma_1^2 + ||A^dagger(A(Z0 Z0*) - y)||)), to the bit.
+    smap, y, _ = generate_synthetic(small_problem(noise_norm=0.01))
+    assert GaussianSensingMap.gain == smap.gain == 1.0
+    z0 = random_init(smap.d, 2, seed=3, real=True)
+    top_sq = float(np.linalg.eigvalsh(z0.T @ z0).max())
+    residual = smap.forward_factored(z0) - y
+    g = operator_norm(smap.adjoint_operator(residual), smap.d, tol=1e-8)
+    assert compute_step_size(smap, y, z0, 1.1) == 1.0 / (4.0 * (1.1 * top_sq + g))
 
 
 def test_theory_interval_ordering():
