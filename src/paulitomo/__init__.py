@@ -31,7 +31,6 @@ from .measurements import (
     setting_of,
 )
 from .metrics import (
-    align_factor,
     fidelity_density,
     fidelity_rank1,
     frobenius_error,

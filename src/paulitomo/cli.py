@@ -165,16 +165,6 @@ def _simulate_pipeline(args, normalized=True):
     return state, sensing_map, obs, records
 
 
-def _result_json(config, trace, factor, target_state, save_factor=False):
-    fidelity = error = None
-    if target_state:
-        fidelity = metrics.fidelity_rank1(factor, target_state)
-        error = metrics.frobenius_error(factor, target_state.amplitudes[:, None])
-    rho_trace = float(np.linalg.norm(factor) ** 2)
-    factor = factor if save_factor else None
-    return serialize.result_to_json(config, trace, fidelity, error, rho_trace, factor=factor)
-
-
 def _cmd_state(args) -> int:
     state = build_state(args.circuit, args.n, args.depth, args.seed)
     serialize.save_json(serialize.state_to_json(state), args.out)
@@ -205,9 +195,7 @@ def _cmd_reconstruct(args) -> int:
             raise ValueError("reconstruct needs either --in or --circuit/--n")
         target_state, sensing_map, obs, _ = _simulate_pipeline(args)
     factor, trace = parallel.parallel_run(sensing_map, obs, config, args.workers, target_state)
-    serialize.save_json(
-        _result_json(config, trace, factor, target_state, args.save_factor), args.out
-    )
+    serialize.save_json(serialize.result_to_json(config, trace, factor, args.save_factor), args.out)
     if args.trace_csv:
         serialize.trace_to_csv(trace, args.trace_csv)
     return 0
@@ -270,7 +258,7 @@ def _cmd_compare(args) -> int:
     out = {}
     for label, cfg in (("momentum", config), ("plain", replace(config, mu=0.0))):
         factor, trace = parallel.parallel_run(sensing_map, obs, cfg, args.workers, target_state)
-        out[label] = _result_json(cfg, trace, factor, target_state)
+        out[label] = serialize.result_to_json(cfg, trace, factor)
         if args.trace_csv:
             serialize.trace_to_csv(trace, f"{args.trace_csv}.{label}.csv")
     serialize.save_json(out, args.out)

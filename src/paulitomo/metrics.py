@@ -9,20 +9,21 @@ import numpy as np
 from .states import PureState
 
 
-def _as_factor(u) -> np.ndarray:
+def as_factor(u, d: int | None = None) -> np.ndarray:
+    """u as a (d, r >= 1) factor: a 1-D array is one column; any other shape,
+    or a row count other than d when d is given, is a ValueError."""
     u = np.asarray(u)
     if u.ndim == 1:
         u = u[:, None]
-    if u.ndim != 2:
-        raise ValueError(f"factor must be a d x r matrix, got shape {u.shape}")
+    if u.ndim != 2 or u.shape[1] < 1 or d not in (None, u.shape[0]):
+        raise ValueError(f"factor must be ({'d' if d is None else d}, r >= 1), got shape {u.shape}")
     return u
 
 
 def _state_vector(psi) -> np.ndarray:
     if isinstance(psi, PureState):
         return psi.amplitudes
-    psi = np.asarray(psi).ravel()
-    return psi
+    return np.asarray(psi).ravel()
 
 
 def procrustes_distance(u, v) -> float:
@@ -32,22 +33,11 @@ def procrustes_distance(u, v) -> float:
     evaluated as the explicit difference at the minimizing rotation: the
     trace form loses half the working precision to cancellation near zero.
     """
-    u, v = _as_factor(u), _as_factor(v)
+    u, v = as_factor(u), as_factor(v)
     if u.shape != v.shape:
         raise ValueError(f"factor shapes differ: {u.shape} vs {v.shape}")
-    return float(np.linalg.norm(u - v @ _procrustes_rotation(v, u)))
-
-
-def _procrustes_rotation(a, b) -> np.ndarray:
-    """Unitary R maximizing Re Tr(R^dagger a^dagger b): rotates a toward b."""
-    w, _, vh = np.linalg.svd(a.conj().T @ b)
-    return w @ vh
-
-
-def align_factor(u, v) -> np.ndarray:
-    """Rotate u by the Procrustes-minimizing unitary toward v."""
-    u, v = _as_factor(u), _as_factor(v)
-    return u @ _procrustes_rotation(u, v)
+    w, _, vh = np.linalg.svd(v.conj().T @ u)  # R = w vh maximizes Re Tr(R^dagger v^dagger u)
+    return float(np.linalg.norm(u - v @ (w @ vh)))
 
 
 def frobenius_error(u, v) -> float:
@@ -55,9 +45,8 @@ def frobenius_error(u, v) -> float:
 
     Row dimensions must match; the number of columns may differ.
     """
-    u, v = _as_factor(u), _as_factor(v)
-    if u.shape[0] != v.shape[0]:
-        raise ValueError(f"row dimensions differ: {u.shape[0]} vs {v.shape[0]}")
+    u = as_factor(u)
+    v = as_factor(v, u.shape[0])
     gu = np.linalg.norm(u.conj().T @ u) ** 2
     gv = np.linalg.norm(v.conj().T @ v) ** 2
     cross = np.linalg.norm(u.conj().T @ v) ** 2
@@ -67,10 +56,8 @@ def frobenius_error(u, v) -> float:
 def fidelity_rank1(u, psi) -> float:
     """Fidelity of rho = u u^dagger / Tr(u u^dagger) to a pure target:
     ||u^dagger psi||^2 / ||u||_F^2, and 0.0 for a zero factor."""
-    u = _as_factor(u)
     vec = _state_vector(psi)
-    if u.shape[0] != vec.size:
-        raise ValueError(f"factor has {u.shape[0]} rows, state has {vec.size}")
+    u = as_factor(u, vec.size)
     trace = np.linalg.norm(u) ** 2
     return float(np.linalg.norm(u.conj().T @ vec) ** 2 / trace) if trace else 0.0
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import operator_norm, top_eigen
-from .metrics import fidelity_rank1, frobenius_error
+from .metrics import as_factor, fidelity_rank1, frobenius_error
 from .seeding import substream
 from .sensing import ObservationVector
 from .states import PureState
@@ -185,9 +185,7 @@ def compute_step_size(sensing_map, y, z0: np.ndarray, L_hat: float = 1.1) -> flo
     Z -> A^dagger(A(Z0 Z0*) - y) Z.
     """
     y = observation_values(y)
-    z0 = np.asarray(z0)
-    if z0.ndim == 1:
-        z0 = z0[:, None]
+    z0 = as_factor(z0, sensing_map.d)
     if not np.any(z0):
         raise ValueError("step-size rule needs a nonzero Z0")
     gram = z0.conj().T @ z0
@@ -207,12 +205,7 @@ def _gram_change(u_new: np.ndarray, u_old: np.ndarray) -> float:
 def _target_metrics(u: np.ndarray, target):
     if target is None:
         return None, None
-    if isinstance(target, PureState):
-        error = frobenius_error(u, target.amplitudes[:, None])
-        return error, fidelity_rank1(u, target)
-    target = np.asarray(target)
-    if target.ndim == 1:
-        target = target[:, None]
+    target = as_factor(target.amplitudes if isinstance(target, PureState) else target)
     error = frobenius_error(u, target)
     fidelity = fidelity_rank1(u, target[:, 0]) if target.shape[1] == 1 else None
     return error, fidelity

@@ -45,6 +45,7 @@ from .measurements import (
     monomial_codes,
     sample_record,
 )
+from .metrics import as_factor
 from .seeding import substream
 from .states import PureState
 
@@ -143,17 +144,9 @@ class SensingMap:
         self._ensure_cache()
         return x[self._order[lo:hi]]
 
-    def _check_factor(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z)
-        if z.ndim == 1:
-            z = z[:, None]
-        if z.ndim != 2 or z.shape[0] != self.d or z.shape[1] < 1:
-            raise ValueError(f"factor must be ({self.d}, r >= 1), got shape {z.shape}")
-        return z
-
     def _traces(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Unscaled Tr(P_i u u^dagger) for flip-order positions lo..hi."""
-        u = self._check_factor(u)
+        u = as_factor(u, self.d)
         self._ensure_cache()
         src, row = self._groups(lo, hi)
         w = _fwht(np.einsum("gjc,jc->gj", u[src].conj(), u))
@@ -187,7 +180,7 @@ class SensingMap:
 
     def adjoint_range(self, x: np.ndarray, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Partial adjoint s * sum_{i in [lo,hi)} x_i P_i z; lo..hi and x in flip order."""
-        z = self._check_factor(z)
+        z = as_factor(z, self.d)
         return _apply_table(*self._adjoint_table(x, lo, hi), z)
 
     def adjoint_times(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -197,7 +190,7 @@ class SensingMap:
     def adjoint_operator(self, x: np.ndarray):
         """The fixed operator Z -> A^dagger(x) Z, its table built once."""
         table = self._adjoint_table(self._flip_ordered(x), 0, self.m)
-        return lambda z: _apply_table(*table, self._check_factor(z))
+        return lambda z: _apply_table(*table, as_factor(z, self.d))
 
     def residual_gradient_range(self, y: np.ndarray, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Flip-order positions [lo, hi) of A^dagger(A(zz*)-y) z; y is in user order."""
@@ -222,9 +215,6 @@ class ObservationVector:
         if not np.all(np.isfinite(values)):
             raise ValueError("observation values must be finite")
         self.values = values
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 def observe_with_records(

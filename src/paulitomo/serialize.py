@@ -14,6 +14,10 @@ Schemas:
                            "grad_time_s"}], "factor": optional}
   calibration  {"n": int, "columns": [[float, ...], ...]}  (column-major)
 
+The records file is written for the user and never read back.  A result
+file's final_fidelity and final_frobenius_error are the run's last trace
+record.  Where a file gives a number, JSON true/false is refused.
+
 Bit strings and monomial strings put qubit 0 first and exist only here:
 in the library a record's counts are an integer array indexed by outcome
 (the records file lists the nonzero entries) and monomials are codes.
@@ -26,25 +30,38 @@ from dataclasses import asdict
 import numpy as np
 
 from .baselines import CalibrationMatrix
-from .measurements import MeasurementRecord, PauliMonomial, PauliSetting, monomial_from_code
+from .measurements import PauliMonomial, monomial_from_code
+from .metrics import as_factor
 from .optimizer import ConvergenceTrace, OptimizerConfig
 from .sensing import ObservationVector, SensingMap
 from .states import PureState
 
 
 def _field(obj, kind: str, key: str, types):
-    """obj[key] read from a `kind` file; a missing or mistyped field is a ValueError."""
+    """obj[key] read from a `kind` file; a missing or mistyped field is a ValueError.
+
+    JSON true/false read as Python bools, which are ints; they pass only
+    when `types` is bool.
+    """
     if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f"{kind} file has no {key!r} field")
-    if not isinstance(obj[key], types):
+    value = obj[key]
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
         raise ValueError(f"{kind} file: {key!r} has the wrong type")
-    return obj[key]
+    return value
+
+
+def _has_bool(value) -> bool:
+    if isinstance(value, list):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, bool)
 
 
 def floats_from_json(value, what: str) -> np.ndarray:
-    """A JSON array of finite numbers as a float array; anything else is a ValueError."""
+    """A JSON array of finite numbers as a float array; anything else,
+    true/false included, is a ValueError."""
     try:
-        out = np.array(value, dtype=float)
+        out = None if _has_bool(value) else np.array(value, dtype=float)
     except (TypeError, ValueError):
         out = None
     if not isinstance(value, list) or out is None or not np.all(np.isfinite(out)):
@@ -79,25 +96,6 @@ def records_to_json(n: int, shots: int, records) -> dict:
     }
 
 
-def _counts_from_json(counts: dict, n: int) -> np.ndarray:
-    out = np.zeros(2**n, dtype=np.int64)
-    for key, c in counts.items():
-        if len(key) != n or any(ch not in "01" for ch in key):
-            raise ValueError(f"outcome key {key!r} is not an {n}-bit string")
-        out[int(key, 2)] = int(c)
-    return out
-
-
-def records_from_json(obj: dict) -> list:
-    shots = int(obj["shots"])
-    records = []
-    for entry in obj["records"]:
-        setting = PauliSetting(entry["setting"])
-        counts = _counts_from_json(entry["counts"], setting.n)
-        records.append(MeasurementRecord(setting=setting, shots=shots, counts=counts))
-    return records
-
-
 def expectations_to_json(sensing_map: SensingMap, values) -> dict:
     n = sensing_map.n
     return {
@@ -125,14 +123,8 @@ def expectations_from_json(obj: dict):
     return SensingMap(n, monomials, normalized=normalized), ObservationVector(values)
 
 
-def config_to_json(config: OptimizerConfig) -> dict:
-    return asdict(config)
-
-
 def factor_to_json(factor: np.ndarray) -> dict:
-    factor = np.asarray(factor)
-    if factor.ndim == 1:
-        factor = factor[:, None]
+    factor = as_factor(factor)
     return {
         "rows": factor.shape[0],
         "cols": factor.shape[1],
@@ -141,19 +133,20 @@ def factor_to_json(factor: np.ndarray) -> dict:
 
 
 def result_to_json(
-    config: OptimizerConfig,
-    trace: ConvergenceTrace,
-    final_fidelity: float | None,
-    final_frobenius_error: float | None,
-    final_rho_trace: float,
-    factor: np.ndarray | None = None,
+    config: OptimizerConfig, trace: ConvergenceTrace, factor: np.ndarray, save_factor: bool = False
 ) -> dict:
-    """final_fidelity is that of U U^dagger / Tr(U U^dagger); the trace is final_rho_trace."""
+    """The result file of a run that returned `factor` and `trace`.
+
+    final_fidelity (that of U U^dagger / Tr(U U^dagger)) and
+    final_frobenius_error are the last trace record's, null for a run
+    without a target.  final_rho_trace is Tr(U U^dagger); the factor
+    itself is written only when save_factor is set.
+    """
     out = {
-        "config": config_to_json(config),
-        "final_fidelity": final_fidelity,
-        "final_frobenius_error": final_frobenius_error,
-        "final_rho_trace": final_rho_trace,
+        "config": asdict(config),
+        "final_fidelity": trace.final().fidelity,
+        "final_frobenius_error": trace.final().error,
+        "final_rho_trace": float(np.linalg.norm(factor) ** 2),
         "iterations": trace.iterations,
         "stop_reason": trace.stop_reason,
         "eta": trace.eta,
@@ -170,7 +163,7 @@ def result_to_json(
             for rec in trace
         ],
     }
-    if factor is not None:
+    if save_factor:
         out["factor"] = factor_to_json(factor)
     return out
 

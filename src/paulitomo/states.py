@@ -35,10 +35,6 @@ class PureState:
             raise ValueError(f"amplitudes are not unit norm: |psi| = {norm}")
         self.amplitudes = amps
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n
-
 
 @dataclass(frozen=True)
 class RandomCircuitSpec:

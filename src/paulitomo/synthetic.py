@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optimizer
-from .metrics import frobenius_error
+from .metrics import as_factor
 from .seeding import substream
 
 
@@ -81,16 +81,8 @@ class GaussianSensingMap:
         x[(self._iu[1], self._iu[0])] = off
         return x
 
-    def _check_factor(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z)
-        if z.ndim == 1:
-            z = z[:, None]
-        if z.ndim != 2 or z.shape[0] != self.d:
-            raise ValueError(f"factor must be ({self.d}, r), got shape {z.shape}")
-        return z
-
     def forward_range(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        u = self._check_factor(u)
+        u = as_factor(u, self.d)
         x = (u @ u.conj().T).real  # imaginary part is antisymmetric: annihilated
         return self.rows[lo:hi] @ self._hvec(x)
 
@@ -98,12 +90,9 @@ class GaussianSensingMap:
         return self.forward_range(u, 0, self.m)
 
     def adjoint_range(self, x: np.ndarray, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        z = self._check_factor(z)
+        z = as_factor(z, self.d)
         mat = self._unhvec(self.rows[lo:hi].T @ np.asarray(x, dtype=float))
         return mat @ z
-
-    def adjoint_times(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return self.adjoint_range(x, z, 0, self.m)
 
     def adjoint_operator(self, x: np.ndarray):
         """The fixed operator Z -> A^dagger(x) Z, from one GEMV against the rows."""
@@ -168,27 +157,20 @@ def run_synthetic_comparison(
 
     runs = []
     for mu_spec in mu_values:
-        mu, epsilon = optimizer.parse_mu(mu_spec)
-        mu = mu if epsilon is None else optimizer.theoretical_mu(problem.r, tau, epsilon)
         config = optimizer.OptimizerConfig(
-            rank=problem.r,
-            eta=None,
-            mu=mu,
-            maxiters=maxiters,
-            reltol=tol,
-            seed=problem.seed,
-            init="random",
+            rank=problem.r, mu=mu_spec, maxiters=maxiters, reltol=tol, seed=problem.seed, init="random"
         )
+        config.mu = optimizer.resolve_mu(config, tau)
         start = time.perf_counter()
-        factor, trace = optimizer.run(sensing_map, y, config, target=u_star)
+        _, trace = optimizer.run(sensing_map, y, config, target=u_star)
         elapsed = time.perf_counter() - start
         runs.append(
             {
-                "mu": mu,
+                "mu": config.mu,
                 "mu_spec": str(mu_spec),
                 "iterations": trace.iterations,
                 "converged": trace.stop_reason == "reltol",
-                "final_relative_error": frobenius_error(factor, u_star),
+                "final_relative_error": trace.final().error,
                 "wall_time_s": elapsed,
                 "eta": trace.eta,
                 "eta_in_theory_interval": bool(interval[0] <= trace.eta <= interval[1]),

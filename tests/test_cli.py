@@ -197,6 +197,29 @@ def test_reconstruct_simulation_mode(tmp_path):
     assert len(lines) == result["iterations"] + 1
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_reconstruct_final_figures_match_saved_factor(tmp_path, rank):
+    # The final figures come from the run's trace; recomputed densely from
+    # the saved factor and the target they must agree.
+    res = tmp_path / "res.json"
+    code = invoke(
+        "reconstruct", "--circuit", "random", "--n", 3, "--measpc", 60, "--shots", 256,
+        "--rank", rank, "--maxiters", 30, "--seed", 4, "--save-factor", "--out", res,
+    )
+    assert code == 0
+    result = read(res)
+    columns = result["factor"]["columns"]
+    factor = np.array([[complex(re, im) for re, im in col] for col in columns]).T
+    assert factor.shape == (8, rank)
+    psi = cli.build_state("random", 3, 20, 4).amplitudes
+    rho = factor @ factor.conj().T
+    target = np.outer(psi, psi.conj())
+    assert result["final_rho_trace"] == pytest.approx(np.trace(rho).real, abs=1e-12)
+    fidelity = (psi.conj() @ rho @ psi).real / np.trace(rho).real
+    assert result["final_fidelity"] == pytest.approx(fidelity, abs=1e-12)
+    assert result["final_frobenius_error"] == pytest.approx(np.linalg.norm(rho - target), abs=1e-12)
+
+
 def test_reconstruct_workers_flag(tmp_path):
     res1 = tmp_path / "r1.json"
     res4 = tmp_path / "r4.json"
@@ -451,6 +474,40 @@ def test_reconstruct_expectations_file_with_bad_monomial(tmp_path, capsys, monom
     serialize.save_json({"version": 1, "n": 2, "normalized": True, "items": items}, infile)
     code = invoke("reconstruct", "--in", infile, "--out", tmp_path / "r.json")
     assert_clean_failure(capsys, code, "expectations", repr(monomial))
+
+
+# JSON true/false read as Python bools, which are ints: a number field must refuse them.
+
+def test_reconstruct_expectations_file_with_boolean_n(tmp_path, capsys):
+    items = [{"monomial": "X", "value": 0.5}, {"monomial": "Z", "value": 0.5}]
+    infile = tmp_path / "e.json"
+    serialize.save_json({"version": 1, "n": True, "normalized": True, "items": items}, infile)
+    code = invoke("reconstruct", "--in", infile, "--out", tmp_path / "r.json")
+    assert_clean_failure(capsys, code, "expectations", "'n'")
+
+
+def test_reconstruct_expectations_file_with_boolean_value(tmp_path, capsys):
+    items = [{"monomial": "XZ", "value": True}, {"monomial": "ZZ", "value": 0.5}]
+    infile = tmp_path / "e.json"
+    serialize.save_json({"version": 1, "n": 2, "normalized": True, "items": items}, infile)
+    code = invoke("reconstruct", "--in", infile, "--out", tmp_path / "r.json")
+    assert_clean_failure(capsys, code, "expectations", "'value'")
+
+
+def test_mitigate_input_with_boolean(tmp_path, capsys):
+    cal = tmp_path / "cal.json"
+    serialize.save_json({"n": 1, "columns": [[0.9, 0.1], [0.2, 0.8]]}, cal)
+    vec = write(tmp_path / "v.json", "[true, 0.0]")
+    code = invoke("mitigate", "--calibration", cal, "--in", vec, "--out", tmp_path / "o.json")
+    assert_clean_failure(capsys, code, "probability file")
+
+
+def test_mitigate_calibration_with_boolean(tmp_path, capsys):
+    cal = write(tmp_path / "cal.json", '{"n": 1, "columns": [[true, false], [false, true]]}')
+    vec = tmp_path / "v.json"
+    serialize.save_json([0.7, 0.3], vec)
+    code = invoke("mitigate", "--calibration", cal, "--in", vec, "--out", tmp_path / "o.json")
+    assert_clean_failure(capsys, code, "calibration columns")
 
 
 def test_mu_bare_theory_means_theory_1(tmp_path):

@@ -4,14 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulitomo import (
-    align_factor,
+    SensingMap,
+    SyntheticProblem,
+    compute_step_size,
     density_of,
     fidelity_density,
     fidelity_rank1,
     frobenius_error,
     ghz,
+    generate_synthetic,
     procrustes_distance,
+    sample_monomials,
 )
+from paulitomo import serialize
 
 from conftest import random_factor, random_pure_state_vector
 
@@ -64,13 +69,6 @@ def test_procrustes_pseudometric(rng):
 def test_procrustes_shape_mismatch(rng):
     with pytest.raises(ValueError):
         procrustes_distance(random_factor(rng, 4, 1), random_factor(rng, 4, 2))
-
-
-def test_align_factor_reaches_distance(rng):
-    u = random_factor(rng, 6, 2)
-    v = random_factor(rng, 6, 2)
-    aligned = align_factor(u, v)
-    assert np.linalg.norm(aligned - v) == pytest.approx(procrustes_distance(u, v), abs=1e-8)
 
 
 # -- frobenius error ---------------------------------------------------------
@@ -153,3 +151,57 @@ def test_fidelity_density_consistency(rng):
 def test_fidelity_dimension_mismatch(rng):
     with pytest.raises(ValueError):
         fidelity_rank1(random_factor(rng, 4, 1), ghz(3))
+
+
+# -- the factor contract -----------------------------------------------------
+# Every entry point that takes a factor reads it through metrics.as_factor:
+# a length-d vector is one column, and anything that is not (d, r >= 1)
+# is a ValueError.  d = 8 throughout.
+
+def _factor_entry_points():
+    rng = np.random.default_rng(7)
+    smap = SensingMap(3, sample_monomials(3, 20, 0))
+    gmap, gy, _ = generate_synthetic(SyntheticProblem(d=8, r=1, c=2))
+    x, y = rng.standard_normal(20), rng.standard_normal(20)
+    return {
+        "SensingMap.forward_factored": smap.forward_factored,
+        "SensingMap.adjoint_times": lambda z: smap.adjoint_times(x, z),
+        "SensingMap.adjoint_operator": lambda z: smap.adjoint_operator(x)(z),
+        "SensingMap.residual_gradient": lambda z: smap.residual_gradient(y, z),
+        "GaussianSensingMap.forward_factored": gmap.forward_factored,
+        "GaussianSensingMap.residual_gradient": lambda z: gmap.residual_gradient(gy, z),
+        "compute_step_size": lambda z: compute_step_size(smap, y, z),
+        "frobenius_error": lambda z: frobenius_error(z, ghz(3).amplitudes),
+        "fidelity_rank1": lambda z: fidelity_rank1(z, ghz(3)),
+        "factor_to_json": serialize.factor_to_json,
+    }
+
+
+ENTRY_POINTS = list(_factor_entry_points())
+BAD_SHAPES = [(9, 1), (8, 0), (8, 1, 1)]
+# factor_to_json has no d to hold a row count against.
+BAD_CASES = [
+    (name, shape)
+    for name in ENTRY_POINTS
+    for shape in BAD_SHAPES
+    if (name, shape) != ("factor_to_json", (9, 1))
+]
+BAD_IDS = [f"{name}-{'x'.join(map(str, shape))}" for name, shape in BAD_CASES]
+
+
+@pytest.mark.parametrize("name,shape", BAD_CASES, ids=BAD_IDS)
+def test_factor_contract_rejects_bad_shapes(name, shape):
+    entry = _factor_entry_points()[name]
+    with pytest.raises(ValueError):
+        entry(np.ones(shape))
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_factor_contract_vector_is_one_column(name):
+    entry = _factor_entry_points()[name]
+    vec = np.random.default_rng(3).standard_normal(8)
+    as_vector, as_column = entry(vec), entry(vec[:, None])
+    if isinstance(as_vector, np.ndarray):
+        assert np.array_equal(as_vector, as_column)
+    else:
+        assert as_vector == as_column
