@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurements import setting_labels
-from .sensing import _fwht
+from .sensing import parity_means
 
 DENSE_QUBIT_CAP = 8
 VALUE_ATOL = 1e-12
@@ -106,11 +106,10 @@ def complete_expectations(records) -> np.ndarray:
     if len({r.setting.axes for r in records}) != 3**n or len(records) != 3**n:
         raise ValueError(f"need each of the 3^{n} settings exactly once")
     d = 2**n
-    # Entry s of a record's Walsh-Hadamard transform is the parity sum of the
-    # monomial with the setting's axis where s has a bit and identity elsewhere:
-    # the setting's code with the digits outside s cleared.
-    shots = np.array([r.shots for r in records])
-    values = _fwht(np.stack([r.counts for r in records])) / shots[:, None]
+    # Entry s of a record's parity means is the estimate of the monomial with
+    # the setting's axis where s has a bit and identity elsewhere: the
+    # setting's code with the digits outside s cleared.
+    values = parity_means(records)
     setting_codes = setting_labels([r.setting for r in records], n) @ 4 ** np.arange(n - 1, -1, -1)
     digit_masks = 3 * sum(((np.arange(d) >> j) & 1) << (2 * j) for j in range(n))
     codes = setting_codes[:, None] & digit_masks

@@ -21,19 +21,16 @@ from .seeding import substream
 from .sensing import SensingMap, observe_with_records, simulate_records
 from .states import RandomCircuitSpec, ghz, ghz_minus, hadamard_all, random_state
 
-CIRCUITS = ("ghz", "ghz_minus", "hadamard", "random")
+_FIXED_CIRCUITS = {"ghz": ghz, "ghz_minus": ghz_minus, "hadamard": hadamard_all}
+CIRCUITS = (*_FIXED_CIRCUITS, "random")
 
 
 def build_state(circuit: str, n: int, depth: int = 20, seed: int = 0):
-    if circuit == "ghz":
-        return ghz(n)
-    if circuit == "ghz_minus":
-        return ghz_minus(n)
-    if circuit == "hadamard":
-        return hadamard_all(n)
     if circuit == "random":
         return random_state(RandomCircuitSpec(n=n, depth=depth, seed=seed))
-    raise ValueError(f"unknown circuit {circuit!r}")
+    if circuit not in _FIXED_CIRCUITS:
+        raise ValueError(f"unknown circuit {circuit!r}")
+    return _FIXED_CIRCUITS[circuit](n)
 
 
 def monomial_count(measpc: float, n: int) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import as_generator
-from .states import PureState, _HADAMARD
+from .states import PureState, _HADAMARD, apply_single_qubit
 
 LABEL_CHARS = "IXYZ"
 # The axis each label is measured along, identity along z; labels 1, 2, 3
@@ -125,7 +125,7 @@ class MeasurementRecord:
 
 def monomial_from_code(code: int, n: int) -> PauliMonomial:
     """Decode a base-4 integer (qubit 0 = most significant digit)."""
-    return PauliMonomial(tuple((code >> (2 * (n - 1 - k))) & 3 for k in range(n)))
+    return PauliMonomial(tuple(_labels([code], n)[0].tolist()))
 
 
 def _labels(codes, n: int) -> np.ndarray:
@@ -172,7 +172,7 @@ def sample_codes(n: int, m: int, seed) -> np.ndarray:
 
 def sample_monomials(n: int, m: int, seed) -> list:
     """sample_codes' draws as PauliMonomials."""
-    return [monomial_from_code(c, n) for c in sample_codes(n, m, seed).tolist()]
+    return [PauliMonomial(tuple(row)) for row in _labels(sample_codes(n, m, seed), n).tolist()]
 
 
 def setting_of(p: PauliMonomial) -> PauliSetting:
@@ -202,9 +202,9 @@ def born_probabilities(state: PureState, settings) -> np.ndarray:
     conjugation) and the amplitudes are squared.  Rotation runs qubit by
     qubit over a prefix tree: settings that agree on axes 0..k share one
     amplitude row after qubit k, so a row is rotated once per distinct
-    prefix rather than once per setting.  Each rotation is the same
-    per-qubit product as apply_single_qubit, so every row is bit-identical
-    to rotating that setting alone.
+    prefix rather than once per setting.  Each level rotates its rows as
+    one batch of apply_single_qubit, so every row is bit-identical to
+    rotating that setting alone.
     """
     single = isinstance(settings, PauliSetting)
     batch = [settings] if single else list(settings)
@@ -213,7 +213,7 @@ def born_probabilities(state: PureState, settings) -> np.ndarray:
         if setting.n != n:
             raise ValueError(f"state has {n} qubits, setting has {setting.n}")
     labels = setting_labels(batch, n)
-    rows = state.amplitudes.reshape((1,) + (2,) * n)
+    rows = state.amplitudes[None, :]
     nodes = np.zeros(1, dtype=np.int64)  # the distinct prefixes so far, sorted
     prefix = np.zeros(len(batch), dtype=np.int64)
     for k in range(n):
@@ -221,15 +221,13 @@ def born_probabilities(state: PureState, settings) -> np.ndarray:
         child, leaf = np.unique(prefix, return_inverse=True)
         parent = np.searchsorted(nodes, child // 4)
         label = child % 4
-        out = np.empty((child.size,) + rows.shape[1:], dtype=complex)
+        out = np.empty((child.size, rows.shape[1]), dtype=complex)
         for value, gate in ((1, _TO_X_BASIS), (2, _TO_Y_BASIS), (3, None)):
             sel = label == value
             src = rows[parent[sel]]
-            if gate is not None:  # apply_single_qubit's product, row by row
-                src = np.moveaxis(np.moveaxis(src, k + 1, -1) @ gate.T, -1, k + 1)
-            out[sel] = src
+            out[sel] = src if gate is None else apply_single_qubit(src, gate, k, n)
         rows, nodes = out, child
-    probs = np.abs(rows.reshape(nodes.size, 2**n)[leaf]) ** 2
+    probs = np.abs(rows[leaf]) ** 2
     return probs[0] if single else probs
 
 

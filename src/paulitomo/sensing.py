@@ -21,15 +21,16 @@ so the map works per flip group:
 
 where WHT is the unnormalized Walsh-Hadamard transform and P_f the index
 permutation k -> k^f.  Both directions cost O(G d (log d + r)) for the
-G <= min(m, d) distinct flips a call touches.  The cache holds the (G, d)
-source indices k^f plus per-monomial group ids, sign masks and phases, in
-flip order (monomials stably sorted by flip mask).  The *_range methods
-index that order, so the parallel engine's contiguous ranges touch
-disjoint runs of groups; all other methods keep the user order of
-`codes`.  The full-range call is the serial path, so a one-worker
-partition reproduces it exactly.  adjoint_operator fixes x and builds its
-table once, for the eigensolver; every path applies a table with the same
-_apply_table.
+G <= min(m, d) distinct flips a call touches.  The map builds its tables
+on construction and only reads them after: the (G, d) source indices k^f
+plus per-monomial group ids, sign masks and phases, in flip order
+(monomials stably sorted by flip mask).  The *_range methods index that
+order, so the parallel engine's contiguous ranges touch disjoint runs of
+groups; all other methods keep the user order of `codes`.  The full-range
+call is the serial path, so a one-worker partition reproduces it exactly.
+adjoint_operator fixes x and builds its table once, for the eigensolver;
+every path applies a table with the same _apply_table.  Exact simulated
+data are the forward map of the state.
 """
 
 from dataclasses import dataclass
@@ -97,7 +98,8 @@ class SensingMap:
         self.n = n
         self.codes = monomial_codes(monomials, n)
         self.normalized = normalized
-        self._src = None  # the flip-order cache, built on first use
+        self._src = None  # read by perfbench/tracing.py's wrapper of _ensure_cache
+        self._ensure_cache()
 
     @property
     def m(self) -> int:
@@ -117,8 +119,7 @@ class SensingMap:
         return self.scale**2 * self.m / self.d
 
     def _ensure_cache(self):
-        if self._src is not None:
-            return
+        """Build the flip-order tables; __init__ calls it once."""
         flips, sign_masks, nys = monomial_actions(self.codes, self.n)
         # Stable, so repeated monomials keep their user order within a group.
         self._order = np.argsort(flips, kind="stable")
@@ -126,7 +127,6 @@ class SensingMap:
         flip_values, self._group = np.unique(flips[self._order], return_inverse=True)
         self._sign = sign_masks[self._order].astype(np.int32)
         self._iphase = 1j ** (nys[self._order] % 4)
-        # Assigned last: concurrent callers gate on _src being present.
         self._src = (np.arange(self.d) ^ flip_values[:, None]).astype(np.int32)
 
     def _groups(self, lo: int, hi: int):
@@ -141,20 +141,14 @@ class SensingMap:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.m,):
             raise ValueError(f"vector has shape {x.shape}, expected ({self.m},)")
-        self._ensure_cache()
         return x[self._order[lo:hi]]
-
-    def _traces(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Unscaled Tr(P_i u u^dagger) for flip-order positions lo..hi."""
-        u = as_factor(u, self.d)
-        self._ensure_cache()
-        src, row = self._groups(lo, hi)
-        w = _fwht(np.einsum("gjc,jc->gj", u[src].conj(), u))
-        return (self._iphase[lo:hi] * w[row, self._sign[lo:hi]]).real
 
     def forward_range(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Flip-order entries lo..hi of A(u u^dagger), with the full-map scale."""
-        return self.scale * self._traces(u, lo, hi)
+        u = as_factor(u, self.d)
+        src, row = self._groups(lo, hi)
+        w = _fwht(np.einsum("gjc,jc->gj", u[src].conj(), u))
+        return self.scale * (self._iphase[lo:hi] * w[row, self._sign[lo:hi]]).real
 
     def forward_factored(self, u: np.ndarray) -> np.ndarray:
         """Observation vector A(u u^dagger): s * Tr(P_i u u^dagger) per entry."""
@@ -170,7 +164,6 @@ class SensingMap:
         x = np.asarray(x, dtype=float)
         if x.shape != (hi - lo,):
             raise ValueError(f"coefficient slice has shape {x.shape}, expected ({hi - lo},)")
-        self._ensure_cache()
         src, row = self._groups(lo, hi)
         d = self.d
         coeffs = np.zeros(src.shape[0] * d, dtype=complex)
@@ -217,6 +210,14 @@ class ObservationVector:
         self.values = values
 
 
+def parity_means(records) -> np.ndarray:
+    """(S, 2^n) parity means of S records: entry s of row i, the mean of
+    (-1)^popcount(outcome & s), is the integer (so exact) Walsh-Hadamard
+    transform of record i's counts, divided once by its shots."""
+    shots = np.array([r.shots for r in records])
+    return _fwht(np.stack([r.counts for r in records])) / shots[:, None]
+
+
 def observe_with_records(
     state: PureState,
     sensing_map: SensingMap,
@@ -225,24 +226,22 @@ def observe_with_records(
 ):
     """Simulate the data vector y; returns (ObservationVector, records).
 
-    Exact mode (shots None) evaluates every <psi|P_i|psi> with one pass of
-    the map's forward operator, clamped to [-1, 1] as exact_expectation
-    does, and returns an empty record list.  Sampled mode groups monomials
-    by measurement setting (an identity digit read as z) and simulates one record per distinct setting
-    through simulate_records, settings in first-occurrence order (so the
-    stream id is the setting's index in that order, and a record is shared
-    by every monomial mapped to its setting).  One Walsh-Hadamard transform
-    of each record's counts gives all its parity sums: monomial i reads
-    entry f_i | s_i, the mask of its non-identity qubits, exactly as
-    expectation_from_record would.  The map's normalization is applied
-    either way.
+    Exact mode (shots None) is the map's forward operator on the state,
+    each value clamped to [-s, s] (s the map's scale) as exact_expectation
+    clamps <P> to [-1, 1], and returns an empty record list.  Sampled mode
+    groups monomials by measurement setting (an identity digit read as z)
+    and simulates one record per distinct setting through
+    simulate_records, settings in first-occurrence order (so the stream id
+    is the setting's index in that order, and a record is shared by every
+    monomial mapped to its setting).  Monomial i reads its record's
+    parity_means at entry f_i | s_i, the mask of its non-identity qubits,
+    exactly as expectation_from_record would, times the map's scale.
     """
     if state.n != sensing_map.n:
         raise ValueError(f"state has {state.n} qubits, map has {sensing_map.n}")
+    s = sensing_map.scale
     if shots is None:
-        traces = sensing_map._traces(state.amplitudes, 0, sensing_map.m)[sensing_map._rank]
-        values = np.clip(traces, -1.0, 1.0)
-        return ObservationVector(sensing_map.scale * values), []
+        return ObservationVector(np.clip(sensing_map.forward_factored(state.amplitudes), -s, s)), []
     flips, sign_masks, _ = monomial_actions(sensing_map.codes, sensing_map.n)
     # Per qubit, x sets the flip bit and y the flip and sign bits; identity
     # and z set neither once signs are masked by flips.  So two monomials
@@ -252,11 +251,9 @@ def observe_with_records(
     order = np.argsort(first)
     settings = code_settings(sensing_map.codes[first[order]], sensing_map.n)
     records = simulate_records(state, settings, shots, seed)
-    # Integer transform: every parity sum is exact before the one division.
-    parity_sums = _fwht(np.stack([r.counts for r in records]))
     record_of = np.argsort(order)[inverse]
-    values = parity_sums[record_of, flips | sign_masks] / shots
-    return ObservationVector(sensing_map.scale * values), records
+    values = parity_means(records)[record_of, flips | sign_masks]
+    return ObservationVector(s * values), records
 
 
 def observe(

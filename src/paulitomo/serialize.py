@@ -132,6 +132,13 @@ def factor_to_json(factor: np.ndarray) -> dict:
     }
 
 
+def _trace_row(rec) -> dict:
+    """A TraceRecord's fields in order, iteration named iter: one row of the
+    result file's trace list, and of the CSV."""
+    row = asdict(rec)
+    return {"iter": row.pop("iteration"), **row}
+
+
 def result_to_json(
     config: OptimizerConfig, trace: ConvergenceTrace, factor: np.ndarray, save_factor: bool = False
 ) -> dict:
@@ -151,17 +158,7 @@ def result_to_json(
         "stop_reason": trace.stop_reason,
         "eta": trace.eta,
         "mu": trace.mu,
-        "trace": [
-            {
-                "iter": rec.iteration,
-                "change": rec.change,
-                "error": rec.error,
-                "fidelity": rec.fidelity,
-                "time_s": rec.time_s,
-                "grad_time_s": rec.grad_time_s,
-            }
-            for rec in trace
-        ],
+        "trace": [_trace_row(rec) for rec in trace],
     }
     if save_factor:
         out["factor"] = factor_to_json(factor)
@@ -169,19 +166,12 @@ def result_to_json(
 
 
 def trace_to_csv(trace: ConvergenceTrace, path):
+    """The trace rows without grad_time_s; a missing error or fidelity is an empty cell."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "change", "error", "fidelity", "time_s"])
-        for rec in trace:
-            writer.writerow(
-                [
-                    rec.iteration,
-                    rec.change,
-                    "" if rec.error is None else rec.error,
-                    "" if rec.fidelity is None else rec.fidelity,
-                    rec.time_s,
-                ]
-            )
+        columns = ["iter", "change", "error", "fidelity", "time_s"]
+        writer = csv.DictWriter(fh, columns, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(_trace_row(rec) for rec in trace)
 
 
 def calibration_from_json(obj: dict) -> CalibrationMatrix:

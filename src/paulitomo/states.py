@@ -51,24 +51,23 @@ class RandomCircuitSpec:
             raise ValueError(f"depth must be nonnegative, got {self.depth}")
 
 
-def ghz(n: int) -> PureState:
-    """(|0...0> + |1...1>)/sqrt(2); defined for n > 2."""
+def _ghz(n: int, sign: float, name: str) -> PureState:
     if n <= 2:
-        raise ValueError(f"ghz is defined for n > 2, got n={n}")
+        raise ValueError(f"{name} is defined for n > 2, got n={n}")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = _SQRT2_INV
-    amps[-1] = _SQRT2_INV
+    amps[-1] = sign * _SQRT2_INV
     return PureState(n, amps)
+
+
+def ghz(n: int) -> PureState:
+    """(|0...0> + |1...1>)/sqrt(2); defined for n > 2."""
+    return _ghz(n, 1.0, "ghz")
 
 
 def ghz_minus(n: int) -> PureState:
     """(|0...0> - |1...1>)/sqrt(2); defined for n > 2."""
-    if n <= 2:
-        raise ValueError(f"ghz_minus is defined for n > 2, got n={n}")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = _SQRT2_INV
-    amps[-1] = -_SQRT2_INV
-    return PureState(n, amps)
+    return _ghz(n, -1.0, "ghz_minus")
 
 
 def hadamard_all(n: int) -> PureState:
@@ -91,11 +90,13 @@ def euler_rotation(theta: float, phi: float, lam: float) -> np.ndarray:
 
 
 def apply_single_qubit(amps: np.ndarray, gate: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Apply a 2x2 gate to one qubit of a length-2^n amplitude vector."""
-    psi = amps.reshape((2,) * n)
-    psi = np.moveaxis(psi, qubit, -1)
-    psi = psi @ gate.T
-    return np.moveaxis(psi, -1, qubit).reshape(-1)
+    """Apply a 2x2 gate to one qubit of a length-2^n amplitude vector, or of
+    each row of an (S, 2^n) batch, bit-identically to row-by-row calls."""
+    axis = qubit - n  # counted from the end, past a leading batch axis
+    # The size-1 axis makes each n = 1 row its own 1 x 2 product, as a lone row is.
+    psi = amps.reshape(amps.shape[:-1] + (1,) + (2,) * n)
+    psi = np.moveaxis(psi, axis, -1) @ gate.T
+    return np.moveaxis(psi, -1, axis).reshape(amps.shape)
 
 
 def apply_cx(amps: np.ndarray, control: int, target: int, n: int) -> np.ndarray:

@@ -113,8 +113,8 @@ def test_parallel_run_matches_serial_fidelity():
 
 
 def test_workers_share_a_cold_cache(rng):
-    # Every worker may find the flip-order cache unbuilt and build it; the
-    # builds are equal, so no mix of them can change a partial.
+    # Each gradient is the first call on its map, from 8 threads at once; the
+    # map built its tables on construction, so the workers only read them.
     mono = sample_monomials(4, 120, rng)
     z = random_factor(rng, 16, 2)
     y = rng.standard_normal(120)
@@ -134,3 +134,23 @@ def test_worker_failure_propagates(rng):
     z = random_factor(rng, 4, 1)
     with pytest.raises(ValueError):
         parallel_gradient(smap, np.zeros(7), z, 2)  # wrong-length data surfaces
+
+
+def test_fresh_map_parallel_gradient_equals_its_partials_summed_serially(rng):
+    # The map builds its tables on construction, so the first gradient, from
+    # 4 threads at once, is bit for bit the same 4 partials computed on one
+    # thread, on another fresh map, and summed in worker order.
+    mono = sample_monomials(5, 300, rng)
+    z = random_factor(rng, 32, 2)
+    y = rng.standard_normal(300)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            reference = SensingMap(5, mono, normalized=True)
+            partials = [reference.residual_gradient_range(y, z, lo, hi) for lo, hi in partition(300, 4)]
+            serial = partials[0] + partials[1] + partials[2] + partials[3]
+            par = parallel_gradient(SensingMap(5, mono, normalized=True), y, z, 4)
+            assert np.array_equal(par, serial)
+    finally:
+        sys.setswitchinterval(interval)

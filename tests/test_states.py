@@ -10,6 +10,7 @@ from paulitomo import (
     hadamard_all,
     random_state,
 )
+from paulitomo.states import apply_single_qubit, euler_rotation
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -105,3 +106,15 @@ def test_purestate_validation():
         PureState(1, np.array([1.0, 1.0]))  # not normalized
     with pytest.raises(ValueError):
         RandomCircuitSpec(n=2, depth=-1, seed=0)
+
+
+def test_apply_single_qubit_batch_equals_row_calls():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 5):
+        rows = rng.standard_normal((7, 2**n)) + 1j * rng.standard_normal((7, 2**n))
+        gate = euler_rotation(*rng.random(3))
+        for qubit in range(n):
+            batch = apply_single_qubit(rows, gate, qubit, n)
+            one_by_one = np.stack([apply_single_qubit(row, gate, qubit, n) for row in rows])
+            assert batch.shape == rows.shape
+            assert np.array_equal(batch, one_by_one), (n, qubit)
