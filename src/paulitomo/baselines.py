@@ -44,8 +44,8 @@ class CalibrationMatrix:
         c = np.asarray(self.entries, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError(f"calibration matrix must be square, got shape {c.shape}")
-        if np.any(c < 0):
-            raise ValueError("calibration entries must be nonnegative")
+        if not np.all(c >= 0):  # NaN fails too
+            raise ValueError("calibration entries must be nonnegative numbers")
         sums = c.sum(axis=0)
         if np.any(np.abs(sums - 1.0) > 1e-8):
             raise ValueError("each calibration column must sum to 1")
@@ -61,6 +61,8 @@ def simplex_project(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("cannot project an empty vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("cannot project a vector with non-finite entries")
     s = np.sort(v)[::-1]
     css = np.cumsum(s)
     j = np.arange(1, v.size + 1)

@@ -240,6 +240,8 @@ def _cmd_synthetic(args) -> int:
         d=args.d, r=args.r, c=args.c, noise_norm=args.noise, seed=args.seed
     )
     mu_values = [optimizer.parse_mu(v)[0] for v in args.mu_values.split(",") if v]
+    if not mu_values:
+        raise ValueError("--mu-values needs at least one value")
     report = synthetic.run_synthetic_comparison(
         problem, mu_values, tol=args.tol, maxiters=args.maxiters
     )
@@ -306,8 +308,8 @@ def cli_main(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -249,7 +249,7 @@ def sample_record(
         raise ValueError(f"shots must be >= 1, got {shots}")
     if probs.ndim != 1 or probs.size != 2**setting.n:
         raise ValueError(f"expected {2**setting.n} probabilities, got shape {probs.shape}")
-    if np.any(probs < -1e-12) or abs(probs.sum() - 1.0) > 1e-8:
+    if not (np.all(probs >= -1e-12) and abs(probs.sum() - 1.0) <= 1e-8):  # NaN fails too
         raise ValueError("probabilities must be nonnegative and sum to 1")
     rng = as_generator(seed)
     cdf = np.cumsum(np.maximum(probs, 0.0))

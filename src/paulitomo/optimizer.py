@@ -58,10 +58,10 @@ class OptimizerConfig:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.maxiters < 1:
             raise ValueError(f"maxiters must be >= 1, got {self.maxiters}")
-        if self.reltol <= 0:
-            raise ValueError(f"reltol must be positive, got {self.reltol}")
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.reltol < np.inf:
+            raise ValueError(f"reltol must be positive and finite, got {self.reltol}")
+        if self.eta is not None and not 0 < self.eta < np.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         parse_mu(self.mu)
         if self.init not in ("spectral", "random"):
             raise ValueError(f"init must be 'spectral' or 'random', got {self.init!r}")
@@ -110,8 +110,8 @@ def theoretical_mu(r: int, tau: float = 1.0, epsilon: float = 1.0) -> float:
     """
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
-    if tau < 1.0:
-        raise ValueError(f"condition number tau must be >= 1, got {tau}")
+    if not 1.0 <= tau < np.inf:
+        raise ValueError(f"condition number tau must be finite and >= 1, got {tau}")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     return epsilon / (2000.0 * r * tau * np.sqrt(KAPPA))

@@ -31,7 +31,7 @@ class PureState:
         if amps.size != 2**self.n:
             raise ValueError(f"expected {2**self.n} amplitudes, got {amps.size}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # NaN fails too
             raise ValueError(f"amplitudes are not unit norm: |psi| = {norm}")
         self.amplitudes = amps
 

@@ -37,8 +37,8 @@ class SyntheticProblem:
     def __post_init__(self):
         if self.d < 1 or self.r < 1 or self.c < 1:
             raise ValueError("d, r, c must all be positive")
-        if self.noise_norm < 0:
-            raise ValueError(f"noise norm must be nonnegative, got {self.noise_norm}")
+        if not 0 <= self.noise_norm < np.inf:
+            raise ValueError(f"noise norm must be nonnegative and finite, got {self.noise_norm}")
         if self.m > self.d**2:
             raise ValueError(f"m = c*d*r = {self.m} exceeds d^2 = {self.d**2}")
 

@@ -285,3 +285,14 @@ def test_calibration_validation():
         CalibrationMatrix(np.array([[0.5, 0.2], [0.4, 0.8]]))  # column sum != 1
     with pytest.raises(ValueError):
         CalibrationMatrix(np.array([[1.1, 0.0], [-0.1, 1.0]]))  # negative entry
+
+
+def test_calibration_rejects_nan_entry():
+    with pytest.raises(ValueError):
+        CalibrationMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_simplex_project_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        simplex_project(np.array([bad, 1.0]))

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -541,3 +542,44 @@ def test_bad_mu_exits_with_message(tmp_path, capsys, command, flags, name):
     state = [] if command == "synthetic" else ["--circuit", "ghz", "--n", 3, "--exact"]
     code = invoke(command, *state, *flags, "--out", tmp_path / "o.json")
     assert_clean_failure(capsys, code, name)
+
+
+def test_reconstruct_rejects_nan_reltol(tmp_path, capsys):
+    code = invoke("reconstruct", "--circuit", "ghz", "--n", 3, "--exact", "--reltol", "nan",
+                  "--out", tmp_path / "r.json")
+    assert_clean_failure(capsys, code, "reltol")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_reconstruct_rejects_nan_eta(tmp_path, capsys):
+    code = invoke("reconstruct", "--circuit", "ghz", "--n", 3, "--eta", "nan", "--out", tmp_path / "r.json")
+    assert_clean_failure(capsys, code, "eta must be")
+
+
+def test_synthetic_rejects_nan_noise(tmp_path, capsys):
+    code = invoke("synthetic", "--d", 4, "--r", 1, "--c", 1, "--noise", "nan", "--out", tmp_path / "s.json")
+    assert_clean_failure(capsys, code, "noise")
+
+
+def test_synthetic_rejects_empty_mu_values(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    code = invoke("synthetic", "--d", 4, "--r", 1, "--c", 1, "--mu-values", ",", "--out", out)
+    assert_clean_failure(capsys, code, "--mu-values")
+    assert not out.exists()
+
+
+def test_state_out_of_memory_exits_with_message(tmp_path):
+    # A 36-qubit state needs 1 TiB; under a 4 GiB address-space limit the
+    # allocation fails at once.  Never run this command without the limit.
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "paulitomo.cli", "state", "--circuit", "ghz", "--n", "36",
+         "--out", str(tmp_path / "s.json")],
+        env=env, capture_output=True, text=True, preexec_fn=limit_address_space, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert len(done.stderr.strip().splitlines()) == 1

@@ -379,3 +379,9 @@ def test_monomial_actions_match_per_monomial_loop():
     assert [tuple(map(int, t)) for t in zip(flips, sign_masks, nys)] == [
         monomial_action(p.labels) for p in mono
     ]
+
+
+def test_sample_record_rejects_nan_probability():
+    # NaN passes both "< 0" and "sum off by more than the tolerance" as False.
+    with pytest.raises(ValueError):
+        sample_record(PauliSetting("z"), np.array([np.nan, 1.0]), shots=10, seed=0)

@@ -343,3 +343,16 @@ def test_rank2_target_metrics(rng):
     _, trace = run(smap, y, config, target=target)
     assert trace.final().error is not None
     assert trace.final().fidelity is None
+
+
+@pytest.mark.parametrize("field", ["reltol", "eta"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_config_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(rank=1, **{field: bad})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_theoretical_mu_rejects_non_finite_tau(bad):
+    with pytest.raises(ValueError, match="tau"):
+        theoretical_mu(r=1, tau=bad)

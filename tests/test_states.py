@@ -108,6 +108,12 @@ def test_purestate_validation():
         RandomCircuitSpec(n=2, depth=-1, seed=0)
 
 
+def test_purestate_rejects_nan_amplitudes():
+    # |psi| is NaN, and NaN compares False with the norm tolerance.
+    with pytest.raises(ValueError):
+        PureState(1, np.array([np.nan, 0.0]))
+
+
 def test_apply_single_qubit_batch_equals_row_calls():
     rng = np.random.default_rng(5)
     for n in (1, 2, 3, 5):

@@ -134,3 +134,9 @@ def test_noisy_error_floor_small_scale():
     report = run_synthetic_comparison(problem, (2.0 / 3.0,), tol=1e-4, maxiters=4000)
     err = report["runs"][0]["final_relative_error"]
     assert 1e-4 < err < 1e-1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_noise_norm_must_be_finite(bad):
+    with pytest.raises(ValueError, match="noise norm"):
+        small_problem(noise_norm=bad)
