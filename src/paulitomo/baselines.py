@@ -51,10 +51,6 @@ class CalibrationMatrix:
             raise ValueError("each calibration column must sum to 1")
         self.entries = c
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 def simplex_project(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {w >= 0, sum w = 1} (sorting algorithm)."""
@@ -159,8 +155,8 @@ def readout_mitigate(calibration: CalibrationMatrix, v_meas: np.ndarray) -> np.n
     """
     c = calibration.entries
     v_meas = np.asarray(v_meas, dtype=float).ravel()
-    if v_meas.size != calibration.dim:
-        raise ValueError(f"measured vector has size {v_meas.size}, expected {calibration.dim}")
+    if v_meas.size != c.shape[0]:
+        raise ValueError(f"measured vector has size {v_meas.size}, expected {c.shape[0]}")
     step = 1.0 / np.linalg.norm(c, 2) ** 2
     v = simplex_project(v_meas)
     objective = float(np.linalg.norm(c @ v - v_meas) ** 2)

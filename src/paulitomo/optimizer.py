@@ -88,9 +88,6 @@ class ConvergenceTrace:
     mu: float | None = None
     stop_reason: str | None = None
 
-    def append(self, record: TraceRecord):
-        self.records.append(record)
-
     @property
     def iterations(self) -> int:
         return len(self.records)
@@ -244,7 +241,7 @@ def run(sensing_map, y, config: OptimizerConfig, target=None, gradient_fn=None):
         z = u_next + mu * (u_next - u)
         change = _gram_change(u_next, u)
         error, fidelity = _target_metrics(u_next, target)
-        trace.append(
+        trace.records.append(
             TraceRecord(
                 iteration=i,
                 change=change,

@@ -101,16 +101,8 @@ def apply_single_qubit(amps: np.ndarray, gate: np.ndarray, qubit: int, n: int) -
 
 def apply_cx(amps: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
     """Apply a controlled-X gate; flips `target` where `control` is 1."""
-    psi = amps.reshape((2,) * n).copy()
-    sel0 = [slice(None)] * n
-    sel1 = [slice(None)] * n
-    sel0[control] = 1
-    sel1[control] = 1
-    sel0[target] = 0
-    sel1[target] = 1
-    a, b = psi[tuple(sel0)].copy(), psi[tuple(sel1)].copy()
-    psi[tuple(sel0)], psi[tuple(sel1)] = b, a
-    return psi.reshape(-1)
+    k = np.arange(2**n)
+    return amps[k ^ (((k >> (n - 1 - control)) & 1) << (n - 1 - target))]
 
 
 def random_state(spec: RandomCircuitSpec) -> PureState:

@@ -50,8 +50,10 @@ class SyntheticProblem:
 class GaussianSensingMap:
     """m real symmetric Gaussian functionals on Hermitian d x d matrices.
 
-    A fixed operator Z -> A^dagger(x) Z reads the rows once, into a dense
-    d x d matrix; gradients read them twice per call."""
+    The forward map is one GEMV against the rows.  A gradient over rows
+    [lo, hi) makes its forward and adjoint GEMVs on that view, copying
+    nothing; a fixed operator Z -> A^dagger(x) Z reads the rows once, into
+    a dense d x d matrix."""
 
     real_factors = True  # random factor initialization may stay real
     gain = 1.0  # E[A^dagger A] = I: entries have variance 1/m
@@ -81,18 +83,9 @@ class GaussianSensingMap:
         x[(self._iu[1], self._iu[0])] = off
         return x
 
-    def forward_range(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        u = as_factor(u, self.d)
-        x = (u @ u.conj().T).real  # imaginary part is antisymmetric: annihilated
-        return self.rows[lo:hi] @ self._hvec(x)
-
     def forward_factored(self, u: np.ndarray) -> np.ndarray:
-        return self.forward_range(u, 0, self.m)
-
-    def adjoint_range(self, x: np.ndarray, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        z = as_factor(z, self.d)
-        mat = self._unhvec(self.rows[lo:hi].T @ np.asarray(x, dtype=float))
-        return mat @ z
+        u = as_factor(u, self.d)
+        return self.rows @ self._hvec((u @ u.conj().T).real)  # the imaginary part is antisymmetric
 
     def adjoint_operator(self, x: np.ndarray):
         """The fixed operator Z -> A^dagger(x) Z, from one GEMV against the rows."""
@@ -100,9 +93,10 @@ class GaussianSensingMap:
         return lambda z: mat @ z
 
     def residual_gradient_range(self, y, z, lo: int, hi: int) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        residual = self.forward_range(z, lo, hi) - y[lo:hi]
-        return self.adjoint_range(residual, z, lo, hi)
+        z = as_factor(z, self.d)
+        rows = self.rows[lo:hi]
+        residual = rows @ self._hvec((z @ z.conj().T).real) - np.asarray(y, dtype=float)[lo:hi]
+        return self._unhvec(rows.T @ residual) @ z
 
     def residual_gradient(self, y, z) -> np.ndarray:
         return self.residual_gradient_range(y, z, 0, self.m)

@@ -74,7 +74,7 @@ def test_forward_matches_dense_functionals(rng):
         mat[iu] = row[d:] / np.sqrt(2)
         mat[(iu[1], iu[0])] = row[d:] / np.sqrt(2)
         expected.append(np.trace(mat @ rho))
-    assert np.allclose(smap.forward_range(u, 0, 20), expected, atol=1e-10)
+    assert np.allclose(smap.forward_factored(u)[:20], expected, atol=1e-10)
 
 
 def test_adjoint_consistency(rng):
@@ -83,7 +83,7 @@ def test_adjoint_consistency(rng):
     z = rng.standard_normal((smap.d, 2))
     dense = smap.adjoint_operator(x)(np.eye(smap.d))
     assert np.allclose(dense, dense.T, atol=1e-12)
-    assert np.allclose(smap.adjoint_range(x, z, 0, smap.m), dense @ z, atol=1e-10)
+    assert np.allclose(smap.residual_gradient(smap.forward_factored(z) - x, z), dense @ z, atol=1e-10)
 
 
 def test_adjointness_inner_product(rng):
