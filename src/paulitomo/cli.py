@@ -185,6 +185,8 @@ def _cmd_reconstruct(args) -> int:
     target_state = None
     if args.infile:
         sensing_map, obs = serialize.expectations_from_json(serialize.load_json(args.infile))
+        if args.n is not None and args.n != sensing_map.n:
+            raise ValueError(f"--n {args.n} does not match n = {sensing_map.n} in {args.infile}")
         if args.circuit:
             target_state = build_state(args.circuit, sensing_map.n, args.depth, args.seed)
     else:

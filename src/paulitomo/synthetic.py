@@ -143,6 +143,8 @@ def run_synthetic_comparison(
     the problem, the random initialization seed, and the step-size rule;
     reported per run are iterations, final relative error, and wall time.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     sensing_map, y, u_star = generate_synthetic(problem)
     spectrum = np.linalg.eigvalsh(u_star.T @ u_star)
     sigma_1, sigma_r = float(spectrum[-1]), float(spectrum[0])

@@ -568,6 +568,24 @@ def test_synthetic_rejects_empty_mu_values(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_synthetic_rejects_bad_tol(tmp_path, capsys, tol):
+    out = tmp_path / "s.json"
+    code = invoke("synthetic", "--d", 4, "--r", 1, "--c", 1, "--tol", tol, "--out", out)
+    assert_clean_failure(capsys, code, "error: tol must be")
+    assert not out.exists()
+
+
+def test_reconstruct_rejects_n_that_contradicts_the_file(tmp_path, capsys):
+    meas = tmp_path / "m.json"
+    assert invoke("measure", "--circuit", "random", "--n", 1, "--out", meas) == 0
+    flags = ["reconstruct", "--in", meas, "--circuit", "random", "--maxiters", 5]
+    code = invoke(*flags, "--n", 2, "--out", tmp_path / "bad.json")
+    assert_clean_failure(capsys, code, "--n 2", "n = 1")
+    assert not (tmp_path / "bad.json").exists()
+    assert invoke(*flags, "--n", 1, "--out", tmp_path / "ok.json") == 0
+
+
 def test_state_out_of_memory_exits_with_message(tmp_path):
     # A 36-qubit state needs 1 TiB; under a 4 GiB address-space limit the
     # allocation fails at once.  Never run this command without the limit.
