@@ -19,7 +19,7 @@ from paulitomo import (
 )
 from paulitomo.baselines import complete_expectations
 from paulitomo.cli import all_settings
-from paulitomo.measurements import exact_expectation, monomial_from_code
+from paulitomo.measurements import MeasurementRecord, PauliSetting, exact_expectation, monomial_from_code
 from paulitomo.sensing import simulate_records
 
 from conftest import dense_monomial, inversion_shot_noise
@@ -296,3 +296,25 @@ def test_calibration_rejects_nan_entry():
 def test_simplex_project_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="non-finite"):
         simplex_project(np.array([bad, 1.0]))
+
+
+def _nine_qubit_record():
+    return MeasurementRecord(PauliSetting("z" * 9), 1, np.eye(1, 512, dtype=int)[0])
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        pytest.param(lambda: CalibrationMatrix(np.ones((2, 3)) / 2), "must be square", id="calibration-non-square"),
+        pytest.param(lambda: simplex_project([]), "empty vector", id="simplex-empty"),
+        pytest.param(lambda: project_to_density(np.eye(2, 3)), "square matrix", id="density-non-square"),
+        pytest.param(lambda: project_to_density(np.eye(512)), "capped at n <= 8", id="density-9-qubits"),
+        pytest.param(lambda: complete_expectations([]), "no records", id="complete-empty"),
+        pytest.param(lambda: complete_expectations([_nine_qubit_record()]), "capped at n <= 8", id="complete-9-qubits"),
+        pytest.param(lambda: readout_mitigate(CalibrationMatrix(np.eye(2)), [1.0, 0.0, 0.0]),
+                     "has size 3, expected 2", id="mitigate-wrong-size"),
+    ],
+)
+def test_baselines_validation_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -601,3 +601,8 @@ def test_state_out_of_memory_exits_with_message(tmp_path):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
     assert len(done.stderr.strip().splitlines()) == 1
+
+
+def test_build_state_rejects_unknown_circuit():
+    with pytest.raises(ValueError, match="unknown circuit 'bogus'"):
+        cli.build_state("bogus", 3)

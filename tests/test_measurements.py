@@ -385,3 +385,32 @@ def test_sample_record_rejects_nan_probability():
     # NaN passes both "< 0" and "sum off by more than the tolerance" as False.
     with pytest.raises(ValueError):
         sample_record(PauliSetting("z"), np.array([np.nan, 1.0]), shots=10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        pytest.param(lambda: PauliMonomial(()), "at least one qubit", id="monomial-empty"),
+        pytest.param(lambda: PauliMonomial((4,)), "labels must be in", id="monomial-label-4"),
+        pytest.param(lambda: PauliSetting("xq"), "axes must be", id="setting-bad-axis"),
+        pytest.param(lambda: MeasurementRecord(PauliSetting("z"), 0, np.array([0, 0])), "shots must be >= 1",
+                     id="record-zero-shots"),
+        pytest.param(lambda: MeasurementRecord(PauliSetting("z"), 1, np.array([2, -1])), "nonnegative",
+                     id="record-negative-count"),
+        pytest.param(lambda: sample_record(PauliSetting("z"), [1.0, 0.0], 0, 0), "shots must be >= 1",
+                     id="sample-zero-shots"),
+        pytest.param(lambda: sample_record(PauliSetting("z"), [0.5, 0.25, 0.25], 10, 0), "expected 2 probabilities",
+                     id="sample-wrong-size"),
+        pytest.param(lambda: expectation_from_distribution(PauliSetting("zz"), [1.0, 0, 0, 0], PauliMonomial((3,))),
+                     "setting covers 2 qubits, monomial 1", id="distribution-qubit-mismatch"),
+        pytest.param(lambda: expectation_from_distribution(PauliSetting("z"), np.eye(2), PauliMonomial((3,))),
+                     "expected 2 outcome weights", id="distribution-wrong-shape"),
+        pytest.param(lambda: apply_monomial(PauliMonomial((1,)), np.ones(3)), "leading dimension 3, expected 2",
+                     id="apply-wrong-dimension"),
+        pytest.param(lambda: exact_expectation(ghz(3), PauliMonomial((3,))), "state has 3 qubits, monomial has 1",
+                     id="exact-qubit-mismatch"),
+    ],
+)
+def test_measurements_validation_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -205,3 +205,8 @@ def test_factor_contract_vector_is_one_column(name):
         assert np.array_equal(as_vector, as_column)
     else:
         assert as_vector == as_column
+
+
+def test_fidelity_density_shape_mismatch():
+    with pytest.raises(ValueError, match="does not match state"):
+        fidelity_density(np.eye(4), ghz(3))

@@ -356,3 +356,15 @@ def test_config_rejects_non_finite(field, bad):
 def test_theoretical_mu_rejects_non_finite_tau(bad):
     with pytest.raises(ValueError, match="tau"):
         theoretical_mu(r=1, tau=bad)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        pytest.param(lambda: OptimizerConfig(init="x"), "init must be", id="config-init"),
+        pytest.param(lambda: theoretical_mu(0), "rank must be >= 1", id="theoretical-mu-rank-0"),
+    ],
+)
+def test_optimizer_validation_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

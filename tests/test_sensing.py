@@ -433,3 +433,9 @@ def test_map_keeps_base4_codes():
     codes = SensingMap(2, mono).codes
     assert codes.dtype == np.int64 and codes.tolist() == [5, 0, 15, 5]
     assert np.array_equal(SensingMap(2, [5, 0, 15, 5]).codes, codes)
+
+
+def test_adjoint_range_rejects_wrong_slice_length():
+    smap = SensingMap(2, np.arange(16))
+    with pytest.raises(ValueError, match=r"coefficient slice has shape \(2,\), expected \(3,\)"):
+        smap.adjoint_range(np.ones(2), np.ones((4, 1)), 0, 3)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from paulitomo import (
     hadamard_all,
     random_state,
 )
-from paulitomo.states import apply_single_qubit, euler_rotation
+from paulitomo.states import apply_cx, apply_single_qubit, euler_rotation
+
+from conftest import dense_monomial, random_pure_state_vector
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -124,3 +128,28 @@ def test_apply_single_qubit_batch_equals_row_calls():
             one_by_one = np.stack([apply_single_qubit(row, gate, qubit, n) for row in rows])
             assert batch.shape == rows.shape
             assert np.array_equal(batch, one_by_one), (n, qubit)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: PureState(0, [1]), id="pure-state"),
+        pytest.param(lambda: RandomCircuitSpec(0, 1, 0), id="random-spec"),
+        pytest.param(lambda: hadamard_all(0), id="hadamard-all"),
+    ],
+)
+def test_states_reject_zero_qubits(call):
+    with pytest.raises(ValueError, match="qubit count must be positive, got 0"):
+        call()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_apply_cx_matches_dense_matrix(rng, n):
+    # CX = (I + Z_c + X_t - Z_c X_t) / 2, built from Kronecker products.
+    psi = random_pure_state_vector(rng, n)
+    for control, target in itertools.permutations(range(n), 2):
+        z_c, x_t, zx = [0] * n, [0] * n, [0] * n
+        z_c[control], x_t[target] = 3, 1
+        zx[control], zx[target] = 3, 1
+        dense = (np.eye(2**n) + dense_monomial(z_c) + dense_monomial(x_t) - dense_monomial(zx)) / 2
+        assert np.array_equal(apply_cx(psi, control, target, n), dense @ psi), (control, target)

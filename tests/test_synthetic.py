@@ -140,3 +140,16 @@ def test_noisy_error_floor_small_scale():
 def test_noise_norm_must_be_finite(bad):
     with pytest.raises(ValueError, match="noise norm"):
         small_problem(noise_norm=bad)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        pytest.param(lambda: SyntheticProblem(d=0), "d, r, c must all be positive", id="problem-d-0"),
+        pytest.param(lambda: GaussianSensingMap(4, np.zeros((3, 5))), r"rows must have shape \(m, 10\)",
+                     id="map-row-width"),
+    ],
+)
+def test_synthetic_validation_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
