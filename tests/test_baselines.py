@@ -305,12 +305,14 @@ def _nine_qubit_record():
 @pytest.mark.parametrize(
     "call,match",
     [
-        pytest.param(lambda: CalibrationMatrix(np.ones((2, 3)) / 2), "must be square", id="calibration-non-square"),
+        pytest.param(lambda: CalibrationMatrix(np.ones((2, 3)) / 2), "must be square",
+                     id="calibration-non-square"),
         pytest.param(lambda: simplex_project([]), "empty vector", id="simplex-empty"),
         pytest.param(lambda: project_to_density(np.eye(2, 3)), "square matrix", id="density-non-square"),
         pytest.param(lambda: project_to_density(np.eye(512)), "capped at n <= 8", id="density-9-qubits"),
         pytest.param(lambda: complete_expectations([]), "no records", id="complete-empty"),
-        pytest.param(lambda: complete_expectations([_nine_qubit_record()]), "capped at n <= 8", id="complete-9-qubits"),
+        pytest.param(lambda: complete_expectations([_nine_qubit_record()]), "capped at n <= 8",
+                     id="complete-9-qubits"),
         pytest.param(lambda: readout_mitigate(CalibrationMatrix(np.eye(2)), [1.0, 0.0, 0.0]),
                      "has size 3, expected 2", id="mitigate-wrong-size"),
     ],

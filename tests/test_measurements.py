@@ -399,9 +399,10 @@ def test_sample_record_rejects_nan_probability():
                      id="record-negative-count"),
         pytest.param(lambda: sample_record(PauliSetting("z"), [1.0, 0.0], 0, 0), "shots must be >= 1",
                      id="sample-zero-shots"),
-        pytest.param(lambda: sample_record(PauliSetting("z"), [0.5, 0.25, 0.25], 10, 0), "expected 2 probabilities",
-                     id="sample-wrong-size"),
-        pytest.param(lambda: expectation_from_distribution(PauliSetting("zz"), [1.0, 0, 0, 0], PauliMonomial((3,))),
+        pytest.param(lambda: sample_record(PauliSetting("z"), [0.5, 0.25, 0.25], 10, 0),
+                     "expected 2 probabilities", id="sample-wrong-size"),
+        pytest.param(lambda: expectation_from_distribution(PauliSetting("zz"), [1.0, 0, 0, 0],
+                                                           PauliMonomial((3,))),
                      "setting covers 2 qubits, monomial 1", id="distribution-qubit-mismatch"),
         pytest.param(lambda: expectation_from_distribution(PauliSetting("z"), np.eye(2), PauliMonomial((3,))),
                      "expected 2 outcome weights", id="distribution-wrong-shape"),
