@@ -23,6 +23,9 @@ from .states import RandomCircuitSpec, ghz, ghz_minus, hadamard_all, random_stat
 
 _FIXED_CIRCUITS = {"ghz": ghz, "ghz_minus": ghz_minus, "hadamard": hadamard_all}
 CIRCUITS = (*_FIXED_CIRCUITS, "random")
+_DEFAULT_SHOTS = 2048
+# reconstruct's --measpc when it simulates its data.
+_RECONSTRUCT_MEASPC = 100.0
 
 
 def build_state(circuit: str, n: int, depth: int = 20, seed: int = 0):
@@ -68,7 +71,7 @@ def _add_data_flags(sub, measpc=None):
     """Measurement flags; --measpc only where a default is given."""
     if measpc is not None:
         sub.add_argument("--measpc", type=float, default=measpc)
-    sub.add_argument("--shots", type=int, default=2048)
+    sub.add_argument("--shots", type=int, default=_DEFAULT_SHOTS)
     sub.add_argument("--exact", action="store_true", help="noiseless expectation values")
     sub.add_argument("--seed", type=int, default=0)
 
@@ -111,7 +114,10 @@ def build_parser():
     sub = command("reconstruct", _cmd_reconstruct, "run the factored-gradient reconstruction")
     sub.add_argument("--in", dest="infile", default=None, help="expectation-value file")
     _add_state_flags(sub, required=False)
-    _add_data_flags(sub, measpc=100.0)
+    _add_data_flags(sub)
+    # None unless typed, so that --in can refuse them; see _cmd_reconstruct.
+    sub.add_argument("--measpc", type=float, default=None)
+    sub.set_defaults(shots=None)
     _add_optimizer_flags(sub)
     sub.add_argument("--out", required=True)
     sub.add_argument("--trace-csv", default=None)
@@ -184,6 +190,10 @@ def _cmd_reconstruct(args) -> int:
     config = _optimizer_config(args)
     target_state = None
     if args.infile:
+        data_flags = (("--exact", args.exact or None), ("--measpc", args.measpc), ("--shots", args.shots))
+        given = [flag for flag, value in data_flags if value is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} cannot be used with --in: {args.infile} holds the data")
         sensing_map, obs = serialize.expectations_from_json(serialize.load_json(args.infile))
         if args.n is not None and args.n != sensing_map.n:
             raise ValueError(f"--n {args.n} does not match n = {sensing_map.n} in {args.infile}")
@@ -192,6 +202,8 @@ def _cmd_reconstruct(args) -> int:
     else:
         if args.circuit is None or args.n is None:
             raise ValueError("reconstruct needs either --in or --circuit/--n")
+        args.measpc = _RECONSTRUCT_MEASPC if args.measpc is None else args.measpc
+        args.shots = _DEFAULT_SHOTS if args.shots is None else args.shots
         target_state, sensing_map, obs, _ = _simulate_pipeline(args)
     factor, trace = parallel.parallel_run(sensing_map, obs, config, args.workers, target_state)
     serialize.save_json(serialize.result_to_json(config, trace, factor, args.save_factor), args.out)

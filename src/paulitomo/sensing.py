@@ -1,14 +1,13 @@
-"""Matrix-free sensing operator over a set of Pauli monomials.
+"""Sensing operator over a set of Pauli monomials.
 
 The map sends a factor U (d x r, representing rho = U U^dagger) to the m
 real values s * Tr(P_i U U^dagger), where s = d / sqrt(m) when the map is
 normalized and 1 otherwise.  The adjoint sends a coefficient vector x to
-s * sum_i x_i P_i Z without ever materializing a d x d matrix.  For
-uniformly sampled monomials E[A^dagger A] = c I with gain c = s^2 m / d
-(d normalized, m / d not); spectral init and the auto step divide c out.
-The map holds its monomials as an int64 array of base-4 codes
-(measurements.py); monomial objects given at the API edge are encoded
-once, on construction.
+s * sum_i x_i P_i Z.  For uniformly sampled monomials E[A^dagger A] = c I
+with gain c = s^2 m / d (d normalized, m / d not); spectral init and the
+auto step divide c out.  The map holds its monomials as an int64 array of
+base-4 codes (measurements.py); monomial objects given at the API edge are
+encoded once, on construction.
 
 A monomial acts as a signed index permutation (see
 measurements.monomial_actions): (P z)[k] = i^ny (-1)^{popcount((k^f) & s)}
@@ -16,24 +15,45 @@ z[k^f], with flip mask f, sign mask s and ny y-factors.  Monomials that
 share a flip f differ only in the Walsh-Hadamard character picked by s,
 so the map works per flip group:
 
-    Tr(P_i zz*) = i^ny_i WHT(w_f)[s_i],  w_f[j] = sum_c conj(z[j^f, c]) z[j, c]
-    A^dagger(x) z = sum_f P_f (WHT(c_f) * z),  c_f[s] = sum_{i: f_i=f, s_i=s} x_i i^ny_i
+    Tr(P_i zz*) = i^ny_i WHT(w_f)[s_i],  w_f[j] = (conj(z) z^T)[j^f, j]
+    A^dagger(x) = sum_f M_f,  M_f[k^f, k] = WHT(c_f)[k],
+    c_f[s] = sum_{i: f_i=f, s_i=s} x_i i^ny_i
 
-where WHT is the unnormalized Walsh-Hadamard transform and P_f the index
-permutation k -> k^f.  Both directions cost O(G d (log d + r)) for the
-G <= min(m, d) distinct flips a call touches.  The map builds its tables
-on construction and only reads them after: the (G, d) source indices k^f
-plus per-monomial group ids, sign masks and phases, in flip order
-(monomials stably sorted by flip mask).  The *_range methods index that
+where WHT is the unnormalized Walsh-Hadamard transform: w_f is the flip-f
+diagonal of conj(z) z^T, and M_f is nonzero on the flip-f diagonal only.
+
+Tables.  The map builds them on construction and only reads them after,
+in flip order (monomials stably sorted by flip mask): per monomial its
+group id, sign mask and phase i^ny, and per group g of the G <= min(m, d)
+distinct flips the row _src[g, j] = (j ^ f_g) d + j, the flat positions of
+the flip-f_g diagonal in a d x d matrix.  The *_range methods index flip
 order, so the parallel engine's contiguous ranges touch disjoint runs of
 groups; all other methods keep the user order of `codes`.  The full-range
 call is the serial path, so a one-worker partition reproduces it exactly.
-adjoint_operator fixes x and builds its table once, for the eigensolver;
-every path applies a table with the same _apply_table.  Exact simulated
-data are the forward map of the state.
+
+Transform.  H_d is a Kronecker product of Sylvester factors of at most
+2^_FACTOR_BITS, and _fwht applies each as one 2-D GEMM, so a row of d
+entries costs d times the sum of the factor sizes, at most 32 d log2(d) / 5
+multiply-adds, in BLAS.  A transform of integer counts is exact.
+
+Cost of a range call touching G groups: the forward is conj(z) z^T
+(d^2 r), one gather of G d diagonal entries, a transform of G rows and one
+read per monomial; the adjoint is one scatter-add per monomial, a
+transform, one scatter of G d entries into a zeroed d x d matrix, and that
+matrix times z (d^2 r).  adjoint_operator(x) builds the same matrix once
+and applies it as one GEMM per eigensolver block.
+
+Workspace and threads.  Range calls write into buffers reused across calls
+and held per thread: the d x d matrix and two blocks of G d entries for
+the largest G the thread has met.  A warm gradient allocates only arrays
+of length m and d r.  The parallel engine's workers call one map at once,
+each on its own buffers; the tables are only read, so threads can share a
+new map.  Exact simulated data are the forward map of the state.
 """
 
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,42 +73,67 @@ from .states import PureState
 # Complex amplitudes per born_probabilities call in simulate_records: 1024
 # rows at n=8, every setting at n <= 6.
 _BLOCK_BYTES = 4 << 20
+# Float counts per parity_means transform block.
+_PARITY_BLOCK_BYTES = 1 << 18
+# Largest Kronecker factor of the Walsh-Hadamard transform, in bits.
+_FACTOR_BITS = 5
 
 
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of each row of a, in place.
+def _factor_bits(bits: int) -> list:
+    """Bit widths of the fewest near-equal Kronecker factors of at most
+    _FACTOR_BITS each, H_d = H_1 x ... x H_k for d = 2^bits."""
+    k = -(-bits // _FACTOR_BITS)
+    return [bits // k + (i < bits % k) for i in range(k)]
 
-    a[g, s] becomes sum_j a[g, j] (-1)^{popcount(j & s)}; a must be
-    C-contiguous with a power-of-two row length.  Radix-4 butterflies
-    (one radix-2 pass first when log2 d is odd) halve the passes over a.
+
+@lru_cache(maxsize=None)
+def _sylvester(bits: int, dtype: np.dtype) -> np.ndarray:
+    """The read-only 2^bits x 2^bits Sylvester-Hadamard matrix, (-1)^popcount(s & j)."""
+    h = np.ones((1, 1), dtype=dtype)
+    for _ in range(bits):
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
+
+
+def _fwht(a: np.ndarray, work: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a's rows (axis 1) or columns
+    (axis 0), left in a's memory in the transposed layout.
+
+    a is a C-contiguous 2-D float or complex array whose `axis` length d is
+    a power of two; work is a C-contiguous array of a's dtype with at least
+    a.size entries, overwritten.  Returns the view of a's memory shaped like
+    a.T: for axis 1, out[s, g] = sum_j a[g, j] (-1)^popcount(j & s).
+
+    H_d is the Kronecker product of the _factor_bits Sylvester factors, and
+    each factor is one 2-D GEMM that contracts the transformed axis's next
+    digit and moves it to the other end of the array, so after the last
+    factor the digits are back in order on the far side of the g axis.  A
+    row costs d * (sum of factor sizes) multiply-adds, <= 32 d log2(d) / 5,
+    and integer-valued input gives integer-valued output exactly (every
+    product is +-1 times an input).
     """
-    g, d = a.shape
-    h = 1
-    if (d.bit_length() - 1) % 2:
-        pairs = a.reshape(g, d // 2, 2)
-        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
-        t = lo.copy()
-        lo += hi
-        np.subtract(t, hi, out=hi)
-        h = 2
-    while h < d:
-        x = a.reshape(g, d // (4 * h), 4, h)
-        s01, d01 = x[:, :, 0] + x[:, :, 1], x[:, :, 0] - x[:, :, 1]
-        s23, d23 = x[:, :, 2] + x[:, :, 3], x[:, :, 2] - x[:, :, 3]
-        np.add(s01, s23, out=x[:, :, 0])
-        np.add(d01, d23, out=x[:, :, 1])
-        np.subtract(s01, s23, out=x[:, :, 2])
-        np.subtract(d01, d23, out=x[:, :, 3])
-        h *= 4
-    return a
+    d = a.shape[axis]
+    flat = a.reshape(-1)
+    src, dst = flat, work.reshape(-1)[: a.size]
+    for bits in _factor_bits(d.bit_length() - 1):
+        h = _sylvester(bits, a.dtype)
+        f = len(h)
+        if axis:
+            np.matmul(h, src.reshape(-1, f).T, out=dst.reshape(f, -1))
+        else:
+            np.matmul(src.reshape(f, -1).T, h, out=dst.reshape(-1, f))
+        src, dst = dst, src
+    if src is not flat:
+        flat[:] = src
+    return flat.reshape(a.shape[::-1])
 
 
-def _apply_table(src: np.ndarray, v: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Table (src, v) of SensingMap._adjoint_table times z.  Per column c, row g
-    of v * z[:, c] is permuted by k -> k ^ f_g and rows are summed (a (G, d, b)
-    product would loop over b innermost, several times slower)."""
-    rows = np.arange(len(v))[:, None]
-    return np.stack([(v * col)[rows, src].sum(axis=0) for col in z.T], axis=1)
+class _Workspace(threading.local):
+    """One thread's buffers for a map's range calls: a (d, d) complex matrix
+    and two complex blocks of G x d entries for the largest G seen."""
+
+    mat = rows = work = None
 
 
 class SensingMap:
@@ -100,6 +145,7 @@ class SensingMap:
         self.normalized = normalized
         self._src = None  # read by perfbench/tracing.py's wrapper of _ensure_cache
         self._ensure_cache()
+        self._ws = _Workspace()
 
     @property
     def m(self) -> int:
@@ -127,7 +173,9 @@ class SensingMap:
         flip_values, self._group = np.unique(flips[self._order], return_inverse=True)
         self._sign = sign_masks[self._order].astype(np.int32)
         self._iphase = 1j ** (nys[self._order] % 4)
-        self._src = (np.arange(self.d) ^ flip_values[:, None]).astype(np.int32)
+        # intp, so take and fancy assignment use it without a converted copy.
+        j = np.arange(self.d, dtype=np.intp)
+        self._src = (j ^ flip_values[:, None]) * self.d + j
 
     def _groups(self, lo: int, hi: int):
         """The run of flip groups' source rows that positions lo..hi touch, and their rows."""
@@ -135,6 +183,15 @@ class SensingMap:
             return self._src[:0], self._group[:0]
         g_lo, g_hi = self._group[lo], self._group[hi - 1] + 1
         return self._src[g_lo:g_hi], self._group[lo:hi] - g_lo
+
+    def _buffers(self, groups: int):
+        """This thread's (d, d) matrix and two flat blocks of groups x d entries."""
+        ws, size = self._ws, groups * self.d
+        if ws.mat is None:
+            ws.mat = np.empty((self.d, self.d), dtype=complex)
+        if ws.rows is None or ws.rows.size < size:
+            ws.rows, ws.work = np.empty((2, size), dtype=complex)
+        return ws.mat, ws.rows[:size], ws.work
 
     def _flip_ordered(self, x: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Flip-order positions lo..hi of a user-order length-m vector."""
@@ -147,43 +204,53 @@ class SensingMap:
         """Flip-order entries lo..hi of A(u u^dagger), with the full-map scale."""
         u = as_factor(u, self.d)
         src, row = self._groups(lo, hi)
-        w = _fwht(np.einsum("gjc,jc->gj", u[src].conj(), u))
-        return self.scale * (self._iphase[lo:hi] * w[row, self._sign[lo:hi]]).real
+        rho, rows, work = self._buffers(len(src))
+        np.matmul(u.conj(), u.T, out=rho)
+        # w[g, j] = rho[j ^ f_g, j], the flip diagonals of conj(u) u^T.
+        w = np.take(rho.reshape(-1), src, out=rows.reshape(src.shape), mode="clip")
+        w = _fwht(w, work)
+        return self.scale * (self._iphase[lo:hi] * w[self._sign[lo:hi], row]).real
 
     def forward_factored(self, u: np.ndarray) -> np.ndarray:
         """Observation vector A(u u^dagger): s * Tr(P_i u u^dagger) per entry."""
         return self.forward_range(u, 0, self.m)[self._rank]
 
-    def _adjoint_table(self, x: np.ndarray, lo: int, hi: int):
-        """(src, v) of the partial adjoint M = s * sum_{i in [lo,hi)} x_i P_i.
+    def _adjoint_matrix(self, x: np.ndarray, lo: int, hi: int, mat, rows, work) -> np.ndarray:
+        """mat := s * sum_{i in [lo,hi)} x_i P_i, with lo..hi and x in flip order.
 
-        lo..hi and x are in flip order.  src holds the (G, d) source rows of
-        the flip groups those positions touch and v = WHT(c_f) per group;
-        M[src[g, j], j] = v[g, j] and M is zero elsewhere.
+        rows and work are flat buffers of G x d entries for the G flip groups
+        those positions touch.  c_f sits in the columns of rows, the column
+        transform leaves v = WHT(c_f) as rows, and mat[k ^ f_g, k] = v[g, k]
+        is one scatter through _src.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (hi - lo,):
             raise ValueError(f"coefficient slice has shape {x.shape}, expected ({hi - lo},)")
         src, row = self._groups(lo, hi)
-        d = self.d
-        coeffs = np.zeros(src.shape[0] * d, dtype=complex)
+        coeffs = rows.reshape(self.d, len(src))
+        coeffs.fill(0)
         # add.at sums repeated monomials; fancy assignment would keep one.
-        np.add.at(coeffs, row * d + self._sign[lo:hi], self.scale * x * self._iphase[lo:hi])
-        return src, _fwht(coeffs.reshape(-1, d))
+        np.add.at(rows, self._sign[lo:hi] * len(src) + row, self.scale * x * self._iphase[lo:hi])
+        mat.fill(0)
+        mat.reshape(-1)[src] = _fwht(coeffs, work, axis=0)
+        return mat
 
     def adjoint_range(self, x: np.ndarray, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Partial adjoint s * sum_{i in [lo,hi)} x_i P_i z; lo..hi and x in flip order."""
         z = as_factor(z, self.d)
-        return _apply_table(*self._adjoint_table(x, lo, hi), z)
+        src, _ = self._groups(lo, hi)
+        return self._adjoint_matrix(x, lo, hi, *self._buffers(len(src))) @ z
 
     def adjoint_times(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """A^dagger(x) @ z = s * sum_i x_i P_i z, column-wise and matrix-free."""
+        """A^dagger(x) @ z = s * sum_i x_i P_i z, column-wise."""
         return self.adjoint_range(self._flip_ordered(x), z, 0, self.m)
 
     def adjoint_operator(self, x: np.ndarray):
-        """The fixed operator Z -> A^dagger(x) Z, its table built once."""
-        table = self._adjoint_table(self._flip_ordered(x), 0, self.m)
-        return lambda z: _apply_table(*table, as_factor(z, self.d))
+        """The fixed operator Z -> A^dagger(x) Z: the d x d matrix, built once."""
+        rows, work = np.empty((2, self._src.size), dtype=complex)
+        mat = np.empty((self.d, self.d), dtype=complex)
+        self._adjoint_matrix(self._flip_ordered(x), 0, self.m, mat, rows, work)
+        return lambda z: mat @ as_factor(z, self.d)
 
     def residual_gradient_range(self, y: np.ndarray, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Flip-order positions [lo, hi) of A^dagger(A(zz*)-y) z; y is in user order."""
@@ -213,9 +280,18 @@ class ObservationVector:
 def parity_means(records) -> np.ndarray:
     """(S, 2^n) parity means of S records: entry s of row i, the mean of
     (-1)^popcount(outcome & s), is the integer (so exact) Walsh-Hadamard
-    transform of record i's counts, divided once by its shots."""
-    shots = np.array([r.shots for r in records])
-    return _fwht(np.stack([r.counts for r in records])) / shots[:, None]
+    transform of record i's counts, divided once by its shots.  Counts are
+    transformed in blocks of _PARITY_BLOCK_BYTES, so the result is the only
+    full-size array made."""
+    d = records[0].counts.size
+    rows = max(1, _PARITY_BLOCK_BYTES // (8 * d))
+    means = np.empty((len(records), d))
+    work = np.empty(min(rows, len(records)) * d)
+    for lo in range(0, len(records), rows):
+        counts = np.stack([r.counts for r in records[lo : lo + rows]], dtype=float)
+        means[lo : lo + len(counts)] = _fwht(counts, work).T
+    means /= np.array([r.shots for r in records])[:, None]
+    return means
 
 
 def observe_with_records(

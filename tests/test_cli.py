@@ -586,6 +586,56 @@ def test_reconstruct_rejects_n_that_contradicts_the_file(tmp_path, capsys):
     assert invoke(*flags, "--n", 1, "--out", tmp_path / "ok.json") == 0
 
 
+def untimed(result):
+    """A result file's JSON without its wall-time fields."""
+    if isinstance(result, dict):
+        return {k: untimed(v) for k, v in result.items() if k not in ("time_s", "grad_time_s")}
+    if isinstance(result, list):
+        return [untimed(v) for v in result]
+    return result
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--exact", "--measpc", 5, "--shots", 7], "--exact, --measpc, --shots"),
+    (["--exact"], "--exact"),
+    (["--measpc", 100], "--measpc"),
+    (["--shots", 2048], "--shots"),
+])
+def test_reconstruct_in_refuses_simulation_flags(tmp_path, capsys, flags, named):
+    # The file holds the data, so flags that shape simulated data, default
+    # values included, are refused rather than ignored.
+    meas = tmp_path / "m.json"
+    assert invoke("measure", "--circuit", "random", "--n", 2, "--out", meas) == 0
+    code = invoke("reconstruct", "--in", meas, *flags, "--maxiters", 5, "--out", tmp_path / "r.json")
+    assert_clean_failure(capsys, code, named, str(meas))
+    assert not (tmp_path / "r.json").exists()
+    assert invoke("reconstruct", "--in", meas, "--maxiters", 5, "--out", tmp_path / "r.json") == 0
+
+
+def test_reconstruct_simulates_at_measpc_100_and_2048_shots_by_default(tmp_path):
+    common = ["reconstruct", "--circuit", "ghz", "--n", 3, "--maxiters", 50]
+    assert invoke(*common, "--out", tmp_path / "a.json") == 0
+    assert invoke(*common, "--measpc", 100, "--shots", 2048, "--out", tmp_path / "b.json") == 0
+    assert untimed(read(tmp_path / "a.json")) == untimed(read(tmp_path / "b.json"))
+
+
+def test_reconstruct_does_not_depend_on_blas_threads(tmp_path):
+    # n = 7, so that the transform's GEMMs and the d x d products are large
+    # enough for OpenBLAS to split them over two threads.
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"r{threads}.json"
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-m", "paulitomo.cli", "reconstruct", "--circuit", "random",
+             "--n", "7", "--workers", "2", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        results.append(untimed(read(out)))
+    assert results[0] == results[1]
+
+
 def test_state_out_of_memory_exits_with_message(tmp_path):
     # A 36-qubit state needs 1 TiB; under a 4 GiB address-space limit the
     # allocation fails at once.  Never run this command without the limit.

@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from paulitomo import (
     run,
     sample_monomials,
 )
+from paulitomo.cli import monomial_count
 from paulitomo.measurements import monomial_from_code
 
 from conftest import random_factor
@@ -154,3 +156,39 @@ def test_fresh_map_parallel_gradient_equals_its_partials_summed_serially(rng):
             assert np.array_equal(par, serial)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_threads_on_one_fresh_map_keep_their_own_buffers(rng):
+    # The map's range calls write into per-thread buffers: two threads that
+    # call one new n=8 map at once, 50 times each on their own range, get
+    # the serial result of that range every time.
+    n, d = 8, 256
+    mono = sample_monomials(n, monomial_count(20, n), rng)
+    z = random_factor(rng, d, 1)
+    y = rng.standard_normal(len(mono))
+    ranges = partition(len(mono), 2)
+    reference = SensingMap(n, mono, normalized=True)
+    expected = [reference.residual_gradient_range(y, z, lo, hi) for lo, hi in ranges]
+    smap = SensingMap(n, mono, normalized=True)
+    results = ([], [])
+    start = threading.Barrier(2)
+
+    def work(k):
+        start.wait(timeout=60)
+        for _ in range(50):
+            results[k].append(smap.residual_gradient_range(y, z, *ranges[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for k in range(2):
+        assert len(results[k]) == 50
+        assert all(np.array_equal(result, expected[k]) for result in results[k])

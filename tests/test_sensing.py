@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from paulitomo.measurements import (
 )
 from paulitomo.parallel import partition
 from paulitomo import sensing
-from paulitomo.cli import all_settings
+from paulitomo.cli import all_settings, monomial_count
 from paulitomo.sensing import simulate_records
 
 from conftest import (
@@ -281,6 +283,80 @@ def test_worker_ranges_split_flip_groups(p):
         spans.append(src.shape[0])
     assert sum(spans) <= groups + p - 1
     assert max(spans) <= 1.2 * groups / p
+
+
+# -- kernels -----------------------------------------------------------------
+
+def sylvester_oracle(d):
+    """H_d as an explicit matrix, a Kronecker power of [[1, 1], [1, -1]]."""
+    h = np.ones((1, 1), dtype=np.int64)
+    while len(h) < d:
+        h = np.kron(h, [[1, 1], [1, -1]])
+    return h
+
+
+def transform_both_axes(rows):
+    """_fwht of rows along axis 1, and of their transpose along axis 0, each
+    read back as rows; both must leave the result in the array they got."""
+    out = []
+    for axis, a in ((1, rows.copy()), (0, np.ascontiguousarray(rows.T))):
+        got = sensing._fwht(a, np.empty_like(a), axis=axis)
+        assert np.shares_memory(got, a)
+        out.append(got.T if axis else got)
+    return out
+
+
+@pytest.mark.parametrize("bits", range(12))
+def test_fwht_matches_sylvester_matrix(rng, bits):
+    d = 2**bits
+    h = sylvester_oracle(d)
+    rows = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+    expected = rows.real @ h + 1j * (rows.imag @ h)
+    for got in transform_both_axes(rows):
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    # Integer counts, as parity_means transforms them: exact.
+    counts = rng.integers(0, 2049, size=(3, d))
+    for got in transform_both_axes(counts.astype(float)):
+        assert np.array_equal(got, counts @ h)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_adjoint_operator_matches_dense(rng, n):
+    d = 2**n
+    mono = sample_monomials(n, min(3 * d, 4**n), rng)
+    smap = SensingMap(n, mono + mono[:3], normalized=True)  # repeated monomials add up
+    x = rng.standard_normal(smap.m)
+    z = random_factor(rng, d, 3)
+    expected = dense_adjoint(smap.codes, n, x, scale=smap.scale) @ z
+    got = smap.adjoint_operator(x)(z)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def traced_peak(fn) -> int:
+    """Bytes of the largest traced allocation total while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_warm_kernels_allocate_no_operator_sized_arrays(rng):
+    # n = 8 at measpc 20: G = d = 256 flip groups.  Once this thread's
+    # workspace exists, a gradient allocates only length-m and d x r
+    # arrays, and an eigensolver apply only its d x 3 result.
+    n, d = 8, 256
+    smap = SensingMap(n, sample_monomials(n, monomial_count(20, n), 0), normalized=True)
+    groups = smap._src.shape[0]
+    z = random_factor(rng, d, 1)
+    y = rng.standard_normal(smap.m)
+    smap.residual_gradient(y, z)
+    assert traced_peak(lambda: smap.residual_gradient(y, z)) <= 1.5 * groups * d * 16
+    apply = smap.adjoint_operator(y)
+    block = random_factor(rng, d, 3)
+    apply(block)
+    assert traced_peak(lambda: apply(block)) <= 64 * 1024
 
 
 # -- observe -----------------------------------------------------------------
