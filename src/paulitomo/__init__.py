@@ -3,8 +3,8 @@
 Pipeline: build a target pure state, sample Pauli monomials (base-4
 codes), simulate basis measurements, form the (normalized) observation
 vector, and recover a d x r factor U with rho = U U^dagger by
-momentum-accelerated factored gradient descent.  Baselines, a data-parallel gradient engine, and a
-generic Gaussian matrix-sensing benchmark live alongside.
+momentum-accelerated factored gradient descent.  Baselines and a generic
+Gaussian matrix-sensing benchmark live alongside.
 """
 
 from .baselines import (
@@ -47,7 +47,7 @@ from .optimizer import (
     spectral_init,
     theoretical_mu,
 )
-from .parallel import parallel_gradient, parallel_run, partition
+from .parallel import parallel_gradient, parallel_run
 from .sensing import ObservationVector, SensingMap, observe, observe_with_records
 from .states import (
     PureState,

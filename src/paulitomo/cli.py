@@ -1,10 +1,10 @@
 """Command-line surface: state/measure/reconstruct/baseline/mitigate/
 synthetic/compare subcommands, JSON in and out.
 
-A --config FILE (JSON object keyed by option dest: l_hat for --l-hat,
-infile for --in) supplies flags that explicit ones override; its values
-are converted and checked as the flags are.  All domain failures exit
-nonzero with a message on stderr.
+A --config FILE or --config=FILE (JSON object keyed by option dest: l_hat
+for --l-hat, infile for --in) supplies flags that explicit ones override;
+its values are converted and checked as the flags are.  All domain
+failures exit nonzero with a message on stderr.
 """
 
 import argparse
@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import baselines, metrics, optimizer, parallel, serialize, synthetic
+from . import baselines, metrics, optimizer, serialize, synthetic
 from .measurements import PauliSetting, sample_codes
 from .seeding import substream
 from .sensing import SensingMap, observe_with_records, simulate_records
@@ -68,10 +68,11 @@ def _add_state_flags(sub, required=True):
 
 
 def _add_data_flags(sub, measpc=None):
-    """Measurement flags; --measpc only where a default is given."""
+    """Measurement flags; --measpc only where a default is given.  --shots
+    is None unless typed, so that --exact can refuse it; see _resolve_shots."""
     if measpc is not None:
         sub.add_argument("--measpc", type=float, default=measpc)
-    sub.add_argument("--shots", type=int, default=_DEFAULT_SHOTS)
+    sub.add_argument("--shots", type=int, default=None, help=f"shots per setting (default {_DEFAULT_SHOTS})")
     sub.add_argument("--exact", action="store_true", help="noiseless expectation values")
     sub.add_argument("--seed", type=int, default=0)
 
@@ -84,7 +85,6 @@ def _add_optimizer_flags(sub):
     sub.add_argument("--reltol", type=float, default=5e-4)
     sub.add_argument("--init", choices=("spectral", "random"), default="spectral")
     sub.add_argument("--l-hat", type=float, default=1.1)
-    sub.add_argument("--workers", type=int, default=1)
 
 
 def build_parser():
@@ -96,7 +96,6 @@ def build_parser():
     def command(name, func, help):
         sub = subs.add_parser(name, help=help)
         sub.set_defaults(func=func)
-        sub.add_argument("--config", default=None, help=argparse.SUPPRESS)
         return sub
 
     sub = command("state", _cmd_state, "write a target state as JSON")
@@ -115,9 +114,8 @@ def build_parser():
     sub.add_argument("--in", dest="infile", default=None, help="expectation-value file")
     _add_state_flags(sub, required=False)
     _add_data_flags(sub)
-    # None unless typed, so that --in can refuse them; see _cmd_reconstruct.
+    # None unless typed, so that --in can refuse it; see _cmd_reconstruct.
     sub.add_argument("--measpc", type=float, default=None)
-    sub.set_defaults(shots=None)
     _add_optimizer_flags(sub)
     sub.add_argument("--out", required=True)
     sub.add_argument("--trace-csv", default=None)
@@ -153,18 +151,31 @@ def build_parser():
     return parser, subs
 
 
-def _simulate_pipeline(args, normalized=True):
-    """Shared state -> monomials -> observations path for reconstruct/compare."""
-    if not 0.0 < args.measpc <= 100.0:
-        raise ValueError(f"measpc must lie in (0, 100], got {args.measpc}")
+def _resolve_shots(args):
+    """Set args.shots to the shots per setting, None for --exact data.
+
+    A typed --shots (or a shots config key) with --exact is refused, not
+    dropped; sampled data take --shots, or _DEFAULT_SHOTS if it is untyped.
+    """
+    if args.exact:
+        if args.shots is not None:
+            raise ValueError("--exact and --shots cannot be used together: exact data take no shots")
+        return
+    args.shots = _DEFAULT_SHOTS if args.shots is None else args.shots
     if args.shots < 1:
         raise ValueError(f"shots must be >= 1, got {args.shots}")
+
+
+def _simulate_pipeline(args, normalized=True):
+    """Shared state -> monomials -> observations path for measure/reconstruct/compare."""
+    if not 0.0 < args.measpc <= 100.0:
+        raise ValueError(f"measpc must lie in (0, 100], got {args.measpc}")
+    _resolve_shots(args)
     state = build_state(args.circuit, args.n, args.depth, args.seed)
     m = monomial_count(args.measpc, args.n)
     codes = sample_codes(args.n, m, substream(args.seed, "monomials"))
     sensing_map = SensingMap(args.n, codes, normalized=normalized)
-    shots = None if args.exact else args.shots
-    obs, records = observe_with_records(state, sensing_map, shots=shots, seed=args.seed)
+    obs, records = observe_with_records(state, sensing_map, shots=args.shots, seed=args.seed)
     return state, sensing_map, obs, records
 
 
@@ -203,9 +214,8 @@ def _cmd_reconstruct(args) -> int:
         if args.circuit is None or args.n is None:
             raise ValueError("reconstruct needs either --in or --circuit/--n")
         args.measpc = _RECONSTRUCT_MEASPC if args.measpc is None else args.measpc
-        args.shots = _DEFAULT_SHOTS if args.shots is None else args.shots
         target_state, sensing_map, obs, _ = _simulate_pipeline(args)
-    factor, trace = parallel.parallel_run(sensing_map, obs, config, args.workers, target_state)
+    factor, trace = optimizer.run(sensing_map, obs, config, target=target_state)
     serialize.save_json(serialize.result_to_json(config, trace, factor, args.save_factor), args.out)
     if args.trace_csv:
         serialize.trace_to_csv(trace, args.trace_csv)
@@ -215,6 +225,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_baseline(args) -> int:
     if args.n > baselines.DENSE_QUBIT_CAP:
         raise ValueError(f"baseline is capped at n <= {baselines.DENSE_QUBIT_CAP} qubits")
+    _resolve_shots(args)
     state = build_state(args.circuit, args.n, args.depth, args.seed)
     start = time.perf_counter()
     if args.exact:
@@ -232,7 +243,7 @@ def _cmd_baseline(args) -> int:
             "method": "linear_inversion",
             "n": args.n,
             "circuit": args.circuit,
-            "shots": None if args.exact else args.shots,
+            "shots": args.shots,
             "fidelity": fidelity,
             "time_s": elapsed,
         },
@@ -270,7 +281,7 @@ def _cmd_compare(args) -> int:
     target_state, sensing_map, obs, _ = _simulate_pipeline(args)
     out = {}
     for label, cfg in (("momentum", config), ("plain", replace(config, mu=0.0))):
-        factor, trace = parallel.parallel_run(sensing_map, obs, cfg, args.workers, target_state)
+        factor, trace = optimizer.run(sensing_map, obs, cfg, target=target_state)
         out[label] = serialize.result_to_json(cfg, trace, factor)
         if args.trace_csv:
             serialize.trace_to_csv(trace, f"{args.trace_csv}.{label}.csv")
@@ -283,7 +294,7 @@ def _config_flags(cfg: dict, commands: dict, command: str) -> list:
 
     A key no subcommand has is an error; a key only others have is skipped.
     """
-    known = {a.dest for sub in commands.values() for a in sub._actions} - {"help", "config"}
+    known = {a.dest for sub in commands.values() for a in sub._actions} - {"help"}
     unknown = sorted(set(cfg) - known)
     if unknown:
         raise ValueError(f"keys {unknown} name no option (keys are dests such as l_hat)")
@@ -302,17 +313,24 @@ def _config_flags(cfg: dict, commands: dict, command: str) -> list:
 def cli_main(argv) -> int:
     argv = list(argv)
     parser, subs = build_parser()
-    if "--config" in argv:
-        at = argv.index("--config") + 1
-        if at == len(argv):
+    # --config FILE or --config=FILE, taken out of argv before parsing; a
+    # second one is left for the parser to refuse.
+    at = next((i for i, arg in enumerate(argv) if arg.split("=", 1)[0] == "--config"), None)
+    if at is not None:
+        token = argv.pop(at)
+        if "=" in token:
+            path = token.split("=", 1)[1]
+        else:
+            path = argv.pop(at) if at < len(argv) else ""
+        if not path:
             print("error: --config needs a file path", file=sys.stderr)
             return 2
         try:
-            cfg = serialize.load_json(argv[at])
+            cfg = serialize.load_json(path)
             if not isinstance(cfg, dict):
                 raise ValueError("expected a JSON object")
             # Before the explicit flags, which parse later and so win.
-            argv[1:1] = _config_flags(cfg, subs.choices, argv[0])
+            argv[1:1] = _config_flags(cfg, subs.choices, argv[0] if argv else None)
         except (OSError, ValueError) as exc:
             print(f"error: config file: {exc}", file=sys.stderr)
             return 2

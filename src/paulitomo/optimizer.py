@@ -212,8 +212,10 @@ def run(sensing_map, y, config: OptimizerConfig, target=None, gradient_fn=None):
     """Iterate the momentum recursion until reltol or maxiters.
 
     target (a PureState or a d x r factor) is consumed only for trace
-    metrics.  gradient_fn overrides the serial gradient evaluation; it
-    must return A^dagger(A(zz*) - y) z for the same map and data.
+    metrics.  gradient_fn, if given, replaces the map's residual_gradient
+    and must return A^dagger(A(zz*) - y) z for the same map and data; no
+    library caller passes one, but perfbench/tracing.py always passes the
+    keyword.
 
     Returns (factor, ConvergenceTrace).
     """

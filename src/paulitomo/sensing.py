@@ -27,9 +27,8 @@ in flip order (monomials stably sorted by flip mask): per monomial its
 group id, sign mask and phase i^ny, and per group g of the G <= min(m, d)
 distinct flips the row _src[g, j] = (j ^ f_g) d + j, the flat positions of
 the flip-f_g diagonal in a d x d matrix.  The *_range methods index flip
-order, so the parallel engine's contiguous ranges touch disjoint runs of
-groups; all other methods keep the user order of `codes`.  The full-range
-call is the serial path, so a one-worker partition reproduces it exactly.
+order, so a contiguous range touches one run of groups; all other methods
+keep the user order of `codes` and run over the full range.
 
 Transform.  H_d is a Kronecker product of Sylvester factors of at most
 2^_FACTOR_BITS, and _fwht applies each as one 2-D GEMM, so a row of d
@@ -46,9 +45,9 @@ and applies it as one GEMM per eigensolver block.
 Workspace and threads.  Range calls write into buffers reused across calls
 and held per thread: the d x d matrix and two blocks of G d entries for
 the largest G the thread has met.  A warm gradient allocates only arrays
-of length m and d r.  The parallel engine's workers call one map at once,
-each on its own buffers; the tables are only read, so threads can share a
-new map.  Exact simulated data are the forward map of the state.
+of length m and d r.  Threads that call one map at once each use their own
+buffers; the tables are only read, so threads can share a new map.  Exact
+simulated data are the forward map of the state.
 """
 
 import threading

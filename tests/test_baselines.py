@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from paulitomo import (
     CalibrationMatrix,
+    MitigationError,
     density_of,
     ghz,
     hadamard_all,
@@ -263,6 +264,18 @@ def test_mitigate_2x2_against_line_search():
     oracle_v, oracle_obj = line_search_oracle_2d(c, v_meas)
     assert np.linalg.norm(v_cal - oracle_v) < 1e-4
     assert np.linalg.norm(c @ v_cal - v_meas) ** 2 <= oracle_obj + 1e-8
+
+
+def test_mitigate_raises_at_the_iteration_cap():
+    # A near-singular C (condition number 500) makes the constant-step
+    # projected gradient crawl: after the 100,000-iteration cap the
+    # objective is still about 3.6e-8 and still falling by more than the
+    # 1e-10 relative tolerance per step.
+    c = np.array([[0.501, 0.499], [0.499, 0.501]])
+    v_meas = c @ np.array([0.6, 0.4])
+    with pytest.raises(MitigationError, match="did not converge") as info:
+        readout_mitigate(CalibrationMatrix(c), v_meas)
+    assert info.value.objective > 0
 
 
 def test_mitigate_feasible_and_no_worse_than_projection(rng):

@@ -61,13 +61,6 @@ def test_run_config_validation(tmp_path):
         )
         == 2
     )
-    assert (
-        invoke(
-            "reconstruct", "--circuit", "ghz", "--n", 3, "--measpc", 50, "--workers", 0,
-            "--out", tmp_path / "x.json",
-        )
-        == 2
-    )
 
 
 def test_state_command(tmp_path):
@@ -221,22 +214,6 @@ def test_reconstruct_final_figures_match_saved_factor(tmp_path, rank):
     assert result["final_frobenius_error"] == pytest.approx(np.linalg.norm(rho - target), abs=1e-12)
 
 
-def test_reconstruct_workers_flag(tmp_path):
-    res1 = tmp_path / "r1.json"
-    res4 = tmp_path / "r4.json"
-    common = [
-        "reconstruct", "--circuit", "hadamard", "--n", 3, "--measpc", 100, "--exact",
-        "--eta", 0.001, "--mu", 0.5, "--maxiters", 100, "--reltol", 1e-6,
-        "--init", "random", "--seed", 2,
-    ]
-    assert invoke(*common, "--workers", 1, "--out", res1) == 0
-    assert invoke(*common, "--workers", 4, "--out", res4) == 0
-    f1 = read(res1)["final_fidelity"]
-    f4 = read(res4)["final_fidelity"]
-    assert f4 == pytest.approx(f1, abs=1e-6)
-    assert read(res4)["trace"][0]["grad_time_s"] is not None
-
-
 def test_reconstruct_reports_stop_reason(tmp_path):
     capped = tmp_path / "capped.json"
     common = ["reconstruct", "--circuit", "ghz", "--n", 3]
@@ -385,6 +362,45 @@ def test_config_file_missing(tmp_path, capsys):
 def test_config_flag_without_path(tmp_path, capsys):
     assert invoke("reconstruct", "--out", tmp_path / "r.json", "--config") == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert invoke("reconstruct", "--out", tmp_path / "r.json", "--config=") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_equals_form_is_read(tmp_path, capsys):
+    # --config=FILE reads the file as --config FILE does; a second --config
+    # is refused rather than ignored.
+    cfg = tmp_path / "cfg.json"
+    serialize.save_json({"maxiters": 3}, cfg)
+    common = ["reconstruct", "--circuit", "ghz", "--n", 3, "--measpc", 50]
+    assert invoke(*common, f"--config={cfg}", "--out", tmp_path / "a.json") == 0
+    assert invoke(*common, "--config", cfg, "--out", tmp_path / "b.json") == 0
+    assert read(tmp_path / "a.json")["iterations"] == 3
+    assert untimed(read(tmp_path / "a.json")) == untimed(read(tmp_path / "b.json"))
+    assert invoke(*common, "--config", cfg, f"--config={cfg}", "--out", tmp_path / "c.json") == 2
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_config_workers_key_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    serialize.save_json({"workers": 2}, cfg)
+    code = invoke("reconstruct", "--circuit", "ghz", "--n", 3, "--config", cfg, "--out", tmp_path / "r.json")
+    assert_clean_failure(capsys, code, "'workers'")
+
+
+@pytest.mark.parametrize("command", ["measure", "reconstruct", "baseline", "compare"])
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+def test_exact_refuses_typed_shots(tmp_path, capsys, command, from_config):
+    # Exact data take no shots, so a typed --shots, or a shots config key,
+    # is refused rather than dropped.
+    flags = ["--mu", 0.5] if command == "compare" else []
+    cfg = tmp_path / "cfg.json"
+    serialize.save_json({"shots": 64}, cfg)
+    shots = ["--config", cfg] if from_config else ["--shots", 64]
+    out = tmp_path / "out.json"
+    code = invoke(command, "--circuit", "ghz", "--n", 3, *flags, "--exact", *shots, "--out", out)
+    assert_clean_failure(capsys, code, "--exact", "--shots")
+    assert not out.exists()
+    assert invoke(command, "--circuit", "ghz", "--n", 3, *flags, "--exact", "--out", out) == 0
 
 
 @pytest.mark.parametrize("circuit,n", [("ghz", 3), ("random", 4)])
@@ -628,7 +644,7 @@ def test_reconstruct_does_not_depend_on_blas_threads(tmp_path):
         env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads)
         done = subprocess.run(
             [sys.executable, "-m", "paulitomo.cli", "reconstruct", "--circuit", "random",
-             "--n", "7", "--workers", "2", "--out", str(out)],
+             "--n", "7", "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr

@@ -32,13 +32,3 @@ def test_script_writes_json(tmp_path, name, args):
     run_script(name, *args, "--out", str(out), cwd=tmp_path)
     with open(out) as fh:
         assert json.load(fh)
-
-
-def test_parallel_scaling_script(tmp_path):
-    # Reports to stdout only: one serial line and one line per worker count.
-    args = ["--n", "3", "--workers", "1,2", "--maxiters", "5"]
-    stdout = run_script("parallel_scaling.py", *args, cwd=tmp_path)
-    lines = stdout.splitlines()
-    assert lines[0].startswith("serial:")
-    assert [line.split(":")[0] for line in lines[1:]] == ["p= 1", "p= 2"]
-    assert list(tmp_path.iterdir()) == []

@@ -22,7 +22,6 @@ from paulitomo.measurements import (
     monomial_from_code,
     setting_of,
 )
-from paulitomo.parallel import partition
 from paulitomo import sensing
 from paulitomo.cli import all_settings, monomial_count
 from paulitomo.sensing import simulate_records
@@ -264,25 +263,6 @@ def test_shuffled_map_gradient_equals_sorted_map(rng):
     assert np.array_equal(
         shuffled.residual_gradient(y, z), ordered.residual_gradient(y[shuffled._order], z)
     )
-
-
-@pytest.mark.parametrize("p", [2, 4])
-def test_worker_ranges_split_flip_groups(p):
-    # The engine's p ranges cover disjoint runs of flip groups, sharing at
-    # most the group each boundary cuts, so every transform is paid about
-    # once in all rather than once per worker.  Groups differ in size, so a
-    # range of m/p monomials spans about, not exactly, G/p groups.
-    n = 8
-    smap = SensingMap(n, sample_monomials(n, int(0.2 * 4**n), 0), normalized=True)
-    smap._ensure_cache()
-    groups = smap._src.shape[0]
-    spans = []
-    for lo, hi in partition(smap.m, p):
-        src, row = smap._groups(lo, hi)
-        assert row.min() == 0 and row.max() == src.shape[0] - 1
-        spans.append(src.shape[0])
-    assert sum(spans) <= groups + p - 1
-    assert max(spans) <= 1.2 * groups / p
 
 
 # -- kernels -----------------------------------------------------------------
