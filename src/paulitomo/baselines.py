@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurements import setting_labels
+from .measurements import _codes, setting_labels
 from .sensing import parity_means
 
 DENSE_QUBIT_CAP = 8
@@ -108,7 +108,7 @@ def complete_expectations(records) -> np.ndarray:
     # the setting's axis where s has a bit and identity elsewhere: the
     # setting's code with the digits outside s cleared.
     values = parity_means(records)
-    setting_codes = setting_labels([r.setting for r in records], n) @ 4 ** np.arange(n - 1, -1, -1)
+    setting_codes = _codes(setting_labels([r.setting for r in records], n))
     digit_masks = 3 * sum(((np.arange(d) >> j) & 1) << (2 * j) for j in range(n))
     codes = setting_codes[:, None] & digit_masks
     sums = np.bincount(codes.ravel(), weights=values.ravel(), minlength=4**n)
@@ -149,14 +149,23 @@ def pauli_linear_inversion(values) -> np.ndarray:
 def readout_mitigate(calibration: CalibrationMatrix, v_meas: np.ndarray) -> np.ndarray:
     """Solve min ||C v - v_meas||^2 over the probability simplex.
 
-    Projected gradient with the constant step 1/||C||_2^2, stopping at
-    relative objective change <= 1e-10.  Exhausting the iteration cap
-    without reaching that tolerance raises MitigationError.
+    When C is invertible and the solution of C v = v_meas lies in the
+    simplex, that solution is the constrained minimizer (objective 0) and is
+    returned.  Otherwise: projected gradient with the constant step
+    1/||C||_2^2, stopping at relative objective change <= 1e-10.  Exhausting
+    the iteration cap without reaching that tolerance raises MitigationError.
     """
     c = calibration.entries
     v_meas = np.asarray(v_meas, dtype=float).ravel()
     if v_meas.size != c.shape[0]:
         raise ValueError(f"measured vector has size {v_meas.size}, expected {c.shape[0]}")
+    try:
+        v = np.linalg.solve(c, v_meas)
+    except np.linalg.LinAlgError:  # singular C: the projected gradient decides
+        pass
+    else:
+        if np.all(v >= 0.0) and abs(v.sum() - 1.0) <= 1e-12:
+            return v
     step = 1.0 / np.linalg.norm(c, 2) ** 2
     v = simplex_project(v_meas)
     objective = float(np.linalg.norm(c @ v - v_meas) ** 2)

@@ -21,6 +21,17 @@ setting's shots by sorting its uniforms and looking up each cumulative
 weight once, which gives exactly the counts of a per-shot inverse-CDF
 lookup on the same uniforms.
 
+One array codec converts between the monomial forms, m at a time:
+_labels takes codes to an (m, n) label array and _codes takes it back,
+_letters spells label rows as IXYZ strings through one byte table, and
+_text_labels reads strings (either case, ASCII only) back to labels.
+PauliMonomial.code, __str__ and from_string use it too.  A PauliMonomial
+built from labels (or from_string) validates them; one built from codes
+that are already checked (sample_monomials, monomial_from_code) is made
+from the label rows without __post_init__ and carries its code, so
+monomial_codes reads the codes back instead of re-encoding.  Equality,
+hash and repr read the labels only.
+
 The action of a monomial on a state vector is a signed index permutation:
 x and y flip the qubit's bit, y and z contribute a sign from the bit value,
 and each y contributes one factor of i.  monomial_actions reads these masks
@@ -28,14 +39,18 @@ off the codes, and apply_monomial uses them for an O(2^n) matrix-free
 product.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .seeding import as_generator
 from .states import PureState, _HADAMARD, apply_single_qubit
 
-LABEL_CHARS = "IXYZ"
+# The codec's byte tables: the letter of each label, and the label of each
+# byte (upper or lower case), 4 for a byte that is no IXYZ letter.
+_LETTERS = np.frombuffer(b"IXYZ", dtype=np.uint8)
+_LABEL_OF_BYTE = np.full(256, 4, dtype=np.int64)
+_LABEL_OF_BYTE[_LETTERS] = _LABEL_OF_BYTE[_LETTERS + 32] = np.arange(4)
 # The axis each label is measured along, identity along z; labels 1, 2, 3
 # are the axes x, y, z.
 _AXIS_FOR_LABEL = "zxyz"
@@ -45,11 +60,12 @@ _TO_X_BASIS = _HADAMARD
 _TO_Y_BASIS = _HADAMARD @ np.diag([1.0, -1.0j])  # Hadamard after S^dagger
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliMonomial:
     """n-fold tensor product of single-qubit Paulis, as a label tuple."""
 
     labels: tuple
+    _code: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(int(l) for l in self.labels)
@@ -65,17 +81,17 @@ class PauliMonomial:
 
     @classmethod
     def from_string(cls, text: str) -> "PauliMonomial":
-        try:
-            return cls(tuple(LABEL_CHARS.index(ch) for ch in text.upper()))
-        except ValueError:
-            raise ValueError(f"monomial string must be over IXYZ, got {text!r}") from None
+        labels = _text_labels([text], len(text))
+        if labels is None or not text:
+            raise ValueError(f"monomial string must be over IXYZ, got {text!r}")
+        return _monomials(_codes(labels), len(text))[0]
 
     @property
     def code(self) -> int:
-        return int("".join(map(str, self.labels)), 4)
+        return int(_codes([self.labels])[0]) if self._code is None else self._code
 
     def __str__(self) -> str:
-        return "".join(LABEL_CHARS[l] for l in self.labels)
+        return _letters([self.labels])[0]
 
 
 @dataclass(frozen=True)
@@ -123,23 +139,67 @@ class MeasurementRecord:
         self.counts = counts
 
 
-def monomial_from_code(code: int, n: int) -> PauliMonomial:
-    """Decode a base-4 integer (qubit 0 = most significant digit)."""
-    return PauliMonomial(tuple(_labels([code], n)[0].tolist()))
-
-
 def _labels(codes, n: int) -> np.ndarray:
     """(m, n) labels of a code array: column k is qubit k's base-4 digit."""
     return (np.asarray(codes, dtype=np.int64)[:, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
 
 
+def _codes(labels) -> np.ndarray:
+    """The int64 codes of an (m, n) label array."""
+    labels = np.asarray(labels, dtype=np.int64)
+    return labels @ 4 ** np.arange(labels.shape[1] - 1, -1, -1, dtype=np.int64)
+
+
+def _letters(labels) -> list:
+    """The IXYZ string of each row of an (m, n) label array, cut from one buffer."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n = labels.shape[1]
+    text = _LETTERS[labels].tobytes().decode()
+    return [text[i : i + n] for i in range(0, len(text), n)]
+
+
+def _text_labels(texts, n: int):
+    """(m, n) labels of m strings over IXYZ, either case, read as one byte
+    array; None unless every string is n such letters."""
+    if any(len(t) != n for t in texts):
+        return None
+    text = "".join(texts).encode("ascii", "replace")  # one byte per letter, '?' if not ASCII
+    labels = _LABEL_OF_BYTE[np.frombuffer(text, dtype=np.uint8)]
+    return None if np.any(labels > 3) else labels.reshape(len(texts), n)
+
+
+def _monomials(codes: np.ndarray, n: int) -> list:
+    """PauliMonomials of checked codes, made from their label rows without
+    __post_init__'s validation; each carries its code."""
+    out = []
+    for row, code in zip(_labels(codes, n).tolist(), codes.tolist()):
+        p = object.__new__(PauliMonomial)
+        object.__setattr__(p, "labels", tuple(row))
+        object.__setattr__(p, "_code", code)
+        out.append(p)
+    return out
+
+
+def monomial_from_code(code: int, n: int) -> PauliMonomial:
+    """Decode a base-4 integer in [0, 4^n) (qubit 0 = most significant digit)."""
+    return _monomials(monomial_codes([code], n), n)[0]
+
+
 def monomial_codes(monomials, n: int) -> np.ndarray:
     """The int64 codes of n-qubit monomials given as integer codes or as
-    PauliMonomials, which are encoded here, at the API edge."""
+    PauliMonomials.  A PauliMonomial's carried code is read; only one built
+    from labels, which carries none, is encoded here, at the API edge."""
+    if n < 1:
+        raise ValueError(f"qubit count must be positive, got {n}")
     if not isinstance(monomials, np.ndarray):
         monomials = list(monomials)
         if monomials and all(isinstance(p, PauliMonomial) and p.n == n for p in monomials):
-            monomials = np.array([p.labels for p in monomials]) @ 4 ** np.arange(n - 1, -1, -1)
+            codes = [-1 if p._code is None else p._code for p in monomials]
+            codes = np.array(codes, dtype=np.int64)
+            bare = np.flatnonzero(codes < 0)
+            if bare.size:
+                codes[bare] = _codes([monomials[i].labels for i in bare])
+            monomials = codes
     codes = np.asarray(monomials)
     if codes.ndim != 1 or codes.size == 0 or not np.issubdtype(codes.dtype, np.integer):
         raise ValueError(f"need one or more {n}-qubit PauliMonomials or integer codes")
@@ -153,26 +213,30 @@ def sample_codes(n: int, m: int, seed) -> np.ndarray:
 
     Deterministic per seed.  Uses a full permutation when m is a large
     fraction of 4^n and rejection sampling otherwise; the branch depends
-    only on (n, m) so reproducibility is unaffected.
+    only on (n, m) so reproducibility is unaffected.  Rejection draws
+    2(m - k) codes while k are taken, and keeps each new value's first
+    occurrence in draw order up to m.
     """
+    if n < 1:
+        raise ValueError(f"qubit count must be positive, got {n}")
     total = 4**n
     if not 1 <= m <= total:
         raise ValueError(f"need 1 <= m <= 4^n = {total}, got m={m}")
     rng = as_generator(seed)
     if m * 2 >= total:
         return rng.permutation(total)[:m]
-    seen = {}  # insertion-ordered, so the codes keep their draw order
-    while len(seen) < m:
-        for code in map(int, rng.integers(total, size=2 * (m - len(seen)))):
-            seen.setdefault(code, None)
-            if len(seen) == m:
-                break
-    return np.fromiter(seen, dtype=np.int64, count=m)
+    taken = np.empty(0, dtype=np.int64)
+    while taken.size < m:
+        draws = rng.integers(total, size=2 * (m - taken.size))
+        fresh = draws[np.sort(np.unique(draws, return_index=True)[1])]
+        fresh = fresh[~np.isin(fresh, taken)]
+        taken = np.concatenate([taken, fresh[: m - taken.size]])
+    return taken
 
 
 def sample_monomials(n: int, m: int, seed) -> list:
-    """sample_codes' draws as PauliMonomials."""
-    return [PauliMonomial(tuple(row)) for row in _labels(sample_codes(n, m, seed), n).tolist()]
+    """sample_codes' draws as PauliMonomials, each carrying its code."""
+    return _monomials(sample_codes(n, m, seed), n)
 
 
 def setting_of(p: PauliMonomial) -> PauliSetting:

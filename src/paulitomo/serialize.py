@@ -30,7 +30,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .baselines import CalibrationMatrix
-from .measurements import PauliMonomial, monomial_from_code
+from .measurements import _codes, _labels, _letters, _text_labels
 from .metrics import as_factor
 from .optimizer import ConvergenceTrace, OptimizerConfig
 from .sensing import ObservationVector, SensingMap
@@ -78,49 +78,50 @@ def state_to_json(state: PureState) -> dict:
 
 
 def records_to_json(n: int, shots: int, records) -> dict:
-    """Count arrays become {bit string: count} maps over the nonzero outcomes."""
+    """Count arrays become {bit string: count} maps over the nonzero outcomes;
+    the 2^n outcome strings are built once per file."""
+    outcomes = np.array([format(j, f"0{n}b") for j in range(2**n)], dtype=object)
+
+    def counts(c):
+        nonzero = np.flatnonzero(c)
+        return dict(zip(outcomes[nonzero].tolist(), c[nonzero].tolist()))
+
     return {
         "version": 1,
         "n": n,
         "shots": shots,
-        "records": [
-            {
-                "setting": r.setting.axes,
-                "counts": {
-                    format(j, f"0{r.setting.n}b"): int(r.counts[j])
-                    for j in np.flatnonzero(r.counts)
-                },
-            }
-            for r in records
-        ],
+        "records": [{"setting": r.setting.axes, "counts": counts(r.counts)} for r in records],
     }
 
 
 def expectations_to_json(sensing_map: SensingMap, values) -> dict:
+    """The monomial strings are spelled from the map's codes as one byte array."""
     n = sensing_map.n
+    monomials = _letters(_labels(sensing_map.codes, n))
     return {
         "version": 1,
         "n": n,
         "normalized": bool(sensing_map.normalized),
         "items": [
-            {"monomial": str(monomial_from_code(int(c), n)), "value": float(v)}
-            for c, v in zip(sensing_map.codes, values)
+            {"monomial": text, "value": v}
+            for text, v in zip(monomials, np.asarray(values, dtype=float).tolist())
         ],
     }
 
 
 def expectations_from_json(obj: dict):
-    """Returns (SensingMap, ObservationVector) rebuilt from the file."""
+    """Returns (SensingMap, ObservationVector) rebuilt from the file; the
+    monomial strings are checked and encoded as one byte array."""
     n = _field(obj, "expectations", "n", int)
     items = _field(obj, "expectations", "items", list)
-    labels = [_field(i, "expectations", "monomial", str) for i in items]
-    for text in labels:
-        if len(text) != n or set(text.upper()) - set("IXYZ"):
-            raise ValueError(f"expectations file: monomial {text!r} is not {n} letters of IXYZ")
-    monomials = [PauliMonomial.from_string(text) for text in labels]
+    texts = [_field(i, "expectations", "monomial", str) for i in items]
+    labels = _text_labels(texts, n)
+    if labels is None:
+        bad = next(t for t in texts if _text_labels([t], n) is None)
+        raise ValueError(f"expectations file: monomial {bad!r} is not {n} letters of IXYZ")
     values = [_field(i, "expectations", "value", (int, float)) for i in items]
     normalized = _field(obj, "expectations", "normalized", bool)
-    return SensingMap(n, monomials, normalized=normalized), ObservationVector(values)
+    return SensingMap(n, _codes(labels), normalized=normalized), ObservationVector(values)
 
 
 def factor_to_json(factor: np.ndarray) -> dict:

@@ -266,13 +266,29 @@ def test_mitigate_2x2_against_line_search():
     assert np.linalg.norm(c @ v_cal - v_meas) ** 2 <= oracle_obj + 1e-8
 
 
-def test_mitigate_raises_at_the_iteration_cap():
-    # A near-singular C (condition number 500) makes the constant-step
-    # projected gradient crawl: after the 100,000-iteration cap the
-    # objective is still about 3.6e-8 and still falling by more than the
-    # 1e-10 relative tolerance per step.
+def test_mitigate_near_singular_calibration_inside_the_simplex():
+    # A near-singular C (condition number 500): the exact answer lies in the
+    # simplex, so solving C v = v_meas gives the minimizer outright, where the
+    # constant-step projected gradient would crawl past its iteration cap.
     c = np.array([[0.501, 0.499], [0.499, 0.501]])
     v_meas = c @ np.array([0.6, 0.4])
+    v = readout_mitigate(CalibrationMatrix(c), v_meas)
+    assert np.allclose(v, [0.6, 0.4], rtol=0.0, atol=1e-12)
+
+
+def test_mitigate_singular_calibration_falls_back_to_projected_gradient():
+    c = np.array([[0.5, 0.5], [0.5, 0.5]])
+    v = readout_mitigate(CalibrationMatrix(c), np.array([0.5, 0.5]))
+    assert np.allclose(v, [0.5, 0.5], atol=1e-12)
+
+
+def test_mitigate_raises_at_the_iteration_cap():
+    # The same C with an answer outside the simplex: the projected gradient
+    # runs and, with the condition number 500, is still falling by more than
+    # the 1e-10 relative tolerance per step at the 100,000-iteration cap
+    # (objective about 1.1e-6).
+    c = np.array([[0.501, 0.499], [0.499, 0.501]])
+    v_meas = c @ np.array([1.05, -0.05])
     with pytest.raises(MitigationError, match="did not converge") as info:
         readout_mitigate(CalibrationMatrix(c), v_meas)
     assert info.value.objective > 0

@@ -1,3 +1,6 @@
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,16 @@ from paulitomo import (
     sample_record,
     setting_of,
 )
-from paulitomo.measurements import monomial_actions, monomial_from_code, sample_codes
+from paulitomo.measurements import (
+    _codes,
+    _labels,
+    _letters,
+    _text_labels,
+    monomial_actions,
+    monomial_codes,
+    monomial_from_code,
+    sample_codes,
+)
 
 from conftest import (
     dense_basis_vector,
@@ -66,6 +78,7 @@ def test_sample_monomials_distinct():
         # m < 4^n / 2: the rejection branch, in one batch of draws and in three.
         (3, 12, 7, [60, 40, 43, 57, 37, 49, 53, 14, 3, 19, 18, 55]),
         (2, 7, 45, [14, 9, 11, 8, 12, 6, 4]),
+        (8, 12, 5, [43960, 52756, 1484, 52949, 30726, 33772, 41303, 18730, 64194, 3534, 18214, 25124]),
     ],
 )
 def test_sample_codes_pinned_draws(n, m, seed, expected):
@@ -75,6 +88,19 @@ def test_sample_codes_pinned_draws(n, m, seed, expected):
     assert codes.dtype == np.int64
     assert codes.tolist() == expected
     assert sample_monomials(n, m, seed) == [monomial_from_code(c, n) for c in expected]
+
+
+def test_sample_codes_pinned_long_rejection_batch():
+    # The largest rejection draw at n=8: 65534 draws, about a third of them
+    # repeats, cut at m.  (The expected number of distinct codes in 2m draws
+    # exceeds m for every m < 4^n / 2, so at n=8 the first batch always
+    # suffices; the n=2 case above covers later batches.)  Pinned by the
+    # sampler's output before it was vectorized.
+    codes = sample_codes(8, 32767, 2)
+    assert codes.tolist()[:6] == [54891, 17145, 7163, 19561, 27119, 53361]
+    assert codes.tolist()[-3:] == [2432, 62842, 5931]
+    digest = hashlib.sha256(codes.astype("<i8").tobytes()).hexdigest()
+    assert digest == "ff198d28f4090bcdf554b82e4d0183a7cf6c6260f28065fd9fda036b318c2502"
 
 
 def test_sample_monomials_bounds():
@@ -96,8 +122,77 @@ def test_monomial_string_round_trip():
     p = PauliMonomial.from_string("IXYZ")
     assert p.labels == (0, 1, 2, 3)
     assert str(p) == "IXYZ"
-    with pytest.raises(ValueError):
+    assert PauliMonomial.from_string("ixyZ") == p
+    with pytest.raises(ValueError, match="must be over IXYZ"):
         PauliMonomial.from_string("IXQ")
+    with pytest.raises(ValueError, match="must be over IXYZ"):
+        PauliMonomial.from_string("")
+    with pytest.raises(ValueError, match="labels must be in"):
+        PauliMonomial((0, 4))
+
+
+# -- the code <-> labels <-> object <-> string codec ---------------------------
+
+def codec_codes(n):
+    """Both ends of [0, 4^n) and a seeded sample between them."""
+    return np.concatenate([[0, 4**n - 1], sample_codes(n, min(4**n, 200), seed=n)])
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 30])
+def test_codec_round_trips(n):
+    codes = codec_codes(n)
+    assert np.array_equal(_codes(_labels(codes, n)), codes)
+    texts = _letters(_labels(codes, n))
+    assert all(len(t) == n and set(t) <= set("IXYZ") for t in texts)
+    assert np.array_equal(_codes(_text_labels(texts, n)), codes)
+    assert np.array_equal(_codes(_text_labels([t.lower() for t in texts], n)), codes)
+    monomials = [monomial_from_code(c, n) for c in codes]
+    assert np.array_equal(monomial_codes(monomials, n), codes)
+    assert [str(p) for p in monomials] == texts
+    assert [PauliMonomial.from_string(t).code for t in texts] == codes.tolist()
+
+
+def test_codec_reaches_past_int32():
+    n = 16
+    assert monomial_from_code(4**n - 1, n).labels == (3,) * n
+    assert PauliMonomial.from_string("Z" * n).code == 4**n - 1 > 2**31
+    assert _letters(_labels([2**31 + 5], n)) == ["YIIIIIIIIIIIIIXX"]
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_objects_from_codes_equal_validated_ones(n):
+    decoded = sample_monomials(n, min(4**n, 60), seed=n)
+    validated = [PauliMonomial(tuple(p.labels)) for p in decoded]
+    assert decoded == validated
+    assert [hash(p) for p in decoded] == [hash(p) for p in validated]
+    assert [repr(p) for p in decoded] == [repr(p) for p in validated]
+    assert [p.code for p in decoded] == [p.code for p in validated]
+    assert all(type(l) is int for p in decoded for l in p.labels)
+    unpickled = pickle.loads(pickle.dumps(decoded))
+    assert unpickled == decoded and [p.code for p in unpickled] == [p.code for p in decoded]
+
+
+def test_monomial_codes_mixes_carried_and_computed_codes():
+    codes = sample_codes(5, 40, seed=1)
+    monomials = [monomial_from_code(c, 5) for c in codes]
+    monomials[3::7] = [PauliMonomial(tuple(p.labels)) for p in monomials[3::7]]
+    assert np.array_equal(monomial_codes(monomials, 5), codes)
+
+
+def test_text_labels_refuses_bad_strings():
+    assert _text_labels(["IXY", "ZZZ"], 3).tolist() == [[0, 1, 2], [3, 3, 3]]
+    for bad in (["IXY", "ZZ"], ["IXY", "IXQ"], ["IXY", "IXÉ"], ["IXY", "IX?"], ["ıXY"]):
+        assert _text_labels(bad, 3) is None
+
+
+def test_codes_refuse_out_of_range_codes_and_qubit_counts():
+    for code in (-1, 4**3):
+        with pytest.raises(ValueError, match="must lie in"):
+            monomial_from_code(code, 3)
+    with pytest.raises(ValueError, match="qubit count must be positive"):
+        monomial_from_code(0, 0)
+    with pytest.raises(ValueError, match="qubit count must be positive"):
+        sample_monomials(0, 1, seed=0)
 
 
 # -- Born probabilities ------------------------------------------------------

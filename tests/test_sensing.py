@@ -480,6 +480,9 @@ def test_map_validation():
     for codes in (np.array([64]), np.array([-1]), np.array([1.0]), np.zeros((2, 2), dtype=int)):
         with pytest.raises(ValueError):
             SensingMap(3, codes)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="qubit count must be positive"):
+            SensingMap(n, np.array([0]))
 
 
 def test_map_keeps_base4_codes():

@@ -77,6 +77,44 @@ def test_expectations_round_trip(tmp_path):
     assert np.array_equal(loaded_obs.values, obs.values)
 
 
+def test_expectations_json_items_and_lower_case():
+    smap = SensingMap(2, np.array([7, 0, 15]))
+    obj = serialize.expectations_to_json(smap, np.array([0.5, 1.0, -0.25]))
+    assert obj["items"] == [
+        {"monomial": "XZ", "value": 0.5},
+        {"monomial": "II", "value": 1.0},
+        {"monomial": "ZZ", "value": -0.25},
+    ]
+    for item in obj["items"]:
+        item["monomial"] = item["monomial"].lower()
+    loaded_map, _ = serialize.expectations_from_json(obj)
+    assert loaded_map.codes.tolist() == [7, 0, 15]
+
+
+@pytest.mark.parametrize(
+    "labels, bad",
+    [
+        (["XZ", "XZY", "ZZQ"], "XZY"),  # wrong length
+        (["XZ", "XQ", "Z"], "XQ"),  # a letter outside IXYZ
+        (["XZ", "XÉ", "Q"], "XÉ"),  # a letter outside ASCII
+        (["XZ", "ıX"], "ıX"),  # a letter whose upper case is I
+    ],
+)
+def test_expectations_from_json_names_the_first_bad_monomial(labels, bad):
+    obj = {"version": 1, "n": 2, "normalized": True,
+           "items": [{"monomial": text, "value": 0.0} for text in labels]}
+    with pytest.raises(ValueError) as info:
+        serialize.expectations_from_json(obj)
+    assert str(info.value) == f"expectations file: monomial {bad!r} is not 2 letters of IXYZ"
+
+
+@pytest.mark.parametrize("items", [[{"monomial": "", "value": 1.0}], []])
+def test_expectations_from_json_refuses_n_below_one(items):
+    obj = {"version": 1, "n": 0, "normalized": True, "items": items}
+    with pytest.raises(ValueError, match="qubit count must be positive, got 0"):
+        serialize.expectations_from_json(obj)
+
+
 def test_json_float_round_trip_is_exact(tmp_path):
     values = np.array([1 / 3, np.pi, -0.12345678901234567])
     path = tmp_path / "vals.json"
