@@ -15,8 +15,10 @@ outcome j; bit strings appear only in the records file (serialize.py).
 
 Measurement simulation is batched.  born_probabilities takes a block of
 settings and rotates qubit by qubit over their prefix tree, so settings
-that share their first k axes share the first k rotations; each row is
-bit-identical to rotating its setting alone.  sample_record counts a
+that share their first k axes share the first k rotations.  Each level is
+one call of apply_single_qubit's strided butterfly on all its rows, whose
+arithmetic is elementwise, so each row is bit-identical to rotating its
+setting alone.  sample_record counts a
 setting's shots by sorting its uniforms and looking up each cumulative
 weight once, which gives exactly the counts of a per-shot inverse-CDF
 lookup on the same uniforms.
@@ -126,12 +128,12 @@ class MeasurementRecord:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         counts = np.asarray(self.counts)
         d = 2**self.setting.n
-        if counts.shape != (d,) or not np.issubdtype(counts.dtype, np.integer):
+        if counts.shape != (d,) or counts.dtype.kind not in "iu":
             raise ValueError(
                 f"counts must be an integer array of shape ({d},), "
                 f"got {counts.dtype} with shape {counts.shape}"
             )
-        if np.any(counts < 0):
+        if counts.min() < 0:
             raise ValueError("counts must be nonnegative")
         total = int(counts.sum())
         if total != self.shots:
@@ -313,12 +315,14 @@ def sample_record(
         raise ValueError(f"shots must be >= 1, got {shots}")
     if probs.ndim != 1 or probs.size != 2**setting.n:
         raise ValueError(f"expected {2**setting.n} probabilities, got shape {probs.shape}")
-    if not (np.all(probs >= -1e-12) and abs(probs.sum() - 1.0) <= 1e-8):  # NaN fails too
+    if not (probs.min() >= -1e-12 and abs(probs.sum() - 1.0) <= 1e-8):  # NaN fails too
         raise ValueError("probabilities must be nonnegative and sum to 1")
     rng = as_generator(seed)
     cdf = np.cumsum(np.maximum(probs, 0.0))
     cdf[-1] = max(cdf[-1], 1.0)  # guard against roundoff losing the last bin
-    below = np.searchsorted(np.sort(rng.random(shots)), cdf, side="left")
+    uniforms = rng.random(shots)
+    uniforms.sort()
+    below = np.searchsorted(uniforms, cdf, side="left")
     counts = below.copy()
     counts[1:] -= below[:-1]
     if probs[-1] <= 0:  # what the guard caught belongs to the last bin of nonzero probability

@@ -18,16 +18,31 @@ _STREAM_IDS = {
 }
 
 
+def _words(value: int, what: str) -> list:
+    """A non-negative int's little-endian 32-bit words, at least one: the
+    words numpy's SeedSequence makes from it as one entry of a list."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value}")
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
 def substream(seed: int, name: str, index: int | None = None) -> np.random.Generator:
     """Return a generator for the named substream of `seed`.
 
     `index` distinguishes parallel streams within one stage (e.g. one
-    shot-noise stream per measurement setting).
+    shot-noise stream per measurement setting).  The generator is
+    np.random.default_rng([seed, id] + [index]), built from the uint32
+    words numpy would coerce that list to, passed as one array.
     """
-    key = [int(seed), _STREAM_IDS[name]]
+    words = _words(seed, "seed") + [_STREAM_IDS[name]]
     if index is not None:
-        key.append(int(index))
-    return np.random.default_rng(key)
+        words += _words(index, "substream index")
+    entropy = np.array(words, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def as_generator(seed) -> np.random.Generator:

@@ -89,18 +89,34 @@ def euler_rotation(theta: float, phi: float, lam: float) -> np.ndarray:
     )
 
 
+def _check_wire(qubit: int, n: int):
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} is outside the {n}-qubit register")
+
+
 def apply_single_qubit(amps: np.ndarray, gate: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """Apply a 2x2 gate to one qubit of a length-2^n amplitude vector, or of
-    each row of an (S, 2^n) batch, bit-identically to row-by-row calls."""
-    axis = qubit - n  # counted from the end, past a leading batch axis
-    # The size-1 axis makes each n = 1 row its own 1 x 2 product, as a lone row is.
-    psi = amps.reshape(amps.shape[:-1] + (1,) + (2,) * n)
-    psi = np.moveaxis(psi, axis, -1) @ gate.T
-    return np.moveaxis(psi, -1, axis).reshape(amps.shape)
+    each row of an (S, 2^n) batch.
+
+    A strided butterfly: the amplitudes are viewed as (..., 2^q, 2, 2^(n-q-1))
+    for q = qubit, and with a0, a1 the two halves along the middle axis,
+    out[..., 0, :] = g00 a0 + g01 a1 and out[..., 1, :] = g10 a0 + g11 a1.
+    Every output entry is the same elementwise expression whatever the
+    batch, so each row equals its own row-by-row call bit for bit.
+    """
+    _check_wire(qubit, n)
+    psi = amps.reshape(amps.shape[:-1] + (2**qubit, 2, 2 ** (n - qubit - 1)))
+    # Each half, (..., 2^q, 1, 2^(n-q-1)), broadcasts against a (2, 1) gate column.
+    out = psi[..., :1, :] * gate[:, :1] + psi[..., 1:, :] * gate[:, 1:]
+    return out.reshape(amps.shape)
 
 
 def apply_cx(amps: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
     """Apply a controlled-X gate; flips `target` where `control` is 1."""
+    _check_wire(control, n)
+    _check_wire(target, n)
+    if control == target:
+        raise ValueError(f"control and target must differ, both are qubit {control}")
     k = np.arange(2**n)
     return amps[k ^ (((k >> (n - 1 - control)) & 1) << (n - 1 - target))]
 

@@ -560,6 +560,12 @@ def test_bad_mu_exits_with_message(tmp_path, capsys, command, flags, name):
     assert_clean_failure(capsys, code, name)
 
 
+def test_negative_seed_exits_with_message(tmp_path, capsys):
+    code = invoke("measure", "--circuit", "ghz", "--n", 3, "--seed", -1, "--out", tmp_path / "m.json")
+    assert_clean_failure(capsys, code, "seed must be a non-negative integer, got -1")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_reconstruct_rejects_nan_reltol(tmp_path, capsys):
     code = invoke("reconstruct", "--circuit", "ghz", "--n", 3, "--exact", "--reltol", "nan",
                   "--out", tmp_path / "r.json")

@@ -492,6 +492,12 @@ def test_sample_record_rejects_nan_probability():
                      id="record-zero-shots"),
         pytest.param(lambda: MeasurementRecord(PauliSetting("z"), 1, np.array([2, -1])), "nonnegative",
                      id="record-negative-count"),
+        pytest.param(lambda: MeasurementRecord(PauliSetting("z"), 1, np.array([1.0, 0.0])),
+                     "counts must be an integer array", id="record-float-counts"),
+        pytest.param(lambda: MeasurementRecord(PauliSetting("z"), 1, np.array([True, False])),
+                     "counts must be an integer array", id="record-bool-counts"),
+        pytest.param(lambda: MeasurementRecord(PauliSetting("z"), 1, np.array([1, 0], dtype=object)),
+                     "counts must be an integer array", id="record-object-counts"),
         pytest.param(lambda: sample_record(PauliSetting("z"), [1.0, 0.0], 0, 0), "shots must be >= 1",
                      id="sample-zero-shots"),
         pytest.param(lambda: sample_record(PauliSetting("z"), [0.5, 0.25, 0.25], 10, 0),

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,9 @@ from paulitomo.measurements import (
     setting_of,
 )
 from paulitomo import sensing
-from paulitomo.cli import all_settings, monomial_count
+from paulitomo.cli import all_settings, build_state, monomial_count
+from paulitomo.measurements import sample_codes
+from paulitomo.seeding import substream
 from paulitomo.sensing import simulate_records
 
 from conftest import (
@@ -420,6 +423,24 @@ def test_simulate_records_block_boundaries(monkeypatch, rows):
         for record, counts in zip(records, reference_records(state, settings, 64, 3)):
             assert np.array_equal(record.counts, counts)
     assert max(calls) == rows and sum(calls) == 3 * len(settings)
+
+
+def test_sampled_data_pinned_digest():
+    # Seeded counts and sampled observations of the fidelity-table setting
+    # at n=8, pinned as SHA-256 digests.  The Born probabilities behind the
+    # counts carry rounding, so a kernel that reorders their arithmetic could
+    # flip a count where a uniform falls within an ulp of a CDF step.
+    state = build_state("random", 8, seed=3)
+    smap = SensingMap(8, sample_codes(8, monomial_count(20, 8), substream(3, "monomials")))
+    obs, records = observe_with_records(state, smap, shots=2048, seed=3)
+    counts = np.stack([r.counts for r in records]).astype("<i8")
+    assert len(records) == 4659
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == (
+        "11c3d5e234cb34e6ca6636608846a9e2b76a213478e3d50fea9e745e658cb240"
+    )
+    assert hashlib.sha256(obs.values.astype("<f8").tobytes()).hexdigest() == (
+        "03d198b1844bd06f94191ae963260addb6b3009dc27809d085318364beab2740"
+    )
 
 
 def test_observe_dimension_mismatch(rng):

@@ -12,7 +12,8 @@ from paulitomo import (
     hadamard_all,
     random_state,
 )
-from paulitomo.states import apply_cx, apply_single_qubit, euler_rotation
+from paulitomo.measurements import _TO_Y_BASIS
+from paulitomo.states import _HADAMARD, apply_cx, apply_single_qubit, euler_rotation
 
 from conftest import dense_monomial, random_pure_state_vector
 
@@ -128,6 +129,46 @@ def test_apply_single_qubit_batch_equals_row_calls():
             one_by_one = np.stack([apply_single_qubit(row, gate, qubit, n) for row in rows])
             assert batch.shape == rows.shape
             assert np.array_equal(batch, one_by_one), (n, qubit)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_apply_single_qubit_matches_kron_oracle(n):
+    # The butterfly against the dense I_{2^q} (x) G (x) I_{2^(n-q-1)} product,
+    # qubit 0 the most significant factor, on one vector and on a batch.
+    rng = np.random.default_rng(n)
+    vector = random_pure_state_vector(rng, n)
+    rows = np.stack([random_pure_state_vector(rng, n) for _ in range(4)])
+    for gate in (_HADAMARD, _TO_Y_BASIS, euler_rotation(*rng.random(3))):
+        for qubit in range(n):
+            dense = np.kron(np.kron(np.eye(2**qubit), gate), np.eye(2 ** (n - qubit - 1)))
+            got = apply_single_qubit(vector, gate, qubit, n)
+            assert got.shape == vector.shape
+            assert np.max(np.abs(got - dense @ vector)) <= 1e-15, (qubit, gate)
+            got = apply_single_qubit(rows, gate, qubit, n)
+            assert got.shape == rows.shape
+            assert np.max(np.abs(got - rows @ dense.T)) <= 1e-15, (qubit, gate)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda a: apply_single_qubit(a, _HADAMARD, 5, 3), "qubit 5 is outside the 3-qubit",
+                     id="single-past-register"),
+        pytest.param(lambda a: apply_single_qubit(a, _HADAMARD, 3, 3), "qubit 3 is outside the 3-qubit",
+                     id="single-at-n"),
+        pytest.param(lambda a: apply_single_qubit(a, _HADAMARD, -1, 3), "qubit -1 is outside the 3-qubit",
+                     id="single-negative"),
+        pytest.param(lambda a: apply_cx(a, 1, 1, 3), "control and target must differ, both are qubit 1",
+                     id="cx-same-wire"),
+        pytest.param(lambda a: apply_cx(a, 0, 3, 3), "qubit 3 is outside the 3-qubit", id="cx-target-past"),
+        pytest.param(lambda a: apply_cx(a, 3, 0, 3), "qubit 3 is outside the 3-qubit", id="cx-control-past"),
+        pytest.param(lambda a: apply_cx(a, -1, 0, 3), "qubit -1 is outside the 3-qubit",
+                     id="cx-control-negative"),
+    ],
+)
+def test_gates_refuse_wires_outside_the_register(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(np.arange(8, dtype=complex))
 
 
 @pytest.mark.parametrize(
