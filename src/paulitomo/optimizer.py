@@ -163,9 +163,9 @@ def random_init(d: int, r: int, seed: int = 0, real: bool = False) -> np.ndarray
 def spectral_init(sensing_map, y, r: int, L_hat: float = 1.1, seed: int = 0) -> np.ndarray:
     """Factor of the rank-r PSD part of A^dagger(y) / c, scaled by 1/L_hat.
 
-    c is the map's gain (E[A^dagger A] = c I).  The block Krylov solver
-    runs on the map's fixed operator Z -> A^dagger(y) Z; column j is
-    v_j * sqrt(max(lambda_j / c, 0) / L_hat).
+    c is the map's gain (E[A^dagger A] = c I).  The block Lanczos solver,
+    of block width r, runs on the map's fixed operator Z -> A^dagger(y) Z;
+    column j is v_j * sqrt(max(lambda_j / c, 0) / L_hat).
     """
     y = observation_values(y)
     values, vectors = top_eigen(sensing_map.adjoint_operator(y), sensing_map.d, r, tol=1e-9, seed=seed)
@@ -178,8 +178,8 @@ def compute_step_size(sensing_map, y, z0: np.ndarray, L_hat: float = 1.1) -> flo
 
     c is the map's gain (E[A^dagger A] = c I; c = 1 is the RIP-normalized
     rule).  The first spectral norm comes from the r x r Gram eigenproblem,
-    the second from the block Krylov solver on the map's fixed operator
-    Z -> A^dagger(A(Z0 Z0*) - y) Z.
+    the second from the Lanczos solver (one column per step) on the map's
+    fixed operator Z -> A^dagger(A(Z0 Z0*) - y) Z.
     """
     y = observation_values(y)
     z0 = as_factor(z0, sensing_map.d)

@@ -40,7 +40,8 @@ Cost of a range call touching G groups: the forward is conj(z) z^T
 read per monomial; the adjoint is one scatter-add per monomial, a
 transform, one scatter of G d entries into a zeroed d x d matrix, and that
 matrix times z (d^2 r).  adjoint_operator(x) builds the same matrix once
-and applies it as one GEMM per eigensolver block.
+and applies it as one matrix product per Lanczos block of the eigensolver,
+a GEMV for a single pair.
 
 Workspace and threads.  Range calls write into buffers reused across calls
 and held per thread: the d x d matrix and two blocks of G d entries for

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from paulitomo import PowerIterationError, operator_norm, top_eigen
+from paulitomo import (
+    PowerIterationError,
+    SensingMap,
+    SyntheticProblem,
+    generate_synthetic,
+    observe,
+    operator_norm,
+    spectral_init,
+    top_eigen,
+)
+from paulitomo.cli import build_state, monomial_count
+from paulitomo.measurements import sample_codes
+from paulitomo.seeding import substream
 
 
 def matvec_of(mat):
@@ -89,6 +101,21 @@ def test_bad_arguments():
         top_eigen(matvec_of(np.eye(2)), 2, 3)
 
 
+@pytest.mark.parametrize("solver", ["top_eigen", "operator_norm"])
+@pytest.mark.parametrize(
+    "dim,tol,message",
+    [(4, np.nan, "got nan"), (4, np.inf, "got inf"), (4, 0.0, "got 0.0"), (4, -1e-9, "got -1e-09"),
+     (0, 1e-9, "dimension.* 0")],
+    ids=["tol-nan", "tol-inf", "tol-0", "tol-negative", "dim-0"],
+)
+def test_bad_tolerance_or_dimension_names_the_value(solver, dim, tol, message):
+    # A NaN or infinite tol would accept any pair; a tol <= 0 none.
+    solve = {"top_eigen": lambda mv: top_eigen(mv, dim, 1, tol=tol),
+             "operator_norm": lambda mv: operator_norm(mv, dim, tol=tol)}[solver]
+    with pytest.raises(ValueError, match=message):
+        solve(matvec_of(np.eye(4)))
+
+
 # -- block Krylov properties against np.linalg.eigh ---------------------------
 
 def counting(mat, columns):
@@ -138,11 +165,15 @@ def test_random_hermitian_top_k_matches_eigh(rng):
 
 @pytest.mark.parametrize("dim,k", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3)])
 def test_block_wider_than_dimension(rng, dim, k):
-    # dim < k + 2: the starting block is the whole space, so one step is exact.
+    # Small dimensions: a block of width dim (dim == k) is the whole space,
+    # so one step is exact; otherwise the basis never passes dim columns.
     mat = random_hermitian(rng, dim)
     columns = []
     values, vectors = top_eigen(counting(mat, columns), dim, k, tol=1e-12, seed=1)
-    assert columns == [dim]
+    if dim == k:
+        assert columns == [dim]
+    else:
+        assert sum(columns) <= dim
     assert_top_pairs(mat, values, vectors, 1e-12)
 
 
@@ -223,3 +254,65 @@ def test_graded_spectrum_tight_tolerance(rng):
         mat = rotated(rng, spectrum)
         values, vectors = top_eigen(matvec_of(mat), dim, 3, tol=1e-12, seed=dim)
         assert_top_pairs(mat, values, vectors, 1e-12)
+
+
+# -- the library's own operators -----------------------------------------------
+
+def pauli_operators(n, seed):
+    """Dense A^dagger(y) of exact data and A^dagger of the auto step's residual."""
+    state = build_state("random", n, 20, seed)
+    smap = SensingMap(n, sample_codes(n, monomial_count(30, n), substream(seed, "monomials")))
+    y = observe(state, smap, seed=seed).values
+    residual = smap.forward_factored(spectral_init(smap, y, 1, seed=seed)) - y
+    eye = np.eye(smap.d)
+    return smap.adjoint_operator(y)(eye), smap.adjoint_operator(residual)(eye), 1
+
+
+def gaussian_operators(seed):
+    smap, y, _ = generate_synthetic(SyntheticProblem(d=16, r=2, c=3, seed=seed))
+    residual = smap.forward_factored(spectral_init(smap, y, 2, seed=seed)) - y
+    eye = np.eye(16)
+    return smap.adjoint_operator(y)(eye), smap.adjoint_operator(residual)(eye), 2
+
+
+@pytest.mark.parametrize("case", [3, 4, 5, 6, 7, "gaussian-16"])
+def test_library_operators_match_eigh(case):
+    # Spectral init's top_eigen (tol 1e-9) and the auto step's operator_norm
+    # (tol 1e-8) on the operators they meet, against dense eigh.
+    for seed in (0, 1):
+        init, step, r = gaussian_operators(seed) if case == "gaussian-16" else pauli_operators(case, seed)
+        dim = init.shape[0]
+        values, vectors = top_eigen(matvec_of(init), dim, r, tol=1e-9, seed=seed)
+        assert_top_pairs(init, values, vectors, 1e-9)
+        assert np.allclose(values, np.linalg.eigvalsh(init)[::-1][:r], rtol=1e-12, atol=0)
+        norm = operator_norm(matvec_of(step), dim, tol=1e-8)
+        assert norm == pytest.approx(np.abs(np.linalg.eigvalsh(step)).max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spectral_init_operator_uses_few_single_columns(seed):
+    # One pair applies one column per call; the n=7 spectral-init operator
+    # of the pauli-exact-n7 setting needs about 14 of them at tol 1e-9.
+    init, _, _ = pauli_operators(7, seed)
+    columns = []
+    values, vectors = top_eigen(counting(init, columns), 128, 1, tol=1e-9, seed=seed)
+    assert set(columns) == {1}
+    assert sum(columns) <= 20
+    assert_top_pairs(init, values, vectors, 1e-9)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_block_of_width_k_small_gap(rng, k):
+    # lambda_k - lambda_{k+1} = 1e-3: each call applies a block of k columns
+    # (the last one capped at dim), and the k-th pair is still the k-th.
+    dim = 60
+    top = np.linspace(2.0, 1.5, k)
+    spectrum = np.concatenate([top, [top[-1] - 1e-3], rng.uniform(-1.0, 1.0, dim - k - 1)])
+    mat = rotated(rng, spectrum)
+    columns = []
+    values, vectors = top_eigen(counting(mat, columns), dim, k, tol=1e-10, seed=k)
+    assert set(columns[:-1]) == {k} and sum(columns) <= dim
+    assert_top_pairs(mat, values, vectors, 1e-10)
+    dense_vals, dense_vecs = np.linalg.eigh(mat)
+    for j in range(k):
+        assert abs(np.vdot(vectors[:, j], dense_vecs[:, -1 - j])) == pytest.approx(1.0, abs=1e-6)
