@@ -20,6 +20,15 @@ def as_factor(u, d: int | None = None) -> np.ndarray:
     return u
 
 
+def as_data(x, m: int) -> np.ndarray:
+    """x as a float data vector of a map with m monomials or rows; any shape
+    other than (m,) is a ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (m,):
+        raise ValueError(f"vector has shape {x.shape}, expected ({m},)")
+    return x
+
+
 def _state_vector(psi) -> np.ndarray:
     if isinstance(psi, PureState):
         return psi.amplitudes

@@ -23,32 +23,31 @@ where WHT is the unnormalized Walsh-Hadamard transform: w_f is the flip-f
 diagonal of conj(z) z^T, and M_f is nonzero on the flip-f diagonal only.
 
 Tables.  The map builds them on construction and only reads them after,
-in flip order (monomials stably sorted by flip mask): per monomial its
-group id, sign mask and phase i^ny, and per group g of the G <= min(m, d)
-distinct flips the row _src[g, j] = (j ^ f_g) d + j, the flat positions of
-the flip-f_g diagonal in a d x d matrix.  The *_range methods index flip
-order, so a contiguous range touches one run of groups; all other methods
-keep the user order of `codes` and run over the full range.
+in the user order of `codes`: per monomial its group id, sign mask and
+phase i^ny, and per group g of the G <= min(m, d) distinct flips the row
+_src[g, j] = (j ^ f_g) d + j, the flat positions of the flip-f_g diagonal
+in a d x d matrix.  The *_range methods index positions of the data
+vector, and every range call transforms all G groups.
 
 Transform.  H_d is a Kronecker product of Sylvester factors of at most
 2^_FACTOR_BITS, and _fwht applies each as one 2-D GEMM, so a row of d
 entries costs d times the sum of the factor sizes, at most 32 d log2(d) / 5
 multiply-adds, in BLAS.  A transform of integer counts is exact.
 
-Cost of a range call touching G groups: the forward is conj(z) z^T
-(d^2 r), one gather of G d diagonal entries, a transform of G rows and one
-read per monomial; the adjoint is one scatter-add per monomial, a
-transform, one scatter of G d entries into a zeroed d x d matrix, and that
-matrix times z (d^2 r).  adjoint_operator(x) builds the same matrix once
-and applies it as one matrix product per Lanczos block of the eigensolver,
-a GEMV for a single pair.
+Cost of a range call: the forward is conj(z) z^T (d^2 r), one gather of
+G d diagonal entries, a transform of G rows and one read per monomial; the
+adjoint is one scatter-add per monomial, a transform, one scatter of G d
+entries into a zeroed d x d matrix, and that matrix times z (d^2 r).
+adjoint_operator(x) builds the same matrix once and applies it as one
+matrix product per Lanczos block of the eigensolver, a GEMV for a single
+pair.
 
-Workspace and threads.  Range calls write into buffers reused across calls
-and held per thread: the d x d matrix and two blocks of G d entries for
-the largest G the thread has met.  A warm gradient allocates only arrays
-of length m and d r.  Threads that call one map at once each use their own
-buffers; the tables are only read, so threads can share a new map.  Exact
-simulated data are the forward map of the state.
+Workspace and threads.  Calls write into buffers reused across calls and
+held per thread: the d x d matrix and two blocks of G d entries.  A warm
+gradient allocates only arrays of length m and d r, and adjoint_operator
+only the d x d matrix its operator keeps.  Threads that call one map at
+once each use their own buffers; the tables are only read, so threads can
+share a new map.  Exact simulated data are the forward map of the state.
 """
 
 import threading
@@ -66,7 +65,7 @@ from .measurements import (
     monomial_codes,
     sample_record,
 )
-from .metrics import as_factor
+from .metrics import as_data, as_factor
 from .seeding import substream
 from .states import PureState
 
@@ -130,8 +129,8 @@ def _fwht(a: np.ndarray, work: np.ndarray, axis: int = 1) -> np.ndarray:
 
 
 class _Workspace(threading.local):
-    """One thread's buffers for a map's range calls: a (d, d) complex matrix
-    and two complex blocks of G x d entries for the largest G seen."""
+    """One thread's buffers for a map's calls: a (d, d) complex matrix and
+    two complex blocks of G x d entries."""
 
     mat = rows = work = None
 
@@ -165,96 +164,80 @@ class SensingMap:
         return self.scale**2 * self.m / self.d
 
     def _ensure_cache(self):
-        """Build the flip-order tables; __init__ calls it once."""
+        """Build the tables; __init__ calls it once."""
         flips, sign_masks, nys = monomial_actions(self.codes, self.n)
-        # Stable, so repeated monomials keep their user order within a group.
-        self._order = np.argsort(flips, kind="stable")
-        self._rank = np.argsort(self._order)
-        flip_values, self._group = np.unique(flips[self._order], return_inverse=True)
-        self._sign = sign_masks[self._order].astype(np.int32)
-        self._iphase = 1j ** (nys[self._order] % 4)
+        flip_values, self._group = np.unique(flips, return_inverse=True)
+        self._sign = sign_masks.astype(np.int32)
+        self._iphase = 1j ** (nys % 4)
         # intp, so take and fancy assignment use it without a converted copy.
         j = np.arange(self.d, dtype=np.intp)
         self._src = (j ^ flip_values[:, None]) * self.d + j
 
-    def _groups(self, lo: int, hi: int):
-        """The run of flip groups' source rows that positions lo..hi touch, and their rows."""
-        if hi <= lo:
-            return self._src[:0], self._group[:0]
-        g_lo, g_hi = self._group[lo], self._group[hi - 1] + 1
-        return self._src[g_lo:g_hi], self._group[lo:hi] - g_lo
-
-    def _buffers(self, groups: int):
-        """This thread's (d, d) matrix and two flat blocks of groups x d entries."""
-        ws, size = self._ws, groups * self.d
+    def _buffers(self):
+        """This thread's (d, d) matrix and two flat blocks of G x d entries."""
+        ws = self._ws
         if ws.mat is None:
             ws.mat = np.empty((self.d, self.d), dtype=complex)
-        if ws.rows is None or ws.rows.size < size:
-            ws.rows, ws.work = np.empty((2, size), dtype=complex)
-        return ws.mat, ws.rows[:size], ws.work
-
-    def _flip_ordered(self, x: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Flip-order positions lo..hi of a user-order length-m vector."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.m,):
-            raise ValueError(f"vector has shape {x.shape}, expected ({self.m},)")
-        return x[self._order[lo:hi]]
+            ws.rows, ws.work = np.empty((2, self._src.size), dtype=complex)
+        return ws.mat, ws.rows, ws.work
 
     def forward_range(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Flip-order entries lo..hi of A(u u^dagger), with the full-map scale."""
+        """Entries lo..hi of A(u u^dagger), with the full-map scale."""
         u = as_factor(u, self.d)
-        src, row = self._groups(lo, hi)
-        rho, rows, work = self._buffers(len(src))
+        rho, rows, work = self._buffers()
         np.matmul(u.conj(), u.T, out=rho)
         # w[g, j] = rho[j ^ f_g, j], the flip diagonals of conj(u) u^T.
-        w = np.take(rho.reshape(-1), src, out=rows.reshape(src.shape), mode="clip")
+        w = np.take(rho.reshape(-1), self._src, out=rows.reshape(self._src.shape), mode="clip")
         w = _fwht(w, work)
-        return self.scale * (self._iphase[lo:hi] * w[self._sign[lo:hi], row]).real
+        return self.scale * (self._iphase[lo:hi] * w[self._sign[lo:hi], self._group[lo:hi]]).real
 
     def forward_factored(self, u: np.ndarray) -> np.ndarray:
         """Observation vector A(u u^dagger): s * Tr(P_i u u^dagger) per entry."""
-        return self.forward_range(u, 0, self.m)[self._rank]
+        return self.forward_range(u, 0, self.m)
 
     def _adjoint_matrix(self, x: np.ndarray, lo: int, hi: int, mat, rows, work) -> np.ndarray:
-        """mat := s * sum_{i in [lo,hi)} x_i P_i, with lo..hi and x in flip order.
+        """mat := s * sum_{i in [lo,hi)} x_i P_i, for the slice x of length hi - lo.
 
-        rows and work are flat buffers of G x d entries for the G flip groups
-        those positions touch.  c_f sits in the columns of rows, the column
-        transform leaves v = WHT(c_f) as rows, and mat[k ^ f_g, k] = v[g, k]
-        is one scatter through _src.
+        rows and work are flat buffers of G x d entries.  c_f sits in the
+        columns of rows, the column transform leaves v = WHT(c_f) as rows,
+        and mat[k ^ f_g, k] = v[g, k] is one scatter through _src.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (hi - lo,):
             raise ValueError(f"coefficient slice has shape {x.shape}, expected ({hi - lo},)")
-        src, row = self._groups(lo, hi)
-        coeffs = rows.reshape(self.d, len(src))
+        groups = len(self._src)
+        coeffs = rows.reshape(self.d, groups)
         coeffs.fill(0)
+        # One complex temporary of length m, not a real one beside it: the
+        # parts of i^ny are exactly 0 or +-1, so the product with the scale
+        # rounds once in either order.
+        terms = self._iphase[lo:hi] * x
+        terms *= self.scale
         # add.at sums repeated monomials; fancy assignment would keep one.
-        np.add.at(rows, self._sign[lo:hi] * len(src) + row, self.scale * x * self._iphase[lo:hi])
+        np.add.at(rows, self._sign[lo:hi] * groups + self._group[lo:hi], terms)
         mat.fill(0)
-        mat.reshape(-1)[src] = _fwht(coeffs, work, axis=0)
+        mat.reshape(-1)[self._src] = _fwht(coeffs, work, axis=0)
         return mat
 
     def adjoint_range(self, x: np.ndarray, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Partial adjoint s * sum_{i in [lo,hi)} x_i P_i z; lo..hi and x in flip order."""
+        """Partial adjoint s * sum_{i in [lo,hi)} x_i P_i z, for the slice x of length hi - lo."""
         z = as_factor(z, self.d)
-        src, _ = self._groups(lo, hi)
-        return self._adjoint_matrix(x, lo, hi, *self._buffers(len(src))) @ z
+        return self._adjoint_matrix(x, lo, hi, *self._buffers()) @ z
 
     def adjoint_times(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """A^dagger(x) @ z = s * sum_i x_i P_i z, column-wise."""
-        return self.adjoint_range(self._flip_ordered(x), z, 0, self.m)
+        return self.adjoint_range(as_data(x, self.m), z, 0, self.m)
 
     def adjoint_operator(self, x: np.ndarray):
         """The fixed operator Z -> A^dagger(x) Z: the d x d matrix, built once."""
-        rows, work = np.empty((2, self._src.size), dtype=complex)
         mat = np.empty((self.d, self.d), dtype=complex)
-        self._adjoint_matrix(self._flip_ordered(x), 0, self.m, mat, rows, work)
+        _, rows, work = self._buffers()
+        self._adjoint_matrix(as_data(x, self.m), 0, self.m, mat, rows, work)
         return lambda z: mat @ as_factor(z, self.d)
 
     def residual_gradient_range(self, y: np.ndarray, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Flip-order positions [lo, hi) of A^dagger(A(zz*)-y) z; y is in user order."""
-        residual = self.forward_range(z, lo, hi) - self._flip_ordered(y, lo, hi)
+        """The terms i in [lo, hi) of A^dagger(A(zz*)-y) z; y is the full data vector."""
+        residual = self.forward_range(z, lo, hi) - as_data(y, self.m)[lo:hi]
         return self.adjoint_range(residual, z, lo, hi)
 
     def residual_gradient(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:

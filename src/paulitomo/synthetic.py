@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optimizer
-from .metrics import as_factor
+from .metrics import as_data, as_factor
 from .seeding import substream
 
 
@@ -89,13 +89,13 @@ class GaussianSensingMap:
 
     def adjoint_operator(self, x: np.ndarray):
         """The fixed operator Z -> A^dagger(x) Z, from one GEMV against the rows."""
-        mat = self._unhvec(self.rows.T @ np.asarray(x, dtype=float))
+        mat = self._unhvec(self.rows.T @ as_data(x, self.m))
         return lambda z: mat @ z
 
     def residual_gradient_range(self, y, z, lo: int, hi: int) -> np.ndarray:
         z = as_factor(z, self.d)
         rows = self.rows[lo:hi]
-        residual = rows @ self._hvec((z @ z.conj().T).real) - np.asarray(y, dtype=float)[lo:hi]
+        residual = rows @ self._hvec((z @ z.conj().T).real) - as_data(y, self.m)[lo:hi]
         return self._unhvec(rows.T @ residual) @ z
 
     def residual_gradient(self, y, z) -> np.ndarray:

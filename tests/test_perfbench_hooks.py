@@ -35,3 +35,29 @@ def test_record_simulation_layers_are_traced():
         sensing.simulate_records(ghz(3), all_settings(3), 16, seed=0)
     names = {span[0] for span in tracer.spans}
     assert {"measurements.born", "measurements.sample_record", "baselines.simulate_records"} <= names
+
+
+def test_gradient_and_eigensolver_layers_are_traced():
+    # The traced run times the Pauli gradient through the range methods
+    # and the spectral init through top_eigen; a call path that bypassed
+    # them would read 0 in sensing.adjoint_s and sensing.gradient_s.
+    import numpy as np
+
+    from paulitomo import SensingMap, optimizer
+
+    n = 4
+    tracer = tracing.Tracer()
+    with tracing.Instrumentation(tracer):
+        smap = SensingMap(n, np.arange(0, 4**n, 3))
+        y = np.linspace(-1, 1, smap.m)
+        smap.residual_gradient(y, np.ones((2**n, 1)))
+        optimizer.spectral_init(smap, y, 1)
+    names = {span[0] for span in tracer.spans}
+    assert {
+        "sensing.cache_build",
+        "sensing.forward",
+        "sensing.adjoint",
+        "sensing.gradient",
+        "sensing.gradient_range",
+        "linalg.top_eigen",
+    } <= names

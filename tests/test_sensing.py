@@ -20,14 +20,16 @@ from paulitomo import (
 from paulitomo.measurements import (
     exact_expectation,
     expectation_from_record,
+    monomial_actions,
     monomial_from_code,
     setting_of,
 )
-from paulitomo import sensing
+from paulitomo import optimizer, sensing
 from paulitomo.cli import all_settings, build_state, monomial_count
 from paulitomo.measurements import sample_codes
 from paulitomo.seeding import substream
 from paulitomo.sensing import simulate_records
+from paulitomo.synthetic import GaussianSensingMap
 
 from conftest import (
     code_labels,
@@ -156,14 +158,15 @@ def test_range_calls_compose_to_full(rng):
     z = random_factor(rng, 8, 2)
     y = rng.standard_normal(17)
     full = smap.residual_gradient(y, z)
-    # Uneven cuts, so some ranges touch only a few of the flip groups.
+    forward = smap.forward_factored(z)
+    # Uneven cuts, down to ranges of one entry.
     for cuts in ((0, 6, 12, 17), (0, 1, 2, 9, 17), (0, 16, 17)):
         ranges = list(zip(cuts[:-1], cuts[1:]))
         parts = sum(smap.residual_gradient_range(y, z, lo, hi) for lo, hi in ranges)
         assert np.allclose(full, parts, atol=1e-12)
-        # Ranges index flip order; forward_factored returns user order.
+        # Ranges index positions of the data vector, as forward_factored does.
         pieces = np.concatenate([smap.forward_range(z, lo, hi) for lo, hi in ranges])
-        assert np.allclose(pieces, smap.forward_factored(z)[smap._order], atol=1e-12)
+        assert np.allclose(pieces, forward, atol=1e-12)
 
 
 def test_empty_range_contributes_nothing(rng):
@@ -243,8 +246,7 @@ def test_shuffled_map_matches_dense_and_exact_expectation(rng):
     n = 4
     mono = [monomial_from_code(int(c), n) for c in rng.permutation(4**n)[:90]]
     smap = SensingMap(n, mono, normalized=True)
-    smap._ensure_cache()
-    assert not np.array_equal(smap._order, np.arange(smap.m))
+    assert np.any(np.diff(smap._group) < 0)
     for r in (1, 2):
         assert_matches_dense(smap, rng, r)
     state = random_state(RandomCircuitSpec(n=n, depth=12, seed=3))
@@ -253,19 +255,19 @@ def test_shuffled_map_matches_dense_and_exact_expectation(rng):
 
 
 def test_shuffled_map_gradient_equals_sorted_map(rng):
-    # The cache is kept in flip order, so the serial gradient does not
-    # depend on the order the monomials were given in, bit for bit.
+    # The gradient does not depend on the order the monomials were given
+    # in, bit for bit: a flip-sorted copy of the map gives the same array,
+    # since each (group, sign) cell sums at most two terms.
     n = 5
     mono = sample_monomials(n, 300, rng)
     mono = mono + mono[:7]
     shuffled = SensingMap(n, mono, normalized=True)
-    shuffled._ensure_cache()
-    ordered = SensingMap(n, [mono[i] for i in shuffled._order], normalized=True)
+    flips, _, _ = monomial_actions(shuffled.codes, n)
+    order = np.argsort(flips, kind="stable")
+    ordered = SensingMap(n, [mono[i] for i in order], normalized=True)
     z = random_factor(rng, 2**n, 2)
     y = rng.standard_normal(len(mono))
-    assert np.array_equal(
-        shuffled.residual_gradient(y, z), ordered.residual_gradient(y[shuffled._order], z)
-    )
+    assert np.array_equal(shuffled.residual_gradient(y, z), ordered.residual_gradient(y[order], z))
 
 
 # -- kernels -----------------------------------------------------------------
@@ -328,7 +330,8 @@ def traced_peak(fn) -> int:
 def test_warm_kernels_allocate_no_operator_sized_arrays(rng):
     # n = 8 at measpc 20: G = d = 256 flip groups.  Once this thread's
     # workspace exists, a gradient allocates only length-m and d x r
-    # arrays, and an eigensolver apply only its d x 3 result.
+    # arrays, an operator build only the d x d matrix its operator keeps,
+    # and an eigensolver apply only its d x 3 result.
     n, d = 8, 256
     smap = SensingMap(n, sample_monomials(n, monomial_count(20, n), 0), normalized=True)
     groups = smap._src.shape[0]
@@ -336,6 +339,7 @@ def test_warm_kernels_allocate_no_operator_sized_arrays(rng):
     y = rng.standard_normal(smap.m)
     smap.residual_gradient(y, z)
     assert traced_peak(lambda: smap.residual_gradient(y, z)) <= 1.5 * groups * d * 16
+    assert traced_peak(lambda: smap.adjoint_operator(y)) <= 1.5 * d * d * 16
     apply = smap.adjoint_operator(y)
     block = random_factor(rng, d, 3)
     apply(block)
@@ -519,3 +523,24 @@ def test_adjoint_range_rejects_wrong_slice_length():
     smap = SensingMap(2, np.arange(16))
     with pytest.raises(ValueError, match=r"coefficient slice has shape \(2,\), expected \(3,\)"):
         smap.adjoint_range(np.ones(2), np.ones((4, 1)), 0, 3)
+
+
+@pytest.mark.parametrize("length", [1, 19, 21, 40])
+def test_wrong_length_data_is_refused(rng, length):
+    # Neither map truncates or broadcasts a data vector of another length.
+    n, m = 3, 20
+    smap = small_random_map(rng, n, m, normalized=True)
+    gmap = GaussianSensingMap(8, rng.standard_normal((m, 36)))
+    y = rng.standard_normal(length)
+    z = random_factor(rng, 8, 1)
+    message = rf"vector has shape \({length},\), expected \({m},\)"
+    config = optimizer.OptimizerConfig(eta=0.05, init="random", maxiters=5)
+    for sensing_map in (smap, gmap):
+        with pytest.raises(ValueError, match=message):
+            sensing_map.residual_gradient(y, z)
+        with pytest.raises(ValueError, match=message):
+            sensing_map.residual_gradient_range(y, z, 0, 1)
+        with pytest.raises(ValueError, match=message):
+            sensing_map.adjoint_operator(y)
+        with pytest.raises(ValueError, match=message):
+            optimizer.run(sensing_map, y, config)
