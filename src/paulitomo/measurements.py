@@ -268,9 +268,12 @@ def born_probabilities(state: PureState, settings) -> np.ndarray:
     conjugation) and the amplitudes are squared.  Rotation runs qubit by
     qubit over a prefix tree: settings that agree on axes 0..k share one
     amplitude row after qubit k, so a row is rotated once per distinct
-    prefix rather than once per setting.  Each level rotates its rows as
-    one batch of apply_single_qubit, so every row is bit-identical to
-    rotating that setting alone.
+    prefix rather than once per setting.  Each level copies its parent
+    rows once into one array, ordered by the new axis, and rotates the x
+    rows and the y rows there as one slice each through
+    apply_single_qubit, so every row is bit-identical to rotating that
+    setting alone.  The distinct rows are squared before each setting
+    gathers its own.
     """
     single = isinstance(settings, PauliSetting)
     batch = [settings] if single else list(settings)
@@ -280,21 +283,19 @@ def born_probabilities(state: PureState, settings) -> np.ndarray:
             raise ValueError(f"state has {n} qubits, setting has {setting.n}")
     labels = setting_labels(batch, n)
     rows = state.amplitudes[None, :]
-    nodes = np.zeros(1, dtype=np.int64)  # the distinct prefixes so far, sorted
-    prefix = np.zeros(len(batch), dtype=np.int64)
+    node = np.zeros(len(batch), dtype=np.int64)  # each setting's row
     for k in range(n):
-        prefix = 4 * prefix + labels[:, k]
-        child, leaf = np.unique(prefix, return_inverse=True)
-        parent = np.searchsorted(nodes, child // 4)
-        label = child % 4
-        out = np.empty((child.size, rows.shape[1]), dtype=complex)
-        for value, gate in ((1, _TO_X_BASIS), (2, _TO_Y_BASIS), (3, None)):
-            sel = label == value
-            src = rows[parent[sel]]
-            out[sel] = src if gate is None else apply_single_qubit(src, gate, k, n)
-        rows, nodes = out, child
-    probs = np.abs(rows[leaf]) ** 2
-    return probs[0] if single else probs
+        # A row's children, one per axis label that continues it: sorted by
+        # label (x 1, y 2, z 3), so each label's rows are one slice.
+        child, node = np.unique(labels[:, k] * len(rows) + node, return_inverse=True)
+        label, parent = np.divmod(child, len(rows))
+        rows = rows[parent]
+        x_end, y_end = np.searchsorted(label, [2, 3])
+        rows[:x_end] = apply_single_qubit(rows[:x_end], _TO_X_BASIS, k, n)
+        rows[x_end:y_end] = apply_single_qubit(rows[x_end:y_end], _TO_Y_BASIS, k, n)
+    probs = np.abs(rows)
+    np.square(probs, out=probs)
+    return probs[node[0]] if single else probs[node]
 
 
 def sample_record(

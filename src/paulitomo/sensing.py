@@ -11,9 +11,9 @@ encoded once, on construction.
 
 A monomial acts as a signed index permutation (see
 measurements.monomial_actions): (P z)[k] = i^ny (-1)^{popcount((k^f) & s)}
-z[k^f], with flip mask f, sign mask s and ny y-factors.  Monomials that
-share a flip f differ only in the Walsh-Hadamard character picked by s,
-so the map works per flip group:
+z[k^f], with flip mask f, sign mask s and ny = popcount(f & s) y-factors.
+Monomials that share a flip f differ only in the Walsh-Hadamard character
+picked by s, so the map works per flip group:
 
     Tr(P_i zz*) = i^ny_i WHT(w_f)[s_i],  w_f[j] = (conj(z) z^T)[j^f, j]
     A^dagger(x) = sum_f M_f,  M_f[k^f, k] = WHT(c_f)[k],
@@ -22,9 +22,33 @@ so the map works per flip group:
 where WHT is the unnormalized Walsh-Hadamard transform: w_f is the flip-f
 diagonal of conj(z) z^T, and M_f is nonzero on the flip-f diagonal only.
 
+Real arithmetic.  conj(z) z^T is Hermitian, so w_f[j^f] = conj(w_f[j]),
+and pairing j with j^f gives WHT(w_f)[s] = (-1)^ny conj(WHT(w_f)[s]): the
+transform is real where ny is even and imaginary where it is odd.  So
+WHT(Im w_f)[s] vanishes for even ny and WHT(Re w_f)[s] for odd ny, and one
+real transform of u_f = Re w_f + Im w_f carries both.  With z = a + ib,
+
+    R = Re + Im of conj(z) z^T = [a, b] [a + b, b - a]^T      (one real GEMM)
+    Tr(P_i zz*) = sigma_i WHT(u_f)[s_i],  u_f[j] = R[j^f, j]
+    sigma = Re(i^ny) - Im(i^ny),  tau = Re(i^ny) + Im(i^ny),
+
+and sigma, tau are +-1.  For the adjoint, each (f, s) cell of c_f is real
+or imaginary as ny is even or odd, so the real c'_f[s] = sum x_i tau_i
+holds both parts.  Its transform scattered as R[k^f, k] = WHT(c'_f)[k] is
+Re M_f + Im M_f, where Re M_f is symmetric and Im M_f antisymmetric under
+k -> k^f, so
+
+    A^dagger(x) = s ((R + R^T) + i (R - R^T)) / 2
+    A^dagger(x) z = s/2 [R (a - b) + R^T (a + b) + i (R (a + b) - R^T (a - b))]
+
+which is two real GEMMs against the (d, 2r) blocks [a - b, a + b] and
+[a + b, b - a].
+
 Tables.  The map builds them on construction and only reads them after,
 in the user order of `codes`: per monomial its group id, sign mask and
-phase i^ny, and per group g of the G <= min(m, d) distinct flips the row
+the signs s * sigma and s/2 * tau (the scale folded in; both products are
+exact, and the R the adjoint builds is then s/2 times the R above), and
+per group g of the G <= min(m, d) distinct flips the row
 _src[g, j] = (j ^ f_g) d + j, the flat positions of the flip-f_g diagonal
 in a d x d matrix.  The *_range methods index positions of the data
 vector, and every range call transforms all G groups.
@@ -34,20 +58,21 @@ Transform.  H_d is a Kronecker product of Sylvester factors of at most
 entries costs d times the sum of the factor sizes, at most 32 d log2(d) / 5
 multiply-adds, in BLAS.  A transform of integer counts is exact.
 
-Cost of a range call: the forward is conj(z) z^T (d^2 r), one gather of
-G d diagonal entries, a transform of G rows and one read per monomial; the
-adjoint is one scatter-add per monomial, a transform, one scatter of G d
-entries into a zeroed d x d matrix, and that matrix times z (d^2 r).
-adjoint_operator(x) builds the same matrix once and applies it as one
-matrix product per Lanczos block of the eigensolver, a GEMV for a single
-pair.
+Cost of a range call, all in real arithmetic: the forward is R (2 d^2 r),
+one gather of G d diagonal entries, a transform of G rows and one read per
+monomial; the adjoint is one scatter-add per monomial, a transform, one
+scatter of G d entries into a zeroed d x d matrix R, and the two GEMMs
+above (4 d^2 r).  adjoint_operator(x) builds the same R once, fills the
+complex d x d matrix A^dagger(x) from it and applies that as one matrix
+product per Lanczos block of the eigensolver, a GEMV for a single pair.
 
-Workspace and threads.  Calls write into buffers reused across calls and
-held per thread: the d x d matrix and two blocks of G d entries.  A warm
-gradient allocates only arrays of length m and d r, and adjoint_operator
-only the d x d matrix its operator keeps.  Threads that call one map at
-once each use their own buffers; the tables are only read, so threads can
-share a new map.  Exact simulated data are the forward map of the state.
+Workspace and threads.  Calls write into float buffers reused across calls
+and held per thread: the d x d matrix R and two blocks of G d entries,
+8 d^2 + 16 G d bytes.  A warm gradient allocates only arrays of length m
+and d r, and adjoint_operator only the complex d x d matrix its operator
+keeps.  Threads that call one map at once each use their own buffers; the
+tables are only read, so threads can share a new map.  Exact simulated
+data are the forward map of the state.
 """
 
 import threading
@@ -128,9 +153,14 @@ def _fwht(a: np.ndarray, work: np.ndarray, axis: int = 1) -> np.ndarray:
     return flat.reshape(a.shape[::-1])
 
 
+# sigma = Re(i^ny) - Im(i^ny) and tau = Re(i^ny) + Im(i^ny), by ny mod 4.
+_SIGMA = np.array([1.0, -1.0, -1.0, 1.0])
+_TAU = np.array([1.0, 1.0, -1.0, -1.0])
+
+
 class _Workspace(threading.local):
-    """One thread's buffers for a map's calls: a (d, d) complex matrix and
-    two complex blocks of G x d entries."""
+    """One thread's float buffers for a map's calls: a (d, d) matrix and two
+    blocks of G x d entries."""
 
     mat = rows = work = None
 
@@ -168,7 +198,8 @@ class SensingMap:
         flips, sign_masks, nys = monomial_actions(self.codes, self.n)
         flip_values, self._group = np.unique(flips, return_inverse=True)
         self._sign = sign_masks.astype(np.int32)
-        self._iphase = 1j ** (nys % 4)
+        self._sigma = (self.scale * _SIGMA)[nys % 4]
+        self._tau = (self.scale / 2 * _TAU)[nys % 4]
         # intp, so take and fancy assignment use it without a converted copy.
         j = np.arange(self.d, dtype=np.intp)
         self._src = (j ^ flip_values[:, None]) * self.d + j
@@ -177,30 +208,33 @@ class SensingMap:
         """This thread's (d, d) matrix and two flat blocks of G x d entries."""
         ws = self._ws
         if ws.mat is None:
-            ws.mat = np.empty((self.d, self.d), dtype=complex)
-            ws.rows, ws.work = np.empty((2, self._src.size), dtype=complex)
+            ws.mat = np.empty((self.d, self.d))
+            ws.rows, ws.work = np.empty((2, self._src.size))
         return ws.mat, ws.rows, ws.work
 
     def forward_range(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Entries lo..hi of A(u u^dagger), with the full-map scale."""
         u = as_factor(u, self.d)
-        rho, rows, work = self._buffers()
-        np.matmul(u.conj(), u.T, out=rho)
-        # w[g, j] = rho[j ^ f_g, j], the flip diagonals of conj(u) u^T.
-        w = np.take(rho.reshape(-1), self._src, out=rows.reshape(self._src.shape), mode="clip")
+        a, b = u.real, u.imag
+        r_mat, rows, work = self._buffers()
+        np.matmul(np.hstack((a, b)), np.hstack((a + b, b - a)).T, out=r_mat)
+        # w[g, j] = R[j ^ f_g, j], the flip diagonals of R.
+        w = np.take(r_mat.reshape(-1), self._src, out=rows.reshape(self._src.shape), mode="clip")
         w = _fwht(w, work)
-        return self.scale * (self._iphase[lo:hi] * w[self._sign[lo:hi], self._group[lo:hi]]).real
+        return self._sigma[lo:hi] * w[self._sign[lo:hi], self._group[lo:hi]]
 
     def forward_factored(self, u: np.ndarray) -> np.ndarray:
         """Observation vector A(u u^dagger): s * Tr(P_i u u^dagger) per entry."""
         return self.forward_range(u, 0, self.m)
 
     def _adjoint_matrix(self, x: np.ndarray, lo: int, hi: int, mat, rows, work) -> np.ndarray:
-        """mat := s * sum_{i in [lo,hi)} x_i P_i, for the slice x of length hi - lo.
+        """mat := R with s * sum_{i in [lo,hi)} x_i P_i = (R + R^T) + i (R - R^T),
+        for the slice x of length hi - lo.
 
-        rows and work are flat buffers of G x d entries.  c_f sits in the
-        columns of rows, the column transform leaves v = WHT(c_f) as rows,
-        and mat[k ^ f_g, k] = v[g, k] is one scatter through _src.
+        rows and work are flat buffers of G x d entries.  c'_f, already
+        times s/2, sits in the columns of rows, the column transform leaves
+        v = WHT(c'_f) as rows, and mat[k ^ f_g, k] = v[g, k] is one scatter
+        through _src.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (hi - lo,):
@@ -208,13 +242,8 @@ class SensingMap:
         groups = len(self._src)
         coeffs = rows.reshape(self.d, groups)
         coeffs.fill(0)
-        # One complex temporary of length m, not a real one beside it: the
-        # parts of i^ny are exactly 0 or +-1, so the product with the scale
-        # rounds once in either order.
-        terms = self._iphase[lo:hi] * x
-        terms *= self.scale
         # add.at sums repeated monomials; fancy assignment would keep one.
-        np.add.at(rows, self._sign[lo:hi] * groups + self._group[lo:hi], terms)
+        np.add.at(rows, self._sign[lo:hi] * groups + self._group[lo:hi], self._tau[lo:hi] * x)
         mat.fill(0)
         mat.reshape(-1)[self._src] = _fwht(coeffs, work, axis=0)
         return mat
@@ -222,7 +251,13 @@ class SensingMap:
     def adjoint_range(self, x: np.ndarray, z: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Partial adjoint s * sum_{i in [lo,hi)} x_i P_i z, for the slice x of length hi - lo."""
         z = as_factor(z, self.d)
-        return self._adjoint_matrix(x, lo, hi, *self._buffers()) @ z
+        plus, minus = z.real + z.imag, z.real - z.imag
+        r_mat = self._adjoint_matrix(x, lo, hi, *self._buffers())
+        # Interleaved columns, so that parts[k, 2c] + i parts[k, 2c + 1] is
+        # entry (k, c) of the result and parts is its float view.
+        parts = r_mat @ np.stack((minus, plus), axis=2).reshape(self.d, -1)
+        parts += r_mat.T @ np.stack((plus, -minus), axis=2).reshape(self.d, -1)
+        return parts.view(complex)
 
     def adjoint_times(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """A^dagger(x) @ z = s * sum_i x_i P_i z, column-wise."""
@@ -230,9 +265,10 @@ class SensingMap:
 
     def adjoint_operator(self, x: np.ndarray):
         """The fixed operator Z -> A^dagger(x) Z: the d x d matrix, built once."""
+        r_mat = self._adjoint_matrix(as_data(x, self.m), 0, self.m, *self._buffers())
         mat = np.empty((self.d, self.d), dtype=complex)
-        _, rows, work = self._buffers()
-        self._adjoint_matrix(as_data(x, self.m), 0, self.m, mat, rows, work)
+        np.add(r_mat, r_mat.T, out=mat.real)
+        np.subtract(r_mat, r_mat.T, out=mat.imag)
         return lambda z: mat @ as_factor(z, self.d)
 
     def residual_gradient_range(self, y: np.ndarray, z: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -180,9 +180,12 @@ def test_empty_range_contributes_nothing(rng):
 
 # -- flip-group operator against the dense oracle ----------------------------
 
-def assert_matches_dense(smap, rng, r):
-    """Forward, adjoint and residual gradient agree with dense matrices."""
-    z = random_factor(rng, smap.d, r)
+def assert_matches_dense(smap, rng, r, kind="complex"):
+    """Forward, adjoint and residual gradient agree with dense matrices, for
+    a real, purely imaginary or general complex factor."""
+    z = random_factor(rng, smap.d, r, real=kind != "complex")
+    if kind == "imaginary":
+        z = 1j * z
     x = rng.standard_normal(smap.m)
     forward = dense_forward(smap.codes, smap.n, z @ z.conj().T, scale=smap.scale)
     assert np.allclose(smap.forward_factored(z), forward, atol=1e-10)
@@ -194,7 +197,10 @@ def assert_matches_dense(smap, rng, r):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_full_map_matches_dense(rng, r):
-    assert_matches_dense(full_map(3, normalized=True), rng, r)
+    # Every flip group and every ny mod 4 appears, so every sign of the
+    # real-arithmetic tables is checked.
+    for kind in ("real", "imaginary", "complex"):
+        assert_matches_dense(full_map(3, normalized=True), rng, r, kind)
 
 
 def test_shared_flip_groups_match_dense(rng):
@@ -311,10 +317,11 @@ def test_adjoint_operator_matches_dense(rng, n):
     mono = sample_monomials(n, min(3 * d, 4**n), rng)
     smap = SensingMap(n, mono + mono[:3], normalized=True)  # repeated monomials add up
     x = rng.standard_normal(smap.m)
-    z = random_factor(rng, d, 3)
-    expected = dense_adjoint(smap.codes, n, x, scale=smap.scale) @ z
-    got = smap.adjoint_operator(x)(z)
-    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    apply = smap.adjoint_operator(x)
+    dense = dense_adjoint(smap.codes, n, x, scale=smap.scale)
+    for z in (random_factor(rng, d, 3), 1j * random_factor(rng, d, 3, real=True)):
+        expected = dense @ z
+        assert np.abs(apply(z) - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def traced_peak(fn) -> int:
@@ -328,17 +335,20 @@ def traced_peak(fn) -> int:
 
 
 def test_warm_kernels_allocate_no_operator_sized_arrays(rng):
-    # n = 8 at measpc 20: G = d = 256 flip groups.  Once this thread's
-    # workspace exists, a gradient allocates only length-m and d x r
-    # arrays, an operator build only the d x d matrix its operator keeps,
-    # and an eigensolver apply only its d x 3 result.
+    # n = 8 at measpc 20: G = d = 256 flip groups.  This thread's workspace
+    # is one float d x d matrix and two float G x d blocks.  Once it exists,
+    # a gradient allocates only length-m and d x r arrays, an operator
+    # build only the complex d x d matrix its operator keeps, and an
+    # eigensolver apply only its d x 3 result.
     n, d = 8, 256
     smap = SensingMap(n, sample_monomials(n, monomial_count(20, n), 0), normalized=True)
     groups = smap._src.shape[0]
     z = random_factor(rng, d, 1)
     y = rng.standard_normal(smap.m)
     smap.residual_gradient(y, z)
-    assert traced_peak(lambda: smap.residual_gradient(y, z)) <= 1.5 * groups * d * 16
+    ws = smap._ws
+    assert ws.mat.nbytes + ws.rows.nbytes + ws.work.nbytes == 8 * d * d + 16 * groups * d
+    assert traced_peak(lambda: smap.residual_gradient(y, z)) <= 1.5 * groups * d * 8
     assert traced_peak(lambda: smap.adjoint_operator(y)) <= 1.5 * d * d * 16
     apply = smap.adjoint_operator(y)
     block = random_factor(rng, d, 3)
