@@ -293,8 +293,7 @@ def born_probabilities(state: PureState, settings) -> np.ndarray:
         x_end, y_end = np.searchsorted(label, [2, 3])
         rows[:x_end] = apply_single_qubit(rows[:x_end], _TO_X_BASIS, k, n)
         rows[x_end:y_end] = apply_single_qubit(rows[x_end:y_end], _TO_Y_BASIS, k, n)
-    probs = np.abs(rows)
-    np.square(probs, out=probs)
+    probs = np.abs(rows) ** 2
     return probs[node[0]] if single else probs[node]
 
 
