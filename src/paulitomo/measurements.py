@@ -6,7 +6,8 @@ Encoding: inside the library a monomial is its base-4 code, an integer in
 label over {0, 1, 2, 3} for (identity, x, y, z), and a set of monomials is
 an int64 code array.  The label tuple PauliMonomial and the string over
 {I, X, Y, Z} (qubit 0 first) exist only at the API and file edges.  A
-measurement setting is a string over {x, y, z}, one axis per qubit.
+measurement setting is a string over {x, y, z}, one axis per qubit: the
+string of a monomial with no identity, in lower case.
 Outcomes are integers j in [0, 2^n) with qubit 0 as the most significant
 bit, the package-wide convention, and bit value b at a qubit means
 eigenvalue (-1)^b of that qubit's measured Pauli axis.  A record's counts
@@ -23,16 +24,18 @@ setting's shots by sorting its uniforms and looking up each cumulative
 weight once, which gives exactly the counts of a per-shot inverse-CDF
 lookup on the same uniforms.
 
-One array codec converts between the monomial forms, m at a time:
-_labels takes codes to an (m, n) label array and _codes takes it back,
-_letters spells label rows as IXYZ strings through one byte table, and
-_text_labels reads strings (either case, ASCII only) back to labels.
-PauliMonomial.code, __str__ and from_string use it too.  A PauliMonomial
-built from labels (or from_string) validates them; one built from codes
-that are already checked (sample_monomials, monomial_from_code) is made
-from the label rows without __post_init__ and carries its code, so
-monomial_codes reads the codes back instead of re-encoding.  Equality,
-hash and repr read the labels only.
+One array codec converts between the forms of every Pauli string, m at
+a time: _labels takes codes to an (m, n) label array and _codes takes it
+back, _letters spells label rows as IXYZ strings through one byte table,
+and _text_labels reads strings (either case, ASCII only) back to labels.
+PauliMonomial's code, __str__ and from_string use it, and so do settings:
+code_settings spells labels with identity read as z, in lower case, and
+setting_labels reads axes strings back.  Every PauliMonomial carries its
+code, which monomial_codes reads.  One built from labels validates and
+encodes them once; one built from checked codes (sample_monomials,
+monomial_from_code, from_string) is made from the label rows without
+__post_init__ and given its code.  Equality, hash and repr read the labels
+only.
 
 The action of a monomial on a state vector is a signed index permutation:
 x and y flip the qubit's bit, y and z contribute a sign from the bit value,
@@ -53,9 +56,6 @@ from .states import PureState, _HADAMARD, apply_single_qubit
 _LETTERS = np.frombuffer(b"IXYZ", dtype=np.uint8)
 _LABEL_OF_BYTE = np.full(256, 4, dtype=np.int64)
 _LABEL_OF_BYTE[_LETTERS] = _LABEL_OF_BYTE[_LETTERS + 32] = np.arange(4)
-# The axis each label is measured along, identity along z; labels 1, 2, 3
-# are the axes x, y, z.
-_AXIS_FOR_LABEL = "zxyz"
 
 # Inverse basis-change matrices: rows are the measurement-basis bras.
 _TO_X_BASIS = _HADAMARD
@@ -64,18 +64,21 @@ _TO_Y_BASIS = _HADAMARD @ np.diag([1.0, -1.0j])  # Hadamard after S^dagger
 
 @dataclass(frozen=True, slots=True)
 class PauliMonomial:
-    """n-fold tensor product of single-qubit Paulis, as a label tuple."""
+    """n-fold tensor product of single-qubit Paulis, as a label tuple, and
+    its base-4 code."""
 
     labels: tuple
-    _code: int | None = field(default=None, init=False, repr=False, compare=False)
+    code: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        labels = tuple(int(l) for l in self.labels)
+        labels = tuple(self.labels)
         if not labels:
             raise ValueError("monomial must cover at least one qubit")
-        if any(l not in (0, 1, 2, 3) for l in labels):
+        if not all(isinstance(l, (int, np.integer)) and not isinstance(l, bool) and 0 <= l <= 3
+                   for l in labels):
             raise ValueError(f"labels must be in {{0,1,2,3}}, got {labels}")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", tuple(map(int, labels)))
+        object.__setattr__(self, "code", int(_codes([self.labels])[0]))
 
     @property
     def n(self) -> int:
@@ -87,10 +90,6 @@ class PauliMonomial:
         if labels is None or not text:
             raise ValueError(f"monomial string must be over IXYZ, got {text!r}")
         return _monomials(_codes(labels), len(text))[0]
-
-    @property
-    def code(self) -> int:
-        return int(_codes([self.labels])[0]) if self._code is None else self._code
 
     def __str__(self) -> str:
         return _letters([self.labels])[0]
@@ -177,7 +176,7 @@ def _monomials(codes: np.ndarray, n: int) -> list:
     for row, code in zip(_labels(codes, n).tolist(), codes.tolist()):
         p = object.__new__(PauliMonomial)
         object.__setattr__(p, "labels", tuple(row))
-        object.__setattr__(p, "_code", code)
+        object.__setattr__(p, "code", code)
         out.append(p)
     return out
 
@@ -189,19 +188,13 @@ def monomial_from_code(code: int, n: int) -> PauliMonomial:
 
 def monomial_codes(monomials, n: int) -> np.ndarray:
     """The int64 codes of n-qubit monomials given as integer codes or as
-    PauliMonomials.  A PauliMonomial's carried code is read; only one built
-    from labels, which carries none, is encoded here, at the API edge."""
+    PauliMonomials, whose carried codes are read."""
     if n < 1:
         raise ValueError(f"qubit count must be positive, got {n}")
     if not isinstance(monomials, np.ndarray):
         monomials = list(monomials)
         if monomials and all(isinstance(p, PauliMonomial) and p.n == n for p in monomials):
-            codes = [-1 if p._code is None else p._code for p in monomials]
-            codes = np.array(codes, dtype=np.int64)
-            bare = np.flatnonzero(codes < 0)
-            if bare.size:
-                codes[bare] = _codes([monomials[i].labels for i in bare])
-            monomials = codes
+            monomials = [p.code for p in monomials]
     codes = np.asarray(monomials)
     if codes.ndim != 1 or codes.size == 0 or not np.issubdtype(codes.dtype, np.integer):
         raise ValueError(f"need one or more {n}-qubit PauliMonomials or integer codes")
@@ -247,15 +240,15 @@ def setting_of(p: PauliMonomial) -> PauliSetting:
 
 
 def code_settings(codes, n: int) -> list:
-    """The measurement setting of each monomial code; identity digits read as z."""
-    axes = np.frombuffer(_AXIS_FOR_LABEL.encode(), dtype=np.uint8)[_labels(codes, n)]
-    return [PauliSetting(row.tobytes().decode()) for row in axes]
+    """The measurement setting of each monomial code: its string with
+    identity read as z, in lower case."""
+    labels = _labels(codes, n)
+    return [PauliSetting(t.lower()) for t in _letters(np.where(labels == 0, 3, labels))]
 
 
 def setting_labels(settings, n: int) -> np.ndarray:
-    """(S, n) labels of the settings' axes (x 1, y 2, z 3), read from their bytes."""
-    axes = np.frombuffer("".join(s.axes for s in settings).encode(), dtype=np.uint8)
-    return 1 + np.searchsorted(list(_AXIS_FOR_LABEL[1:].encode()), axes).reshape(len(settings), n)
+    """(S, n) labels of n-qubit settings' axes (x 1, y 2, z 3)."""
+    return _text_labels([s.axes for s in settings], n)
 
 
 def born_probabilities(state: PureState, settings) -> np.ndarray:
@@ -332,11 +325,9 @@ def sample_record(
 
 
 def _check_setting_match(record_setting: PauliSetting, p: PauliMonomial):
-    for axis, label in zip(record_setting.axes, p.labels):
-        if label != 0 and _AXIS_FOR_LABEL[label] != axis:
-            raise ValueError(
-                f"record setting {record_setting.axes!r} does not measure monomial {p}"
-            )
+    axes = setting_labels([record_setting], p.n)[0].tolist()
+    if any(label not in (0, axis) for label, axis in zip(p.labels, axes)):
+        raise ValueError(f"record setting {record_setting.axes!r} does not measure monomial {p}")
 
 
 def expectation_from_distribution(

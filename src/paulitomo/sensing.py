@@ -236,9 +236,7 @@ class SensingMap:
         v = WHT(c'_f) as rows, and mat[k ^ f_g, k] = v[g, k] is one scatter
         through _src.
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (hi - lo,):
-            raise ValueError(f"coefficient slice has shape {x.shape}, expected ({hi - lo},)")
+        x = as_data(x, hi - lo)
         groups = len(self._src)
         coeffs = rows.reshape(self.d, groups)
         coeffs.fill(0)
@@ -261,11 +259,11 @@ class SensingMap:
 
     def adjoint_times(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """A^dagger(x) @ z = s * sum_i x_i P_i z, column-wise."""
-        return self.adjoint_range(as_data(x, self.m), z, 0, self.m)
+        return self.adjoint_range(x, z, 0, self.m)
 
     def adjoint_operator(self, x: np.ndarray):
         """The fixed operator Z -> A^dagger(x) Z: the d x d matrix, built once."""
-        r_mat = self._adjoint_matrix(as_data(x, self.m), 0, self.m, *self._buffers())
+        r_mat = self._adjoint_matrix(x, 0, self.m, *self._buffers())
         mat = np.empty((self.d, self.d), dtype=complex)
         np.add(r_mat, r_mat.T, out=mat.real)
         np.subtract(r_mat, r_mat.T, out=mat.imag)

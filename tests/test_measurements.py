@@ -29,10 +29,12 @@ from paulitomo.measurements import (
     _labels,
     _letters,
     _text_labels,
+    code_settings,
     monomial_actions,
     monomial_codes,
     monomial_from_code,
     sample_codes,
+    setting_labels,
 )
 
 from conftest import (
@@ -134,8 +136,11 @@ def test_monomial_string_round_trip():
 # -- the code <-> labels <-> object <-> string codec ---------------------------
 
 def codec_codes(n):
-    """Both ends of [0, 4^n) and a seeded sample between them."""
-    return np.concatenate([[0, 4**n - 1], sample_codes(n, min(4**n, 200), seed=n)])
+    """Every code for n <= 4; else both ends of [0, 4^n) and a seeded sample
+    between them."""
+    if n <= 4:
+        return np.arange(4**n)
+    return np.concatenate([[0, 4**n - 1], sample_codes(n, 200, seed=n)])
 
 
 @pytest.mark.parametrize("n", [*range(1, 13), 16, 30])
@@ -150,6 +155,17 @@ def test_codec_round_trips(n):
     assert np.array_equal(monomial_codes(monomials, n), codes)
     assert [str(p) for p in monomials] == texts
     assert [PauliMonomial.from_string(t).code for t in texts] == codes.tolist()
+    # Strings, settings and label-built monomials agree with references
+    # spelled from the test's own tables.
+    rows = [[(c >> 2 * (n - 1 - k)) & 3 for k in range(n)] for c in codes.tolist()]
+    assert texts == ["".join("IXYZ"[l] for l in row) for row in rows]
+    settings = code_settings(codes, n)
+    assert [s.axes for s in settings] == ["".join("zxyz"[l] for l in row) for row in rows]
+    assert setting_labels(settings, n).tolist() == [[l or 3 for l in row] for row in rows]
+    by_labels = [PauliMonomial(tuple(row)) for row in rows]
+    assert by_labels == monomials and [p.code for p in by_labels] == codes.tolist()
+    mixed = [(by_labels if i % 3 else monomials)[i] for i in range(len(codes))]
+    assert np.array_equal(monomial_codes(mixed, n), codes)
 
 
 def test_codec_reaches_past_int32():
@@ -487,6 +503,10 @@ def test_sample_record_rejects_nan_probability():
     [
         pytest.param(lambda: PauliMonomial(()), "at least one qubit", id="monomial-empty"),
         pytest.param(lambda: PauliMonomial((4,)), "labels must be in", id="monomial-label-4"),
+        pytest.param(lambda: PauliMonomial((1, 2.7)), "labels must be in", id="monomial-label-float"),
+        pytest.param(lambda: PauliMonomial((0.5, 3)), "labels must be in", id="monomial-label-half"),
+        pytest.param(lambda: PauliMonomial(("1", "2")), "labels must be in", id="monomial-label-str"),
+        pytest.param(lambda: PauliMonomial((True, 3)), "labels must be in", id="monomial-label-bool"),
         pytest.param(lambda: PauliSetting("xq"), "axes must be", id="setting-bad-axis"),
         pytest.param(lambda: MeasurementRecord(PauliSetting("z"), 0, np.array([0, 0])), "shots must be >= 1",
                      id="record-zero-shots"),

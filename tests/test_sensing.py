@@ -531,7 +531,7 @@ def test_map_keeps_base4_codes():
 
 def test_adjoint_range_rejects_wrong_slice_length():
     smap = SensingMap(2, np.arange(16))
-    with pytest.raises(ValueError, match=r"coefficient slice has shape \(2,\), expected \(3,\)"):
+    with pytest.raises(ValueError, match=r"vector has shape \(2,\), expected \(3,\)"):
         smap.adjoint_range(np.ones(2), np.ones((4, 1)), 0, 3)
 
 
