@@ -48,7 +48,7 @@ from .optimizer import (
     theoretical_mu,
 )
 from .parallel import parallel_gradient, parallel_run
-from .sensing import ObservationVector, SensingMap, observe, observe_with_records
+from .sensing import SensingMap, observe, observe_with_records
 from .states import (
     PureState,
     RandomCircuitSpec,

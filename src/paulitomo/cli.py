@@ -189,7 +189,7 @@ def _cmd_measure(args) -> int:
     if args.records_out and args.exact:
         raise ValueError("exact mode produces no measurement records")
     _, sensing_map, obs, records = _simulate_pipeline(args, normalized=not args.unnormalized)
-    serialize.save_json(serialize.expectations_to_json(sensing_map, obs.values), args.out)
+    serialize.save_json(serialize.expectations_to_json(sensing_map, obs), args.out)
     if args.records_out:
         serialize.save_json(
             serialize.records_to_json(args.n, args.shots, records), args.records_out
@@ -231,7 +231,7 @@ def _cmd_baseline(args) -> int:
     if args.exact:
         # Monomials in code order, so the values are already code-indexed.
         sensing_map = SensingMap(args.n, np.arange(4**args.n), normalized=False)
-        values = observe_with_records(state, sensing_map, shots=None, seed=args.seed)[0].values
+        values = observe_with_records(state, sensing_map, shots=None, seed=args.seed)[0]
     else:
         records = simulate_records(state, all_settings(args.n), args.shots, seed=args.seed)
         values = baselines.complete_expectations(records)

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import operator_norm, top_eigen
-from .metrics import as_factor, fidelity_rank1, frobenius_error
+from .metrics import as_data, as_factor, fidelity_rank1, frobenius_error
 from .seeding import substream
-from .sensing import ObservationVector
 from .states import PureState
 
 KAPPA = 1.223  # sensing condition number of the pure-state analysis
@@ -145,12 +144,6 @@ def resolve_mu(config: OptimizerConfig, tau: float = 1.0) -> float:
     return mu if epsilon is None else theoretical_mu(config.rank, tau, epsilon)
 
 
-def observation_values(y) -> np.ndarray:
-    if isinstance(y, ObservationVector):
-        return y.values
-    return np.asarray(y, dtype=float).ravel()
-
-
 def random_init(d: int, r: int, seed: int = 0, real: bool = False) -> np.ndarray:
     """i.i.d. Gaussian factor scaled to unit Frobenius norm."""
     rng = substream(seed, "init")
@@ -167,7 +160,7 @@ def spectral_init(sensing_map, y, r: int, L_hat: float = 1.1, seed: int = 0) -> 
     of block width r, runs on the map's fixed operator Z -> A^dagger(y) Z;
     column j is v_j * sqrt(max(lambda_j / c, 0) / L_hat).
     """
-    y = observation_values(y)
+    y = as_data(y, sensing_map.m)
     values, vectors = top_eigen(sensing_map.adjoint_operator(y), sensing_map.d, r, tol=1e-9, seed=seed)
     cols = np.sqrt(np.maximum(values / sensing_map.gain, 0.0) / L_hat)
     return vectors * cols[None, :]
@@ -181,7 +174,7 @@ def compute_step_size(sensing_map, y, z0: np.ndarray, L_hat: float = 1.1) -> flo
     the second from the Lanczos solver (one column per step) on the map's
     fixed operator Z -> A^dagger(A(Z0 Z0*) - y) Z.
     """
-    y = observation_values(y)
+    y = as_data(y, sensing_map.m)
     z0 = as_factor(z0, sensing_map.d)
     if not np.any(z0):
         raise ValueError("step-size rule needs a nonzero Z0")
@@ -211,15 +204,16 @@ def _target_metrics(u: np.ndarray, target):
 def run(sensing_map, y, config: OptimizerConfig, target=None, gradient_fn=None):
     """Iterate the momentum recursion until reltol or maxiters.
 
-    target (a PureState or a d x r factor) is consumed only for trace
-    metrics.  gradient_fn, if given, replaces the map's residual_gradient
-    and must return A^dagger(A(zz*) - y) z for the same map and data; no
-    library caller passes one, but perfbench/tracing.py always passes the
-    keyword.
+    y is the data vector, checked once by metrics.as_data as a float array
+    of shape (m,) for the map's m.  target (a PureState or a d x r factor)
+    is consumed only for trace metrics.  gradient_fn, if given, replaces
+    the map's residual_gradient and must return A^dagger(A(zz*) - y) z for
+    the same map and data; no library caller passes one, but
+    perfbench/tracing.py always passes the keyword.
 
     Returns (factor, ConvergenceTrace).
     """
-    y = observation_values(y)
+    y = as_data(y, sensing_map.m)
     d, r = sensing_map.d, config.rank
     if config.init == "spectral":
         u = spectral_init(sensing_map, y, r, config.L_hat, seed=config.seed)

@@ -16,7 +16,7 @@ from . import optimizer
 
 def parallel_gradient(sensing_map, y, z: np.ndarray, p: int) -> np.ndarray:
     """The residual gradient A^dagger(A(zz*) - y) z; p is accepted and unused."""
-    return sensing_map.residual_gradient(optimizer.observation_values(y), z)
+    return sensing_map.residual_gradient(y, z)
 
 
 def parallel_run(sensing_map, y, config, p: int, target=None):

@@ -76,7 +76,6 @@ data are the forward map of the state.
 """
 
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -279,21 +278,6 @@ class SensingMap:
         return self.residual_gradient_range(y, z, 0, self.m)
 
 
-@dataclass
-class ObservationVector:
-    """Measured data aligned with a sensing map's monomial order."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).ravel()
-        if values.size < 1:
-            raise ValueError("observation vector must be nonempty")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("observation values must be finite")
-        self.values = values
-
-
 def parity_means(records) -> np.ndarray:
     """(S, 2^n) parity means of S records: entry s of row i, the mean of
     (-1)^popcount(outcome & s), is the integer (so exact) Walsh-Hadamard
@@ -317,7 +301,8 @@ def observe_with_records(
     shots: int | None = None,
     seed: int = 0,
 ):
-    """Simulate the data vector y; returns (ObservationVector, records).
+    """Simulate the data vector y; returns (y, records), y the float array
+    of shape (m,) in the map's monomial order.
 
     Exact mode (shots None) is the map's forward operator on the state,
     each value clamped to [-s, s] (s the map's scale) as exact_expectation
@@ -334,7 +319,7 @@ def observe_with_records(
         raise ValueError(f"state has {state.n} qubits, map has {sensing_map.n}")
     s = sensing_map.scale
     if shots is None:
-        return ObservationVector(np.clip(sensing_map.forward_factored(state.amplitudes), -s, s)), []
+        return np.clip(sensing_map.forward_factored(state.amplitudes), -s, s), []
     flips, sign_masks, _ = monomial_actions(sensing_map.codes, sensing_map.n)
     # Per qubit, x sets the flip bit and y the flip and sign bits; identity
     # and z set neither once signs are masked by flips.  So two monomials
@@ -346,7 +331,7 @@ def observe_with_records(
     records = simulate_records(state, settings, shots, seed)
     record_of = np.argsort(order)[inverse]
     values = parity_means(records)[record_of, flips | sign_masks]
-    return ObservationVector(s * values), records
+    return s * values, records
 
 
 def observe(
@@ -354,10 +339,9 @@ def observe(
     sensing_map: SensingMap,
     shots: int | None = None,
     seed: int = 0,
-) -> ObservationVector:
-    """Simulate the data vector y for a state under a sensing map."""
-    obs, _ = observe_with_records(state, sensing_map, shots=shots, seed=seed)
-    return obs
+) -> np.ndarray:
+    """Simulate the data vector y, a float array of shape (m,), for a state under a sensing map."""
+    return observe_with_records(state, sensing_map, shots=shots, seed=seed)[0]
 
 
 def simulate_records(state: PureState, settings, shots: int, seed: int = 0) -> list:

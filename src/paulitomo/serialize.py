@@ -33,7 +33,7 @@ from .baselines import CalibrationMatrix
 from .measurements import _codes, _labels, _letters, _text_labels
 from .metrics import as_factor
 from .optimizer import ConvergenceTrace, OptimizerConfig
-from .sensing import ObservationVector, SensingMap
+from .sensing import SensingMap
 from .states import PureState
 
 
@@ -62,7 +62,7 @@ def floats_from_json(value, what: str) -> np.ndarray:
     true/false included, is a ValueError."""
     try:
         out = None if _has_bool(value) else np.array(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out = None
     if not isinstance(value, list) or out is None or not np.all(np.isfinite(out)):
         raise ValueError(f"{what} must be a JSON array of finite numbers")
@@ -110,8 +110,9 @@ def expectations_to_json(sensing_map: SensingMap, values) -> dict:
 
 
 def expectations_from_json(obj: dict):
-    """Returns (SensingMap, ObservationVector) rebuilt from the file; the
-    monomial strings are checked and encoded as one byte array."""
+    """Returns (SensingMap, values) rebuilt from the file, values the float
+    array of shape (m,) read by floats_from_json; the monomial strings are
+    checked and encoded as one byte array."""
     n = _field(obj, "expectations", "n", int)
     items = _field(obj, "expectations", "items", list)
     texts = [_field(i, "expectations", "monomial", str) for i in items]
@@ -120,8 +121,9 @@ def expectations_from_json(obj: dict):
         bad = next(t for t in texts if _text_labels([t], n) is None)
         raise ValueError(f"expectations file: monomial {bad!r} is not {n} letters of IXYZ")
     values = [_field(i, "expectations", "value", (int, float)) for i in items]
+    values = floats_from_json(values, "observation values")
     normalized = _field(obj, "expectations", "normalized", bool)
-    return SensingMap(n, _codes(labels), normalized=normalized), ObservationVector(values)
+    return SensingMap(n, _codes(labels), normalized=normalized), values
 
 
 def factor_to_json(factor: np.ndarray) -> dict:

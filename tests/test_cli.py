@@ -484,6 +484,26 @@ def test_reconstruct_expectations_file_with_non_finite_value(tmp_path, capsys):
     assert_clean_failure(capsys, code, "observation values", "finite")
 
 
+# JSON reads a 400-digit integer as a Python int that no float holds.
+HUGE_INT = "1" + "0" * 400
+
+
+def test_reconstruct_expectations_file_with_overflowing_integer(tmp_path, capsys):
+    text = '{"version": 1, "n": 1, "normalized": true, "items": [{"monomial": "X", '
+    text += f'"value": {HUGE_INT}}}, {{"monomial": "Z", "value": 0.5}}]}}'
+    infile = write(tmp_path / "e.json", text)
+    code = invoke("reconstruct", "--in", infile, "--out", tmp_path / "r.json")
+    assert_clean_failure(capsys, code, "observation values", "finite")
+
+
+def test_mitigate_calibration_with_overflowing_integer(tmp_path, capsys):
+    cal = write(tmp_path / "cal.json", f'{{"n": 1, "columns": [[{HUGE_INT}, 0.1], [0.2, 0.8]]}}')
+    vec = tmp_path / "v.json"
+    serialize.save_json([0.7, 0.3], vec)
+    code = invoke("mitigate", "--calibration", cal, "--in", vec, "--out", tmp_path / "o.json")
+    assert_clean_failure(capsys, code, "calibration columns", "finite")
+
+
 @pytest.mark.parametrize("monomial", ["XZZ", "X", "XQ"])
 def test_reconstruct_expectations_file_with_bad_monomial(tmp_path, capsys, monomial):
     items = [{"monomial": "XZ", "value": 0.5}, {"monomial": monomial, "value": 0.25}]

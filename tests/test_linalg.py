@@ -262,7 +262,7 @@ def pauli_operators(n, seed):
     """Dense A^dagger(y) of exact data and A^dagger of the auto step's residual."""
     state = build_state("random", n, 20, seed)
     smap = SensingMap(n, sample_codes(n, monomial_count(30, n), substream(seed, "monomials")))
-    y = observe(state, smap, seed=seed).values
+    y = observe(state, smap, seed=seed)
     residual = smap.forward_factored(spectral_init(smap, y, 1, seed=seed)) - y
     eye = np.eye(smap.d)
     return smap.adjoint_operator(y)(eye), smap.adjoint_operator(residual)(eye), 1

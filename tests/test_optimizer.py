@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from paulitomo import (
     density_of,
     ghz,
     observe,
+    parallel_gradient,
     random_init,
     run,
     sample_monomials,
@@ -51,7 +53,7 @@ def test_spectral_init_complete_ghz3():
     u0 = spectral_init(smap, y, r=1, L_hat=1.1)
     # Oracle: eigen-decompose the explicitly built sum of y_i P_i, divided
     # by the unnormalized gain m / d = 64 / 8.
-    mat = dense_adjoint(smap.codes, smap.n, y.values)
+    mat = dense_adjoint(smap.codes, smap.n, y)
     vals, vecs = np.linalg.eigh(mat)
     expected = vecs[:, -1] * np.sqrt(vals[-1] / 8.0 / 1.1)
     phase = np.vdot(u0[:, 0], expected)
@@ -100,7 +102,7 @@ def test_spectral_init_small_eigengap_data(tmp_path, circuit, seed):
     smap = SensingMap(6, sample_monomials(6, monomial_count(5, 6), substream(seed, "monomials")))
     y = observe(state, smap, shots=4096, seed=seed)
     u0 = spectral_init(smap, y, r=1, L_hat=1.1, seed=seed)
-    top = np.linalg.eigvalsh(smap.adjoint_operator(y.values)(np.eye(64)))[-1]
+    top = np.linalg.eigvalsh(smap.adjoint_operator(y)(np.eye(64)))[-1]
     # Divided by the normalized gain d = 64.
     assert np.linalg.norm(u0[:, 0]) ** 2 * 1.1 == pytest.approx(top / 64.0, rel=1e-9)
 
@@ -202,7 +204,7 @@ def test_fgd_equivalence_dense_recursion(rng):
         rho = u @ u.conj().T
         forward = np.array([s * np.trace(pmat @ rho).real for pmat in dense_ps])
         grad = np.zeros((8, 8), dtype=complex)
-        for coeff, pmat in zip(forward - y.values, dense_ps):
+        for coeff, pmat in zip(forward - y, dense_ps):
             grad += s * coeff * pmat
         u = u - eta * grad @ u
     assert trace.iterations == 20
@@ -215,7 +217,7 @@ def test_run_single_iteration_is_one_step(rng):
     config = OptimizerConfig(rank=1, eta=1e-3, mu=0.0, maxiters=1, reltol=1e-12, init="random", seed=8)
     factor, trace = run(smap, y, config)
     u0 = random_init(8, 1, seed=8)
-    expected = u0 - 1e-3 * smap.residual_gradient(y.values, u0)
+    expected = u0 - 1e-3 * smap.residual_gradient(y, u0)
     assert trace.iterations == 1
     assert np.allclose(factor, expected, atol=1e-14)
 
@@ -368,3 +370,20 @@ def test_theoretical_mu_rejects_non_finite_tau(bad):
 def test_optimizer_validation_raises(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("shape", ["short", "column"])
+@pytest.mark.parametrize("entry", ["run", "spectral_init", "compute_step_size", "parallel_gradient"])
+def test_data_vector_shape_checked_up_front(entry, shape):
+    # y is the (m,) float vector of metrics.as_data; an (m, 1) column is not raveled.
+    smap, y = full_exact_problem(ghz(3))
+    bad = y[:-1] if shape == "short" else y[:, None]
+    z = random_factor(np.random.default_rng(0), smap.d, 1)
+    calls = {
+        "run": lambda: run(smap, bad, OptimizerConfig(maxiters=2)),
+        "spectral_init": lambda: spectral_init(smap, bad, 1),
+        "compute_step_size": lambda: compute_step_size(smap, bad, z),
+        "parallel_gradient": lambda: parallel_gradient(smap, bad, z, 2),
+    }
+    with pytest.raises(ValueError, match=re.escape(f"vector has shape {bad.shape}, expected ({smap.m},)")):
+        calls[entry]()

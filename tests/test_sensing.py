@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from paulitomo import (
-    ObservationVector,
     PauliMonomial,
     RandomCircuitSpec,
     SensingMap,
@@ -257,7 +256,7 @@ def test_shuffled_map_matches_dense_and_exact_expectation(rng):
         assert_matches_dense(smap, rng, r)
     state = random_state(RandomCircuitSpec(n=n, depth=12, seed=3))
     expected = [smap.scale * exact_expectation(state, p) for p in mono]
-    assert np.allclose(observe(state, smap).values, expected, atol=1e-12)
+    assert np.allclose(observe(state, smap), expected, atol=1e-12)
 
 
 def test_shuffled_map_gradient_equals_sorted_map(rng):
@@ -362,7 +361,7 @@ def test_observe_exact_full_map_matches_dense():
     state = ghz(3)
     smap = full_map(3, normalized=False)
     obs = observe(state, smap)
-    assert np.allclose(obs.values, dense_forward(smap.codes, smap.n, density_of(state)), atol=1e-10)
+    assert np.allclose(obs, dense_forward(smap.codes, smap.n, density_of(state)), atol=1e-10)
 
 
 def test_observe_identity_entry_sampled_exact_value(rng):
@@ -370,15 +369,15 @@ def test_observe_identity_entry_sampled_exact_value(rng):
     mono = [PauliMonomial((0, 0)), PauliMonomial((1, 1))]
     smap = SensingMap(2, mono, normalized=False)
     obs = observe(state, smap, shots=64, seed=3)
-    assert obs.values[0] == 1.0  # parity-0 identity row is exact
+    assert obs[0] == 1.0  # parity-0 identity row is exact
 
 
 def test_observe_sampled_converges_to_exact(rng):
     state = ghz(3)
     mono = sample_monomials(3, 20, rng)
     smap = SensingMap(3, mono, normalized=False)
-    exact = observe(state, smap).values
-    sampled = observe(state, smap, shots=1_000_000, seed=5).values
+    exact = observe(state, smap)
+    sampled = observe(state, smap, shots=1_000_000, seed=5)
     assert np.max(np.abs(sampled - exact)) < 0.01
 
 
@@ -398,7 +397,7 @@ def test_observe_sampled_matches_record_reference(rng, n, m):
     expected = [
         smap.scale * expectation_from_record(by_setting[setting_of(p)], p) for p in mono
     ]
-    assert obs.values.tolist() == expected
+    assert obs.tolist() == expected
 
 
 def simulation_states(n):
@@ -452,7 +451,7 @@ def test_sampled_data_pinned_digest():
     assert hashlib.sha256(counts.tobytes()).hexdigest() == (
         "11c3d5e234cb34e6ca6636608846a9e2b76a213478e3d50fea9e745e658cb240"
     )
-    assert hashlib.sha256(obs.values.astype("<f8").tobytes()).hexdigest() == (
+    assert hashlib.sha256(obs.astype("<f8").tobytes()).hexdigest() == (
         "03d198b1844bd06f94191ae963260addb6b3009dc27809d085318364beab2740"
     )
 
@@ -496,15 +495,12 @@ def test_gain_complete_set_dense(normalized, copies):
     assert np.allclose(rows.conj().T @ rows, smap.gain * np.eye(d * d), rtol=0, atol=1e-10)
 
 
-def test_observation_vector_validation():
-    with pytest.raises(ValueError):
-        ObservationVector(np.array([]))
-
-
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_observation_vector_rejects_non_finite(bad):
-    with pytest.raises(ValueError, match="finite"):
-        ObservationVector(np.array([0.5, bad, -0.25]))
+@pytest.mark.parametrize("shots", [None, 64], ids=["exact", "sampled"])
+def test_observe_returns_float_vector(shots):
+    state, smap = ghz(3), SensingMap(3, sample_monomials(3, 20, 2), normalized=True)
+    y, _ = observe_with_records(state, smap, shots=shots, seed=1)
+    assert type(y) is np.ndarray and y.dtype == np.float64 and y.shape == (20,)
+    assert np.array_equal(observe(state, smap, shots=shots, seed=1), y)
 
 
 def test_map_validation():

@@ -70,11 +70,26 @@ def test_expectations_round_trip(tmp_path):
     state = ghz(3)
     smap = SensingMap(3, sample_monomials(3, 25, 4), normalized=True)
     obs, _ = observe_with_records(state, smap, shots=128, seed=4)
-    obj = serialize.expectations_to_json(smap, obs.values)
+    obj = serialize.expectations_to_json(smap, obs)
     loaded_map, loaded_obs = serialize.expectations_from_json(obj)
     assert loaded_map.normalized
     assert np.array_equal(loaded_map.codes, smap.codes)
-    assert np.array_equal(loaded_obs.values, obs.values)
+    assert np.array_equal(loaded_obs, obs)
+    assert loaded_obs.dtype == np.float64 and loaded_obs.shape == (25,)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_expectations_from_json_refuses_non_finite(literal):
+    # Python's json reads these literals as floats, so the file edge must refuse them.
+    text = '{"version": 1, "n": 1, "normalized": true, "items": [{"monomial": "X", "value": 0.5}, '
+    text += f'{{"monomial": "Z", "value": {literal}}}]}}'
+    with pytest.raises(ValueError, match="observation values.*finite"):
+        serialize.expectations_from_json(json.loads(text))
+
+
+def test_expectations_from_json_refuses_empty_items():
+    with pytest.raises(ValueError, match="one or more"):
+        serialize.expectations_from_json({"version": 1, "n": 2, "normalized": True, "items": []})
 
 
 def test_expectations_json_items_and_lower_case():
