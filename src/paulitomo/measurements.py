@@ -19,10 +19,9 @@ settings and rotates qubit by qubit over their prefix tree, so settings
 that share their first k axes share the first k rotations.  Each level is
 one call of apply_single_qubit's strided butterfly on all its rows, whose
 arithmetic is elementwise, so each row is bit-identical to rotating its
-setting alone.  sample_record counts a
-setting's shots by sorting its uniforms and looking up each cumulative
-weight once, which gives exactly the counts of a per-shot inverse-CDF
-lookup on the same uniforms.
+setting alone.  sample_record draws a setting's counts as one
+multinomial, by conditional binomials at O(d) whatever the shot count,
+from the generator it is given.
 
 One array codec converts between the forms of every Pauli string, m at
 a time: _labels takes codes to an (m, n) label array and _codes takes it
@@ -295,32 +294,28 @@ def sample_record(
 ) -> MeasurementRecord:
     """Multinomial draw of `shots` outcomes from a distribution.
 
-    Sampling is inverse-CDF on a seeded uniform stream (one categorical
-    draw per shot), so counts are reproducible per seed across platforms.
-    A shot with uniform u has outcome j when cdf[j-1] <= u < cdf[j].  The
-    counts are taken from the sorted uniforms with one lookup per outcome,
-    counts[j] = #{u < cdf[j]} - #{u < cdf[j-1]}, which equals a per-shot
-    lookup of every uniform followed by a bincount, at
-    O(shots log shots + d log shots) rather than O(shots log d).
+    The counts are one rng.multinomial draw, which numpy makes by
+    conditional binomials: bin j takes Binomial(shots left, p_j / mass
+    left) of the shots not yet placed.  That is O(d) per call whatever the
+    shot count, and reproducible per seed (numpy does not promise the same
+    draws across its releases).  The
+    distribution is cut after its last bin of nonzero probability and
+    divided by its sum there, so that bin takes the roundoff remainder and
+    no outcome of probability zero is ever drawn.
     """
-    probs = np.asarray(probs, dtype=float)
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size != 2**setting.n:
         raise ValueError(f"expected {2**setting.n} probabilities, got shape {probs.shape}")
     if not (probs.min() >= -1e-12 and abs(probs.sum() - 1.0) <= 1e-8):  # NaN fails too
         raise ValueError("probabilities must be nonnegative and sum to 1")
-    rng = as_generator(seed)
-    cdf = np.cumsum(np.maximum(probs, 0.0))
-    cdf[-1] = max(cdf[-1], 1.0)  # guard against roundoff losing the last bin
-    uniforms = rng.random(shots)
-    uniforms.sort()
-    below = np.searchsorted(uniforms, cdf, side="left")
-    counts = below.copy()
-    counts[1:] -= below[:-1]
-    if probs[-1] <= 0:  # what the guard caught belongs to the last bin of nonzero probability
-        last = np.flatnonzero(probs > 0)[-1]
-        counts[last], counts[-1] = counts[last] + counts[-1], 0
+    weights = np.maximum(probs, 0.0)
+    weights = weights[: np.flatnonzero(weights)[-1] + 1]
+    counts = np.zeros(probs.size, dtype=np.int64)
+    counts[: weights.size] = as_generator(seed).multinomial(shots, weights / weights.sum())
     return MeasurementRecord(setting=setting, shots=shots, counts=counts)
 
 

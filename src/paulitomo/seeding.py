@@ -33,10 +33,9 @@ def _words(value: int, what: str) -> list:
 def substream(seed: int, name: str, index: int | None = None) -> np.random.Generator:
     """Return a generator for the named substream of `seed`.
 
-    `index` distinguishes parallel streams within one stage (e.g. one
-    shot-noise stream per measurement setting).  The generator is
-    np.random.default_rng([seed, id] + [index]), built from the uint32
-    words numpy would coerce that list to, passed as one array.
+    `index` distinguishes parallel streams within one stage.  The
+    generator is np.random.default_rng([seed, id] + [index]), built from
+    the uint32 words numpy would coerce that list to, passed as one array.
     """
     words = _words(seed, "seed") + [_STREAM_IDS[name]]
     if index is not None:

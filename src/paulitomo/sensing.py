@@ -309,9 +309,9 @@ def observe_with_records(
     clamps <P> to [-1, 1], and returns an empty record list.  Sampled mode
     groups monomials by measurement setting (an identity digit read as z)
     and simulates one record per distinct setting through
-    simulate_records, settings in first-occurrence order (so the stream id
-    is the setting's index in that order, and a record is shared by every
-    monomial mapped to its setting).  Monomial i reads its record's
+    simulate_records, settings in first-occurrence order, all from the one
+    stream substream(seed, "shots") (a record is shared by every monomial
+    mapped to its setting).  Monomial i reads its record's
     parity_means at entry f_i | s_i, the mask of its non-identity qubits,
     exactly as expectation_from_record would, times the map's scale.
     """
@@ -345,22 +345,25 @@ def observe(
 
 
 def simulate_records(state: PureState, settings, shots: int, seed: int = 0) -> list:
-    """One measurement record per setting, with per-setting seed streams.
+    """One measurement record per setting, all drawn from one seed stream.
 
     Born distributions are computed in blocks of settings that hold about
     _BLOCK_BYTES of complex amplitudes, one born_probabilities call per
-    block.  Blocks are cut from the settings in sorted axes order, so a
-    block shares as many rotated prefixes as it can.  Setting i (its
-    position in `settings`, and in the returned list) draws its shots from
-    substream(seed, "shots", i) whatever the blocking.
+    block.  Blocks are cut from the settings in sorted axes order (equal
+    settings in their given order), so a block shares as many rotated
+    prefixes as it can.  Every setting draws its counts, one sample_record
+    call each, from the single generator substream(seed, "shots"), in that
+    sorted order, so the counts do not depend on the blocking.  Record i
+    is for settings[i].
     """
     settings = list(settings)
     rows = max(1, _BLOCK_BYTES // (16 * 2**state.n))
     order = sorted(range(len(settings)), key=lambda i: settings[i].axes)
+    rng = substream(seed, "shots")
     records = [None] * len(settings)
     for lo in range(0, len(order), rows):
         block = order[lo : lo + rows]
         probs = born_probabilities(state, [settings[i] for i in block])
         for idx, p in zip(block, probs):
-            records[idx] = sample_record(settings[idx], p, shots, substream(seed, "shots", idx))
+            records[idx] = sample_record(settings[idx], p, shots, rng)
     return records

@@ -114,7 +114,11 @@ def expectations_from_json(obj: dict):
     array of shape (m,) read by floats_from_json; the monomial strings are
     checked and encoded as one byte array."""
     n = _field(obj, "expectations", "n", int)
+    if n < 1:
+        raise ValueError(f"expectations file: qubit count must be positive, got {n}")
     items = _field(obj, "expectations", "items", list)
+    if not items:
+        raise ValueError("expectations file: 'items' must list one or more monomials")
     texts = [_field(i, "expectations", "monomial", str) for i in items]
     labels = _text_labels(texts, n)
     if labels is None:

@@ -2,7 +2,7 @@
 products, dense measurement projectors, dense sensing operators, the
 shot-noise error of full-tomography linear inversion, and the
 one-setting-at-a-time record simulation.  These never touch the package's
-signed-permutation, prefix-sharing or sorted-uniform fast paths, so they
+signed-permutation, prefix-sharing or multinomial fast paths, so they
 can certify them.
 """
 
@@ -109,26 +109,40 @@ def inversion_shot_noise(amplitudes: np.ndarray, shots: int) -> float:
 
 
 def reference_counts(probs: np.ndarray, shots: int, rng) -> np.ndarray:
-    """Per-shot inverse-CDF lookup: each uniform u lands in the first bin
-    whose cumulative weight exceeds it, with the last nonzero bin closed at 1."""
-    cdf = np.cumsum(np.maximum(probs, 0.0))
-    last = np.flatnonzero(probs > 0)[-1]
-    cdf[last:] = max(cdf[last], 1.0)
-    return np.bincount(np.searchsorted(cdf, rng.random(shots), side="right"), minlength=probs.size)
+    """Conditional binomials (Davis, Comput. Stat. Data Anal. 16, 1993),
+    one rng.binomial call per bin: bin j takes Binomial(shots left,
+    p_j / mass left) of the shots not yet placed, over the bins up to the
+    last nonzero one, normalized there.  That bin takes what is left, and
+    the chain stops once no shot is left."""
+    weights = np.maximum(np.asarray(probs, dtype=float), 0.0)
+    last = max(j for j, w in enumerate(weights) if w > 0)
+    p = (weights[: last + 1] / weights[: last + 1].sum()).tolist()
+    counts = np.zeros(len(weights), dtype=np.int64)
+    left, mass = shots, 1.0
+    for j in range(last):
+        counts[j] = rng.binomial(left, min(1.0, p[j] / mass))
+        left -= counts[j]
+        if left == 0:
+            return counts
+        mass -= p[j]
+    counts[last] = left
+    return counts
 
 
 def reference_records(state, settings, shots: int, seed: int) -> list:
     """Counts of each setting simulated alone: one apply_single_qubit
-    rotation per x/y qubit, |amplitude|^2, then per-shot lookups on
-    substream(seed, "shots", i) for the setting at position i."""
+    rotation per x/y qubit, |amplitude|^2, then reference_counts on the one
+    generator substream(seed, "shots"), taken by the settings in sorted
+    axes order (equal settings in their given order)."""
     gates = {"x": _TO_X_BASIS, "y": _TO_Y_BASIS}
-    out = []
-    for i, setting in enumerate(settings):
+    rng = substream(seed, "shots")
+    out = [None] * len(settings)
+    for i in sorted(range(len(settings)), key=lambda i: settings[i].axes):
         amps = state.amplitudes
-        for k, axis in enumerate(setting.axes):
+        for k, axis in enumerate(settings[i].axes):
             if axis in gates:
                 amps = apply_single_qubit(amps, gates[axis], k, state.n)
-        out.append(reference_counts(np.abs(amps) ** 2, shots, substream(seed, "shots", i)))
+        out[i] = reference_counts(np.abs(amps) ** 2, shots, rng)
     return out
 
 

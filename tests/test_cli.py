@@ -484,6 +484,23 @@ def test_reconstruct_expectations_file_with_non_finite_value(tmp_path, capsys):
     assert_clean_failure(capsys, code, "observation values", "finite")
 
 
+@pytest.mark.parametrize(
+    "n, items, names",
+    [
+        pytest.param(2, "[]", ("expectations file", "'items'", "one or more"), id="empty-items"),
+        pytest.param(0, "[]", ("expectations file", "qubit count must be positive, got 0"), id="n-zero"),
+        pytest.param(-1, '[{"monomial": "X", "value": 0.5}]',
+                     ("expectations file", "qubit count must be positive, got -1"), id="n-negative"),
+    ],
+)
+def test_reconstruct_expectations_file_without_monomials(tmp_path, capsys, n, items, names):
+    # The file edge names the file, not the sensing map's library message.
+    text = f'{{"version": 1, "n": {n}, "normalized": true, "items": {items}}}'
+    infile = write(tmp_path / "e.json", text)
+    code = invoke("reconstruct", "--in", infile, "--out", tmp_path / "r.json")
+    assert_clean_failure(capsys, code, *names)
+
+
 # JSON reads a 400-digit integer as a Python int that no float holds.
 HUGE_INT = "1" + "0" * 400
 

@@ -310,15 +310,16 @@ def test_sample_record_invalid_distribution():
         sample_record(PauliSetting("z"), np.array([0.7, 0.6]), shots=10, seed=0)
 
 
-class FixedUniforms(np.random.Generator):
-    """Generator whose random() returns preset uniforms."""
+class RecordingGenerator(np.random.Generator):
+    """Generator that keeps the arguments of each multinomial call."""
 
-    def __init__(self, uniforms):
-        super().__init__(np.random.PCG64(0))
-        self.uniforms = np.asarray(uniforms, dtype=float)
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = []
 
-    def random(self, size=None):
-        return self.uniforms.copy()
+    def multinomial(self, n, pvals, size=None):
+        self.calls.append((n, np.array(pvals)))
+        return super().multinomial(n, pvals, size)
 
 
 @pytest.mark.parametrize(
@@ -327,47 +328,80 @@ class FixedUniforms(np.random.Generator):
         np.array([0.0, 0.3, 0.0, 0.0, 0.45, 0.25, 0.0, 0.0]),  # exact zero bins
         np.array([0.0, 0.0, 0.0, 1.0]),  # point mass on the last bin
         np.array([0.152, 0.452, 0.187, 0.209]),  # cumulative sum 1 - 2^-53
+        np.random.default_rng(8).dirichlet(np.full(256, 0.3)),  # n=8, many tiny bins
     ],
 )
-def test_sample_record_matches_per_shot_lookup(probs):
+def test_sample_record_matches_binomial_chain(probs):
+    # Counts equal the test's own conditional-binomial chain, count for
+    # count, and leave the generator where the chain leaves it.
     setting = PauliSetting("z" * (probs.size.bit_length() - 1))
     for seed in range(120):
-        for shots in (1, 33):
-            record = sample_record(setting, probs, shots, np.random.default_rng(seed))
-            expected = reference_counts(probs, shots, np.random.default_rng(seed))
-            assert np.array_equal(record.counts, expected)
+        for shots in (1, 33, 2048):
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            record = sample_record(setting, probs, shots, rng)
+            assert np.array_equal(record.counts, reference_counts(probs, shots, oracle))
+            assert record.counts.dtype == np.int64
+            assert rng.random() == oracle.random()
 
 
-def test_sample_record_last_bin_guard():
-    # The cumulative sum of these weights is 1 - 2^-53; a uniform at or
-    # above it falls in the last bin, not past the end.  A uniform equal to
-    # an inner cumulative weight belongs to the bin that starts there.
-    probs = np.array([0.152, 0.452, 0.187, 0.209])
-    cdf = np.cumsum(probs)
-    assert cdf[-1] < 1.0
-    top = np.nextafter(1.0, 0.0)
-    uniforms = [0.05, cdf[1], top, top, 0.5]
-    record = sample_record(PauliSetting("zz"), probs, 5, FixedUniforms(uniforms))
-    expected = reference_counts(probs, 5, FixedUniforms(uniforms))
-    assert np.array_equal(record.counts, expected)
-    assert record.counts.tolist() == [1, 1, 1, 2]
-    # A deficit inside the 1e-8 sum tolerance is closed the same way.
-    short = np.array([0.5, 0.5 - 5e-9])
-    record = sample_record(PauliSetting("z"), short, 3, FixedUniforms([0.25, 1 - 1e-9, 0.75]))
-    assert record.counts.tolist() == [1, 2]
+@pytest.mark.parametrize(
+    "probs",
+    [
+        np.array([0.152, 0.452, 0.187, 0.209]),  # cumulative sum 1 - 2^-53
+        np.array([0.5, 0.5 - 5e-9]),  # a deficit inside the 1e-8 sum tolerance
+        np.array([0.1] * 10 + [0.0] * 6),  # sum 1 - 2^-53, then a zero tail
+        np.array([0.0, 0.3, 0.0, 0.0, 0.45, 0.25, 0.0, 0.0]),
+    ],
+)
+def test_sample_record_last_nonzero_bin_takes_remainder(probs):
+    # The draw sees the distribution up to its last bin of nonzero
+    # probability, summing to 1 within rounding, so that bin is the one
+    # numpy's multinomial gives the shots left after the others.
+    last = np.flatnonzero(probs)[-1]
+    for seed in range(20):
+        rng = RecordingGenerator(seed)
+        record = sample_record(PauliSetting("z" * (probs.size.bit_length() - 1)), probs, 64, rng)
+        [(shots, pvals)] = rng.calls
+        assert shots == 64 and pvals.size == last + 1
+        assert abs(pvals.sum() - 1.0) <= 4e-16
+        assert np.allclose(pvals, probs[: last + 1] / probs[: last + 1].sum(), rtol=1e-15, atol=0)
+        assert not record.counts[last + 1 :].any()
 
 
 def test_sample_record_roundoff_skips_zero_probability_tail():
-    # Ten weights of 0.1 sum to 1 - 2^-53.  A uniform at that sum belongs to
-    # the last bin of nonzero probability (9), never to the zero tail (15).
-    probs = np.array([0.1] * 10 + [0.0] * 6)
-    top = np.nextafter(1.0, 0.0)
-    assert np.cumsum(probs)[-1] == top
-    uniforms = [0.05, top, 0.95]
-    record = sample_record(PauliSetting("zzzz"), probs, 3, FixedUniforms(uniforms))
-    assert np.array_equal(record.counts, reference_counts(probs, 3, FixedUniforms(uniforms)))
-    assert record.counts[9] == 2 and record.counts[15] == 0
-    assert np.flatnonzero(record.counts).tolist() == [0, 9]
+    # Ten weights of 0.1 sum to 1 - 2^-53, and roundoff may leave a tail
+    # slightly negative.  No outcome of probability zero is ever drawn, in
+    # the tail or between nonzero bins.
+    tail = np.array([0.1] * 10 + [0.0] * 6)
+    assert np.cumsum(tail)[-1] == np.nextafter(1.0, 0.0)
+    inner = np.array([0.0, 0.3, 0.0, -1e-13, 0.45, 0.25, -1e-13, 0.0])
+    for probs in (tail, inner):
+        setting = PauliSetting("z" * (probs.size.bit_length() - 1))
+        drawn = np.zeros(probs.size, dtype=np.int64)
+        for seed in range(200):
+            for shots in (1, 3, 2048):
+                record = sample_record(setting, probs, shots, np.random.default_rng(seed))
+                assert np.array_equal(
+                    record.counts, reference_counts(probs, shots, np.random.default_rng(seed))
+                )
+                drawn += record.counts
+        assert np.array_equal(np.flatnonzero(drawn), np.flatnonzero(probs > 0))
+
+
+@pytest.mark.parametrize(
+    "shots",
+    [2.5, 3.0, True, np.float64(3.0), np.True_, "3", None],
+    ids=["2.5", "3.0", "True", "float64", "numpy-bool", "str", "None"],
+)
+def test_sample_record_refuses_non_integer_shots(shots):
+    with pytest.raises(ValueError, match="shots must be an integer"):
+        sample_record(PauliSetting("z"), np.array([0.5, 0.5]), shots, 0)
+
+
+def test_sample_record_takes_numpy_integer_shots():
+    for shots in (3, np.int64(3), np.uint8(3)):
+        record = sample_record(PauliSetting("z"), np.array([0.5, 0.5]), shots, 0)
+        assert record.counts.sum() == 3
 
 
 def test_measurement_record_validation():

@@ -33,6 +33,7 @@ from paulitomo.synthetic import GaussianSensingMap
 from conftest import (
     code_labels,
     dense_adjoint,
+    dense_basis_vector,
     dense_forward,
     dense_monomial,
     random_factor,
@@ -406,19 +407,24 @@ def simulation_states(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_simulate_records_matches_per_setting_reference(n):
-    # Batched Born rows and sorted-uniform counts equal the one-setting
-    # rotation loop with per-shot lookups, count for count.
+def test_simulate_records_matches_per_setting_reference(monkeypatch, n):
+    # Batched Born rows and multinomial counts on the one "shots" stream
+    # equal the one-setting rotation loop with the test's own binomial
+    # chain, count for count, at the default blocking and at one setting
+    # per block.
     settings = all_settings(n)
     settings = [settings[i] for i in np.random.default_rng(n).permutation(len(settings))]
-    for state in simulation_states(n):
-        for shots in (1, 7, 2048):
-            for seed in (0, 5, 123):
-                records = simulate_records(state, settings, shots, seed=seed)
-                assert [r.setting for r in records] == settings
-                expected = reference_records(state, settings, shots, seed)
-                for record, counts in zip(records, expected):
-                    assert np.array_equal(record.counts, counts)
+    for rows in (None, 1):
+        if rows:
+            monkeypatch.setattr(sensing, "_BLOCK_BYTES", rows * 16 * 2**n)
+        for state in simulation_states(n):
+            for shots in (1, 7, 2048):
+                for seed in (0, 5, 123):
+                    records = simulate_records(state, settings, shots, seed=seed)
+                    assert [r.setting for r in records] == settings
+                    expected = reference_records(state, settings, shots, seed)
+                    for record, counts in zip(records, expected):
+                        assert np.array_equal(record.counts, counts)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 7])
@@ -426,7 +432,7 @@ def test_simulate_records_block_boundaries(monkeypatch, rows):
     n = 4
     settings = all_settings(n)
     settings = [settings[i] for i in np.random.default_rng(7).permutation(len(settings))]
-    settings += settings[:5]  # repeated settings draw from their own streams
+    settings += settings[:5]  # repeated settings take their own draws, in the order given
     monkeypatch.setattr(sensing, "_BLOCK_BYTES", rows * 16 * 2**n)
     calls = []
     born = sensing.born_probabilities
@@ -438,21 +444,62 @@ def test_simulate_records_block_boundaries(monkeypatch, rows):
     assert max(calls) == rows and sum(calls) == 3 * len(settings)
 
 
+def _chi_square_quantile(df: int, z: float) -> float:
+    """Wilson-Hilferty approximation to the chi-square quantile at normal score z."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * np.sqrt(c)) ** 3
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_simulate_records_counts_fit_born_probabilities(n):
+    # Pearson's statistic of every setting's counts against the test's own
+    # dense Born probabilities, outcome bins of expected count below 5
+    # pooled into one, lies inside the central 1 - 2e-4 of its chi-square
+    # law: too large is a biased draw, too small an under-dispersed one.
+    # No outcome of probability zero is drawn.
+    shots = 4096
+    settings = all_settings(n)
+    stat, df = 0.0, 0
+    for state in (ghz(n), random_state(RandomCircuitSpec(n=n, depth=12, seed=40 + n))):
+        for setting, record in zip(settings, simulate_records(state, settings, shots, seed=11)):
+            probs = np.array([
+                abs(np.vdot(dense_basis_vector(setting.axes, j), state.amplitudes)) ** 2
+                for j in range(2**n)
+            ])
+            assert not record.counts[probs < 1e-14].any()
+            expected = shots * probs
+            small = (expected < 5) & (probs >= 1e-14)
+            observed = np.append(record.counts[expected >= 5], record.counts[small].sum())
+            expected = np.append(expected[expected >= 5], expected[small].sum())
+            if expected[-1] < 5:  # fold a thin pooled bin into the smallest kept one
+                smallest = np.argmin(expected[:-1])
+                observed[smallest] += observed[-1]
+                expected[smallest] += expected[-1]
+                observed, expected = observed[:-1], expected[:-1]
+            stat += float(np.sum((observed - expected) ** 2 / expected))
+            df += expected.size - 1
+    assert df > 100
+    assert _chi_square_quantile(df, -3.719) < stat < _chi_square_quantile(df, 3.719), (stat, df)
+
+
 def test_sampled_data_pinned_digest():
     # Seeded counts and sampled observations of the fidelity-table setting
     # at n=8, pinned as SHA-256 digests.  The Born probabilities behind the
-    # counts carry rounding, so a kernel that reorders their arithmetic could
-    # flip a count where a uniform falls within an ulp of a CDF step.
+    # counts carry rounding, and a binomial draw can turn on the last bit
+    # of its probability, so a kernel that reorders their arithmetic could
+    # move a count.  The pins were made with numpy 2.4.6; numpy does not
+    # promise the same Generator draws across releases, and they are
+    # unverified on the CI's numpy 1.24 leg.
     state = build_state("random", 8, seed=3)
     smap = SensingMap(8, sample_codes(8, monomial_count(20, 8), substream(3, "monomials")))
     obs, records = observe_with_records(state, smap, shots=2048, seed=3)
     counts = np.stack([r.counts for r in records]).astype("<i8")
     assert len(records) == 4659
     assert hashlib.sha256(counts.tobytes()).hexdigest() == (
-        "11c3d5e234cb34e6ca6636608846a9e2b76a213478e3d50fea9e745e658cb240"
+        "52f78e0560a88c074e61e3ddd4592bd6ede4644f5b9ffa7cb9c8890d200a8455"
     )
     assert hashlib.sha256(obs.astype("<f8").tobytes()).hexdigest() == (
-        "03d198b1844bd06f94191ae963260addb6b3009dc27809d085318364beab2740"
+        "87766f4d7178219fa653e7b80cd828568ead7c547f38b77641d93faa50a6a3b2"
     )
 
 
