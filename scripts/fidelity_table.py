@@ -11,7 +11,7 @@ import argparse
 import json
 import time
 
-from paulitomo import OptimizerConfig, SensingMap, observe, run, sample_monomials
+from paulitomo import OptimizerConfig, SensingMap, observe, run, sample_codes
 from paulitomo.cli import build_state, monomial_count
 from paulitomo.seeding import substream
 
@@ -35,8 +35,8 @@ def main():
         for n in (int(v) for v in args.n_values.split(",")):
             state = build_state(circuit, n, depth=3 * n, seed=args.seed)
             m = monomial_count(args.measpc, n)
-            monomials = sample_monomials(n, m, substream(args.seed, "monomials"))
-            smap = SensingMap(n, monomials, normalized=True)
+            codes = sample_codes(n, m, substream(args.seed, "monomials"))
+            smap = SensingMap(n, codes, normalized=True)
             y = observe(state, smap, shots=args.shots, seed=args.seed)
             for mu in (args.mu, 0.0):
                 config = OptimizerConfig(

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from paulitomo import OptimizerConfig, SensingMap, observe, run, sample_monomials
+from paulitomo import OptimizerConfig, SensingMap, observe, run, sample_codes
 from paulitomo.cli import build_state, monomial_count
 from paulitomo.seeding import substream
 
@@ -34,8 +34,8 @@ def main():
     results = []
     for seed in range(args.seeds):
         m = monomial_count(args.measpc, args.n)
-        monomials = sample_monomials(args.n, m, substream(seed, "monomials"))
-        smap = SensingMap(args.n, monomials, normalized=True)
+        codes = sample_codes(args.n, m, substream(seed, "monomials"))
+        smap = SensingMap(args.n, codes, normalized=True)
         shots = args.shots if args.shots > 0 else None
         y = observe(state, smap, shots=shots, seed=seed)
         for mu in (*SWEEP, "theory:1"):

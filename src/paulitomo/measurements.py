@@ -28,7 +28,8 @@ a time: _labels takes codes to an (m, n) label array and _codes takes it
 back, _letters spells label rows as IXYZ strings through one byte table,
 and _text_labels reads strings (either case, ASCII only) back to labels.
 PauliMonomial's code, __str__ and from_string use it, and so do settings:
-code_settings spells labels with identity read as z, in lower case, and
+setting_codes reads identity as z, the one rule from a monomial to its
+setting, code_settings spells those codes in lower case, and
 setting_labels reads axes strings back.  Every PauliMonomial carries its
 code, which monomial_codes reads.  One built from labels validates and
 encodes them once; one built from checked codes (sample_monomials,
@@ -238,11 +239,17 @@ def setting_of(p: PauliMonomial) -> PauliSetting:
     return code_settings([p.code], p.n)[0]
 
 
-def code_settings(codes, n: int) -> list:
-    """The measurement setting of each monomial code: its string with
-    identity read as z, in lower case."""
+def setting_codes(codes, n: int) -> np.ndarray:
+    """The base-4 code of each monomial code's measurement setting: its
+    labels with identity read as z.  Setting codes sort as axes strings do."""
     labels = _labels(codes, n)
-    return [PauliSetting(t.lower()) for t in _letters(np.where(labels == 0, 3, labels))]
+    return _codes(np.where(labels == 0, 3, labels))
+
+
+def code_settings(codes, n: int) -> list:
+    """The measurement setting of each monomial code: the string of its
+    setting code, in lower case."""
+    return [PauliSetting(t.lower()) for t in _letters(_labels(setting_codes(codes, n), n))]
 
 
 def setting_labels(settings, n: int) -> np.ndarray:
@@ -307,6 +314,8 @@ def sample_record(
         raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots >= 2**63:  # numpy's multinomial takes an int64 count
+        raise ValueError(f"shots must be below 2^63, got {shots}")
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size != 2**setting.n:
         raise ValueError(f"expected {2**setting.n} probabilities, got shape {probs.shape}")

@@ -48,7 +48,7 @@ Tables.  The map builds them on construction and only reads them after,
 in the user order of `codes`: per monomial its group id, sign mask and
 the signs s * sigma and s/2 * tau (the scale folded in; both products are
 exact, and the R the adjoint builds is then s/2 times the R above), and
-per group g of the G <= min(m, d) distinct flips the row
+per group g of the G <= min(m, d) distinct flips its flip f_g and the row
 _src[g, j] = (j ^ f_g) d + j, the flat positions of the flip-f_g diagonal
 in a d x d matrix.  The *_range methods index positions of the data
 vector, and every range call transforms all G groups.
@@ -88,6 +88,7 @@ from .measurements import (
     monomial_actions,
     monomial_codes,
     sample_record,
+    setting_codes,
 )
 from .metrics import as_data, as_factor
 from .seeding import substream
@@ -195,13 +196,13 @@ class SensingMap:
     def _ensure_cache(self):
         """Build the tables; __init__ calls it once."""
         flips, sign_masks, nys = monomial_actions(self.codes, self.n)
-        flip_values, self._group = np.unique(flips, return_inverse=True)
+        self._flips, self._group = np.unique(flips, return_inverse=True)
         self._sign = sign_masks.astype(np.int32)
         self._sigma = (self.scale * _SIGMA)[nys % 4]
         self._tau = (self.scale / 2 * _TAU)[nys % 4]
         # intp, so take and fancy assignment use it without a converted copy.
         j = np.arange(self.d, dtype=np.intp)
-        self._src = (j ^ flip_values[:, None]) * self.d + j
+        self._src = (j ^ self._flips[:, None]) * self.d + j
 
     def _buffers(self):
         """This thread's (d, d) matrix and two flat blocks of G x d entries."""
@@ -307,31 +308,25 @@ def observe_with_records(
     Exact mode (shots None) is the map's forward operator on the state,
     each value clamped to [-s, s] (s the map's scale) as exact_expectation
     clamps <P> to [-1, 1], and returns an empty record list.  Sampled mode
-    groups monomials by measurement setting (an identity digit read as z)
-    and simulates one record per distinct setting through
-    simulate_records, settings in first-occurrence order, all from the one
-    stream substream(seed, "shots") (a record is shared by every monomial
-    mapped to its setting).  Monomial i reads its record's
-    parity_means at entry f_i | s_i, the mask of its non-identity qubits,
-    exactly as expectation_from_record would, times the map's scale.
+    groups monomials by their setting code (measurements.setting_codes,
+    identity read as z) and simulates one record per distinct setting
+    through simulate_records, all from the one stream
+    substream(seed, "shots") (a record is shared by every monomial mapped
+    to its setting).  Setting codes sort as axes strings do, so the
+    records come back in sorted axes order, the order the stream draws
+    them in.  Monomial i reads its record's parity_means at entry
+    f_i | s_i, the mask of its non-identity qubits, exactly as
+    expectation_from_record would, times the map's scale.
     """
     if state.n != sensing_map.n:
         raise ValueError(f"state has {state.n} qubits, map has {sensing_map.n}")
     s = sensing_map.scale
     if shots is None:
         return np.clip(sensing_map.forward_factored(state.amplitudes), -s, s), []
-    flips, sign_masks, _ = monomial_actions(sensing_map.codes, sensing_map.n)
-    # Per qubit, x sets the flip bit and y the flip and sign bits; identity
-    # and z set neither once signs are masked by flips.  So two monomials
-    # have equal keys exactly when they have equal settings.
-    keys = (flips << sensing_map.n) | (flips & sign_masks)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    settings = code_settings(sensing_map.codes[first[order]], sensing_map.n)
-    records = simulate_records(state, settings, shots, seed)
-    record_of = np.argsort(order)[inverse]
-    values = parity_means(records)[record_of, flips | sign_masks]
-    return s * values, records
+    codes, record_of = np.unique(setting_codes(sensing_map.codes, sensing_map.n), return_inverse=True)
+    records = simulate_records(state, code_settings(codes, sensing_map.n), shots, seed)
+    masks = sensing_map._flips[sensing_map._group] | sensing_map._sign
+    return s * parity_means(records)[record_of, masks], records
 
 
 def observe(

@@ -8,7 +8,17 @@ import warnings
 import numpy as np
 import pytest
 
-from paulitomo import OptimizerConfig, SensingMap, ghz, observe, run, sample_monomials
+from paulitomo import (
+    OptimizerConfig,
+    PauliSetting,
+    SensingMap,
+    born_probabilities,
+    ghz,
+    observe,
+    run,
+    sample_monomials,
+    sample_record,
+)
 from paulitomo import cli, serialize
 from paulitomo.cli import cli_main, monomial_count
 from paulitomo.seeding import substream
@@ -119,6 +129,25 @@ def test_measure_records_file(tmp_path):
     for entry in obj["records"]:
         assert sum(entry["counts"].values()) == 32
         assert set(entry["setting"]) <= set("xyz")
+
+
+def test_measure_records_file_replays_the_shots_stream(tmp_path):
+    # The records file lists settings in sorted axes order, the order the
+    # one shots stream draws them in: replaying substream(seed, "shots")
+    # over the file's settings, in file order, gives every count.
+    out, rec = tmp_path / "m.json", tmp_path / "r.json"
+    args = ["--circuit", "random", "--n", 4, "--measpc", 30, "--shots", 500, "--seed", 7]
+    assert invoke("measure", *args, "--out", out, "--records-out", rec) == 0
+    entries = read(rec)["records"]
+    axes = [entry["setting"] for entry in entries]
+    assert len(axes) > 10 and axes == sorted(set(axes))
+    state = cli.build_state("random", 4, seed=7)
+    rng = substream(7, "shots")
+    for entry in entries:
+        setting = PauliSetting(entry["setting"])
+        counts = sample_record(setting, born_probabilities(state, setting), 500, rng).counts
+        nonzero = np.flatnonzero(counts)
+        assert entry["counts"] == {format(j, "04b"): int(counts[j]) for j in nonzero}
 
 
 def test_measure_exact_rejects_records_out(tmp_path):
@@ -601,6 +630,15 @@ def test_negative_seed_exits_with_message(tmp_path, capsys):
     code = invoke("measure", "--circuit", "ghz", "--n", 3, "--seed", -1, "--out", tmp_path / "m.json")
     assert_clean_failure(capsys, code, "seed must be a non-negative integer, got -1")
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", ["measure", "reconstruct", "compare", "baseline"])
+def test_shots_past_int64_exit_with_message(tmp_path, capsys, command):
+    flags = ["--mu", 0.5] if command == "compare" else []
+    out = tmp_path / "o.json"
+    code = invoke(command, "--circuit", "ghz", "--n", 3, *flags, "--shots", 10**20, "--out", out)
+    assert_clean_failure(capsys, code, f"shots must be below 2^63, got {10**20}")
+    assert not out.exists()
 
 
 def test_reconstruct_rejects_nan_reltol(tmp_path, capsys):

@@ -34,6 +34,7 @@ from paulitomo.measurements import (
     monomial_codes,
     monomial_from_code,
     sample_codes,
+    setting_codes,
     setting_labels,
 )
 
@@ -166,6 +167,22 @@ def test_codec_round_trips(n):
     assert by_labels == monomials and [p.code for p in by_labels] == codes.tolist()
     mixed = [(by_labels if i % 3 else monomials)[i] for i in range(len(codes))]
     assert np.array_equal(monomial_codes(mixed, n), codes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+def test_setting_codes_read_identity_as_z_and_sort_as_axes(n):
+    # The setting code is the monomial's digits with each 0 read as 3, the
+    # code of the setting code_settings spells, and the codes' numeric
+    # order is the axes strings' order.
+    codes = codec_codes(n)
+    rows = [[(c >> 2 * (n - 1 - k)) & 3 for k in range(n)] for c in codes.tolist()]
+    expected = [sum((l or 3) << 2 * (n - 1 - k) for k, l in enumerate(row)) for row in rows]
+    got = setting_codes(codes, n)
+    assert got.dtype == np.int64 and got.tolist() == expected
+    settings = code_settings(codes, n)
+    assert _codes(setting_labels(settings, n)).tolist() == expected
+    by_axes = sorted(range(len(codes)), key=lambda i: (settings[i].axes, i))
+    assert np.argsort(got, kind="stable").tolist() == by_axes
 
 
 def test_codec_reaches_past_int32():
@@ -570,3 +587,13 @@ def test_sample_record_rejects_nan_probability():
 def test_measurements_validation_raises(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_sample_record_refuses_shots_past_int64():
+    # numpy's multinomial takes an int64 count: 2^63 - 1 shots draw, and
+    # 2^63 is refused with a ValueError rather than numpy's OverflowError.
+    record = sample_record(PauliSetting("z"), [0.5, 0.5], 2**63 - 1, 0)
+    assert record.counts.sum() == record.shots == 2**63 - 1
+    for shots in (2**63, 10**20):
+        with pytest.raises(ValueError, match=rf"shots must be below 2\^63, got {shots}"):
+            sample_record(PauliSetting("z"), [0.5, 0.5], shots, 0)

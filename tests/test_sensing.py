@@ -390,7 +390,7 @@ def test_observe_sampled_matches_record_reference(rng, n, m):
     mono = [monomial_from_code(int(c), n) for c in rng.permutation(4**n)[:m]]
     smap = SensingMap(n, mono, normalized=True)
     obs, records = observe_with_records(state, smap, shots=300, seed=9)
-    settings = list(dict.fromkeys(setting_of(p) for p in mono))
+    settings = sorted(set(setting_of(p) for p in mono), key=lambda setting: setting.axes)
     assert [r.setting for r in records] == settings
     for a, b in zip(records, simulate_records(state, settings, 300, seed=9)):
         assert np.array_equal(a.counts, b.counts)
@@ -489,14 +489,15 @@ def test_sampled_data_pinned_digest():
     # of its probability, so a kernel that reorders their arithmetic could
     # move a count.  The pins were made with numpy 2.4.6; numpy does not
     # promise the same Generator draws across releases, and they are
-    # unverified on the CI's numpy 1.24 leg.
+    # unverified on the CI's numpy 1.24 leg.  Counts are stacked in sorted
+    # setting order, whatever order the records come back in.
     state = build_state("random", 8, seed=3)
     smap = SensingMap(8, sample_codes(8, monomial_count(20, 8), substream(3, "monomials")))
     obs, records = observe_with_records(state, smap, shots=2048, seed=3)
-    counts = np.stack([r.counts for r in records]).astype("<i8")
+    counts = np.stack([r.counts for r in sorted(records, key=lambda r: r.setting.axes)]).astype("<i8")
     assert len(records) == 4659
     assert hashlib.sha256(counts.tobytes()).hexdigest() == (
-        "52f78e0560a88c074e61e3ddd4592bd6ede4644f5b9ffa7cb9c8890d200a8455"
+        "3db21bfcece06ee38ffa3fc3148573a6809580a81fed7941ef16580b614206e5"
     )
     assert hashlib.sha256(obs.astype("<f8").tobytes()).hexdigest() == (
         "87766f4d7178219fa653e7b80cd828568ead7c547f38b77641d93faa50a6a3b2"
