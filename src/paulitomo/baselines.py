@@ -101,6 +101,7 @@ def complete_expectations(records) -> np.ndarray:
     n = records[0].setting.n
     if n > DENSE_QUBIT_CAP:
         raise ValueError(f"dense path capped at n <= {DENSE_QUBIT_CAP} qubits")
+    record_codes = _codes(setting_labels([r.setting for r in records], n))
     if len({r.setting.axes for r in records}) != 3**n or len(records) != 3**n:
         raise ValueError(f"need each of the 3^{n} settings exactly once")
     d = 2**n
@@ -108,9 +109,8 @@ def complete_expectations(records) -> np.ndarray:
     # the setting's axis where s has a bit and identity elsewhere: the
     # setting's code with the digits outside s cleared.
     values = parity_means(records)
-    setting_codes = _codes(setting_labels([r.setting for r in records], n))
     digit_masks = 3 * sum(((np.arange(d) >> j) & 1) << (2 * j) for j in range(n))
-    codes = setting_codes[:, None] & digit_masks
+    codes = record_codes[:, None] & digit_masks
     sums = np.bincount(codes.ravel(), weights=values.ravel(), minlength=4**n)
     return sums / np.bincount(codes.ravel(), minlength=4**n)
 

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import baselines, metrics, optimizer, serialize, synthetic
-from .measurements import PauliSetting, sample_codes
+from .measurements import PauliSetting, as_shots, sample_codes
 from .seeding import substream
 from .sensing import SensingMap, observe_with_records, simulate_records
 from .states import RandomCircuitSpec, ghz, ghz_minus, hadamard_all, random_state
@@ -161,9 +161,7 @@ def _resolve_shots(args):
         if args.shots is not None:
             raise ValueError("--exact and --shots cannot be used together: exact data take no shots")
         return
-    args.shots = _DEFAULT_SHOTS if args.shots is None else args.shots
-    if args.shots < 1:
-        raise ValueError(f"shots must be >= 1, got {args.shots}")
+    args.shots = as_shots(_DEFAULT_SHOTS if args.shots is None else args.shots)
 
 
 def _simulate_pipeline(args, normalized=True):

@@ -14,10 +14,13 @@ one column.  A Ritz pair (theta, T s = theta s) has residual ||R_j s_j||
 in exact arithmetic, s_j being s on the newest block.  Once that estimate
 meets the tolerance for every wanted pair, the true residual
 ||M v - theta v|| from the stored images decides.  The basis stops at dim
-columns or an invariant subspace, where T is exact.
+columns or an invariant subspace, where T is exact.  The seeded block is
+drawn from substream(seed, "eigensolver").
 """
 
 import numpy as np
+
+from .seeding import substream
 
 
 class PowerIterationError(RuntimeError):
@@ -39,7 +42,7 @@ def _lanczos(matvec, dim: int, k: int, tol: float, seed: int, pick):
         raise ValueError(f"need operator dimension >= 1, got {dim}")
     eps = np.finfo(float).eps
     floor = min(tol, max(tol * 1e-6, dim * eps))
-    rng = np.random.default_rng([seed, 0xB10C])
+    rng = substream(seed, "eigensolver")
     shape = (dim, min(dim, k))
     block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     # Room for dim columns, contiguous each; only the columns in use are touched.

@@ -21,7 +21,7 @@ one call of apply_single_qubit's strided butterfly on all its rows, whose
 arithmetic is elementwise, so each row is bit-identical to rotating its
 setting alone.  sample_record draws a setting's counts as one
 multinomial, by conditional binomials at O(d) whatever the shot count,
-from the generator it is given.
+from the seed or generator it is given, after as_shots checks the count.
 
 One array codec converts between the forms of every Pauli string, m at
 a time: _labels takes codes to an (m, n) label array and _codes takes it
@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seeding import as_generator
 from .states import PureState, _HADAMARD, apply_single_qubit
 
 # The codec's byte tables: the letter of each label, and the label of each
@@ -123,8 +122,7 @@ class MeasurementRecord:
     counts: np.ndarray
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        self.shots = as_shots(self.shots)
         counts = np.asarray(self.counts)
         d = 2**self.setting.n
         if counts.shape != (d,) or counts.dtype.kind not in "iu":
@@ -138,6 +136,17 @@ class MeasurementRecord:
         if total != self.shots:
             raise ValueError(f"counts sum to {total}, expected shots={self.shots}")
         self.counts = counts
+
+
+def as_shots(shots) -> int:
+    """The one check of a shot count: an integer, not a bool, in [1, 2^63)."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots >= 2**63:  # numpy's multinomial takes an int64 count
+        raise ValueError(f"shots must be below 2^63, got {shots}")
+    return int(shots)
 
 
 def _labels(codes, n: int) -> np.ndarray:
@@ -217,7 +226,7 @@ def sample_codes(n: int, m: int, seed) -> np.ndarray:
     total = 4**n
     if not 1 <= m <= total:
         raise ValueError(f"need 1 <= m <= 4^n = {total}, got m={m}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     if m * 2 >= total:
         return rng.permutation(total)[:m]
     taken = np.empty(0, dtype=np.int64)
@@ -253,7 +262,11 @@ def code_settings(codes, n: int) -> list:
 
 
 def setting_labels(settings, n: int) -> np.ndarray:
-    """(S, n) labels of n-qubit settings' axes (x 1, y 2, z 3)."""
+    """(S, n) labels of n-qubit settings' axes (x 1, y 2, z 3); raises
+    ValueError naming the first setting of another qubit count."""
+    odd = [s.axes for s in settings if s.n != n]
+    if odd:
+        raise ValueError(f"setting {odd[0]!r} covers {len(odd[0])} qubits, expected {n}")
     return _text_labels([s.axes for s in settings], n)
 
 
@@ -277,9 +290,6 @@ def born_probabilities(state: PureState, settings) -> np.ndarray:
     single = isinstance(settings, PauliSetting)
     batch = [settings] if single else list(settings)
     n = state.n
-    for setting in batch:
-        if setting.n != n:
-            raise ValueError(f"state has {n} qubits, setting has {setting.n}")
     labels = setting_labels(batch, n)
     rows = state.amplitudes[None, :]
     node = np.zeros(len(batch), dtype=np.int64)  # each setting's row
@@ -310,12 +320,7 @@ def sample_record(
     divided by its sum there, so that bin takes the roundoff remainder and
     no outcome of probability zero is ever drawn.
     """
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if shots >= 2**63:  # numpy's multinomial takes an int64 count
-        raise ValueError(f"shots must be below 2^63, got {shots}")
+    shots = as_shots(shots)
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size != 2**setting.n:
         raise ValueError(f"expected {2**setting.n} probabilities, got shape {probs.shape}")
@@ -324,14 +329,8 @@ def sample_record(
     weights = np.maximum(probs, 0.0)
     weights = weights[: np.flatnonzero(weights)[-1] + 1]
     counts = np.zeros(probs.size, dtype=np.int64)
-    counts[: weights.size] = as_generator(seed).multinomial(shots, weights / weights.sum())
+    counts[: weights.size] = np.random.default_rng(seed).multinomial(shots, weights / weights.sum())
     return MeasurementRecord(setting=setting, shots=shots, counts=counts)
-
-
-def _check_setting_match(record_setting: PauliSetting, p: PauliMonomial):
-    axes = setting_labels([record_setting], p.n)[0].tolist()
-    if any(label not in (0, axis) for label, axis in zip(p.labels, axes)):
-        raise ValueError(f"record setting {record_setting.axes!r} does not measure monomial {p}")
 
 
 def expectation_from_distribution(
@@ -344,7 +343,9 @@ def expectation_from_distribution(
     """
     if setting.n != p.n:
         raise ValueError(f"setting covers {setting.n} qubits, monomial {p.n}")
-    _check_setting_match(setting, p)
+    axes = setting_labels([setting], p.n)[0].tolist()
+    if any(label not in (0, axis) for label, axis in zip(p.labels, axes)):
+        raise ValueError(f"record setting {setting.axes!r} does not measure monomial {p}")
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (2**setting.n,):
         raise ValueError(f"expected {2**setting.n} outcome weights, got shape {probs.shape}")

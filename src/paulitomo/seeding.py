@@ -1,9 +1,12 @@
 """Deterministic RNG substreams derived from a single root seed.
 
 Every stage of the pipeline (state construction, monomial sampling, shot
-noise, synthetic noise, optimizer initialization) draws from its own named
-substream, keyed by the root seed and the stage's fixed id only, so any
-stage can be reproduced in isolation.
+noise, synthetic noise, optimizer initialization, the eigensolver's start
+block) draws from its own named substream, keyed by the root seed and the
+stage's fixed id only, so any stage can be reproduced in isolation.  This
+table holds every key: no other module passes a key list to default_rng.
+Functions that take a caller's seed or Generator hand it to
+np.random.default_rng, which returns a Generator unaltered.
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ _STREAM_IDS = {
     "noise": 3,
     "init": 4,
     "sensing": 5,
+    "eigensolver": 0xB10C,
 }
 
 
@@ -26,10 +30,3 @@ def substream(seed: int, name: str) -> np.random.Generator:
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng([seed, _STREAM_IDS[name]])
-
-
-def as_generator(seed) -> np.random.Generator:
-    """Accept either an integer seed or an existing Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)

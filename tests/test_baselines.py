@@ -210,6 +210,17 @@ def test_complete_expectations_requires_all_settings():
         complete_expectations(records)
 
 
+def test_complete_expectations_names_a_setting_of_another_qubit_count():
+    # n is read from the first record; zz is refused by name before the
+    # counts are stacked.
+    records = [
+        MeasurementRecord(PauliSetting(axes), 4, np.eye(2 ** len(axes), dtype=np.int64)[0] * 4)
+        for axes in ("x", "y", "zz")
+    ]
+    with pytest.raises(ValueError, match="'zz'"):
+        complete_expectations(records)
+
+
 def test_baseline_pipeline_fidelity_at_large_shots():
     state = ghz(3)
     records = simulate_records(state, all_settings(3), shots=8192, seed=0)

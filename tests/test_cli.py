@@ -633,7 +633,12 @@ def test_negative_seed_exits_with_message(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["measure", "reconstruct", "compare", "baseline"])
-def test_shots_past_int64_exit_with_message(tmp_path, capsys, command):
+def test_shots_past_int64_exit_with_message(tmp_path, capsys, monkeypatch, command):
+    # Refused as the flags are read, before any state is built.
+    def build_state(*args):
+        raise AssertionError("build_state called before the shot count was checked")
+
+    monkeypatch.setattr(cli, "build_state", build_state)
     flags = ["--mu", 0.5] if command == "compare" else []
     out = tmp_path / "o.json"
     code = invoke(command, "--circuit", "ghz", "--n", 3, *flags, "--shots", 10**20, "--out", out)

@@ -411,8 +411,13 @@ def test_sample_record_roundoff_skips_zero_probability_tail():
     ids=["2.5", "3.0", "True", "float64", "numpy-bool", "str", "None"],
 )
 def test_sample_record_refuses_non_integer_shots(shots):
+    # sample_record and MeasurementRecord read shots through one check, so a
+    # record takes no count that sample_record refuses.
     with pytest.raises(ValueError, match="shots must be an integer"):
         sample_record(PauliSetting("z"), np.array([0.5, 0.5]), shots, 0)
+    counts = np.array([int(shots or 0), 0])  # summing to the count where it has a value
+    with pytest.raises(ValueError, match="shots must be an integer"):
+        MeasurementRecord(PauliSetting("z"), shots, counts)
 
 
 def test_sample_record_takes_numpy_integer_shots():
@@ -582,6 +587,8 @@ def test_sample_record_rejects_nan_probability():
                      id="apply-wrong-dimension"),
         pytest.param(lambda: exact_expectation(ghz(3), PauliMonomial((3,))), "state has 3 qubits, monomial has 1",
                      id="exact-qubit-mismatch"),
+        pytest.param(lambda: born_probabilities(ghz(3), [PauliSetting(a) for a in ("zzz", "xy", "yyy", "z")]),
+                     "setting 'xy' covers 2 qubits, expected 3", id="born-names-first-odd-setting"),
     ],
 )
 def test_measurements_validation_raises(call, match):
