@@ -20,7 +20,7 @@ drawn from substream(seed, "eigensolver").
 
 import numpy as np
 
-from .seeding import substream
+from .seeding import as_count, substream
 
 
 class PowerIterationError(RuntimeError):
@@ -38,12 +38,13 @@ def _lanczos(matvec, dim: int, k: int, tol: float, seed: int, pick):
     basis can grow no further first or the operator's image is not finite."""
     if not 0 < tol < np.inf:
         raise ValueError(f"need 0 < tol < inf, got {tol}")
-    if dim < 1:
-        raise ValueError(f"need operator dimension >= 1, got {dim}")
+    dim = as_count(dim, "dim")
+    if dim < k:
+        raise ValueError(f"operator dimension {dim} is smaller than k={k}")
     eps = np.finfo(float).eps
     floor = min(tol, max(tol * 1e-6, dim * eps))
     rng = substream(seed, "eigensolver")
-    shape = (dim, min(dim, k))
+    shape = (dim, k)
     block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     # Room for dim columns, contiguous each; only the columns in use are touched.
     basis = np.empty((dim, dim), dtype=complex, order="F")
@@ -118,9 +119,6 @@ def top_eigen(matvec, dim: int, k: int, tol: float = 1e-8, seed: int = 0):
     above the rounding of a matvec, dim eps ||M||_2, so a pair at eigenvalue
     0 cannot miss on rounding alone.  A tol below dim eps is unreachable.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if dim < k:
-        raise ValueError(f"operator dimension {dim} is smaller than k={k}")
+    k = as_count(k, "k")
     # theta ascends: the last k, in reverse.
     return _lanczos(matvec, dim, k, tol, seed, lambda theta: slice(-1, -k - 1, -1))

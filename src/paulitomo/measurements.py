@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .seeding import as_count
 from .states import PureState, _HADAMARD, apply_single_qubit
 
 # The codec's byte tables: the letter of each label, and the label of each
@@ -139,14 +140,12 @@ class MeasurementRecord:
 
 
 def as_shots(shots) -> int:
-    """The one check of a shot count: an integer, not a bool, in [1, 2^63)."""
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    """The one check of a shot count: seeding.as_count's integer >= 1,
+    below 2^63."""
+    shots = as_count(shots, "shots")
     if shots >= 2**63:  # numpy's multinomial takes an int64 count
         raise ValueError(f"shots must be below 2^63, got {shots}")
-    return int(shots)
+    return shots
 
 
 def _labels(codes, n: int) -> np.ndarray:
@@ -198,8 +197,7 @@ def monomial_from_code(code: int, n: int) -> PauliMonomial:
 def monomial_codes(monomials, n: int) -> np.ndarray:
     """The int64 codes of n-qubit monomials given as integer codes or as
     PauliMonomials, whose carried codes are read."""
-    if n < 1:
-        raise ValueError(f"qubit count must be positive, got {n}")
+    n = as_count(n, "n")
     if not isinstance(monomials, np.ndarray):
         monomials = list(monomials)
         if monomials and all(isinstance(p, PauliMonomial) and p.n == n for p in monomials):
@@ -221,11 +219,10 @@ def sample_codes(n: int, m: int, seed) -> np.ndarray:
     2(m - k) codes while k are taken, and keeps each new value's first
     occurrence in draw order up to m.
     """
-    if n < 1:
-        raise ValueError(f"qubit count must be positive, got {n}")
+    n, m = as_count(n, "n"), as_count(m, "m")
     total = 4**n
-    if not 1 <= m <= total:
-        raise ValueError(f"need 1 <= m <= 4^n = {total}, got m={m}")
+    if m > total:
+        raise ValueError(f"need m <= 4^n = {total}, got m={m}")
     rng = np.random.default_rng(seed)
     if m * 2 >= total:
         return rng.permutation(total)[:m]

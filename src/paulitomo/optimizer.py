@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import operator_norm, top_eigen
 from .metrics import as_data, as_factor, fidelity_rank1, frobenius_error
-from .seeding import substream
+from .seeding import as_count, substream
 from .states import PureState
 
 KAPPA = 1.223  # sensing condition number of the pure-state analysis
@@ -40,7 +40,8 @@ class OptimizerConfig:
     """Hyperparameters of the factored-gradient run.
 
     eta None means the two-eigenvalue step rule evaluated at Z_0.  mu is
-    any spec that parse_mu reads.
+    any spec that parse_mu reads.  rank, maxiters >= 1 and seed >= 0 are
+    stored as the ints seeding.as_count checks, so a config serializes.
     """
 
     rank: int = 1
@@ -53,10 +54,8 @@ class OptimizerConfig:
     L_hat: float = 1.1
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.maxiters < 1:
-            raise ValueError(f"maxiters must be >= 1, got {self.maxiters}")
+        for name, low in (("rank", 1), ("maxiters", 1), ("seed", 0)):
+            setattr(self, name, as_count(getattr(self, name), name, low))
         if not 0 < self.reltol < np.inf:
             raise ValueError(f"reltol must be positive and finite, got {self.reltol}")
         if self.eta is not None and not 0 < self.eta < np.inf:
@@ -104,8 +103,7 @@ def theoretical_mu(r: int, tau: float = 1.0, epsilon: float = 1.0) -> float:
     With pure-state constants (r=1, tau=1) this evaluates to roughly
     epsilon / 2212.
     """
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
+    r = as_count(r, "rank")
     if not 1.0 <= tau < np.inf:
         raise ValueError(f"condition number tau must be finite and >= 1, got {tau}")
     if not 0.0 < epsilon <= 1.0:
@@ -209,7 +207,9 @@ def run(sensing_map, y, config: OptimizerConfig, target=None, gradient_fn=None):
     is consumed only for trace metrics.  gradient_fn, if given, replaces
     the map's residual_gradient and must return A^dagger(A(zz*) - y) z for
     the same map and data; no library caller passes one, but
-    perfbench/tracing.py always passes the keyword.
+    perfbench/tracing.py always passes the keyword.  The loop runs with
+    numpy's overflow and invalid-operation errors raised, so a diverging run
+    raises DivergenceError at the first overflow, warning nothing.
 
     Returns (factor, ConvergenceTrace).
     """
@@ -227,28 +227,24 @@ def run(sensing_map, y, config: OptimizerConfig, target=None, gradient_fn=None):
     trace = ConvergenceTrace(eta=eta, mu=mu, stop_reason="maxiters")
     z = u
     start = time.perf_counter()
-    for i in range(1, config.maxiters + 1):
-        grad_start = time.perf_counter()
-        grad = gradient_fn(z)
-        grad_time = time.perf_counter() - grad_start
-        u_next = z - eta * grad
-        if not np.all(np.isfinite(u_next)):
-            raise DivergenceError(i)
-        z = u_next + mu * (u_next - u)
-        change = _gram_change(u_next, u)
-        error, fidelity = _target_metrics(u_next, target)
-        trace.records.append(
-            TraceRecord(
-                iteration=i,
-                change=change,
-                error=error,
-                fidelity=fidelity,
-                time_s=time.perf_counter() - start,
-                grad_time_s=grad_time,
-            )
-        )
-        u = u_next
-        if change <= config.reltol:
-            trace.stop_reason = "reltol"
-            break
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i in range(1, config.maxiters + 1):
+                grad_start = time.perf_counter()
+                grad = gradient_fn(z)
+                grad_time = time.perf_counter() - grad_start
+                u_next = z - eta * grad
+                if not np.all(np.isfinite(u_next)):
+                    raise DivergenceError(i)
+                z = u_next + mu * (u_next - u)
+                change = _gram_change(u_next, u)
+                error, fidelity = _target_metrics(u_next, target)
+                now = time.perf_counter() - start
+                trace.records.append(TraceRecord(i, change, error, fidelity, now, grad_time))
+                u = u_next
+                if change <= config.reltol:
+                    trace.stop_reason = "reltol"
+                    break
+    except FloatingPointError:
+        raise DivergenceError(i) from None
     return u, trace

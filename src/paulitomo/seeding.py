@@ -6,7 +6,9 @@ block) draws from its own named substream, keyed by the root seed and the
 stage's fixed id only, so any stage can be reproduced in isolation.  This
 table holds every key: no other module passes a key list to default_rng.
 Functions that take a caller's seed or Generator hand it to
-np.random.default_rng, which returns a Generator unaltered.
+np.random.default_rng, which returns a Generator unaltered.  as_count is
+the one check of every count and seed in the package: a bool, a float
+(3.0 included), a string or None is refused, never truncated.
 """
 
 import numpy as np
@@ -23,10 +25,17 @@ _STREAM_IDS = {
 }
 
 
+def as_count(value, name: str, low: int = 1) -> int:
+    """value, a Python or numpy integer (not a bool) of at least low, as a
+    plain int; anything else is a ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def substream(seed: int, name: str) -> np.random.Generator:
-    """Return the generator np.random.default_rng([seed, id]) of the named
-    substream of `seed`, id being the stage's fixed stream id."""
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return np.random.default_rng([seed, _STREAM_IDS[name]])
+    """np.random.default_rng([seed, id]) for the stage's fixed stream id;
+    seed is an integer >= 0 (as_count), never truncated onto another's stream."""
+    return np.random.default_rng([as_count(seed, "seed", 0), _STREAM_IDS[name]])

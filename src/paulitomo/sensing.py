@@ -91,7 +91,7 @@ from .measurements import (
     setting_codes,
 )
 from .metrics import as_data, as_factor
-from .seeding import substream
+from .seeding import as_count, substream
 from .states import PureState
 
 # Complex amplitudes per born_probabilities call in simulate_records: 1024
@@ -169,8 +169,8 @@ class SensingMap:
     """Ordered Pauli monomials, kept as the code array `codes`, defining A and A^dagger."""
 
     def __init__(self, n: int, monomials, normalized: bool = True):
-        self.n = n
-        self.codes = monomial_codes(monomials, n)
+        self.n = as_count(n, "n")
+        self.codes = monomial_codes(monomials, self.n)
         self.normalized = normalized
         self._src = None  # read by perfbench/tracing.py's wrapper of _ensure_cache
         self._ensure_cache()

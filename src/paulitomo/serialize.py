@@ -25,6 +25,7 @@ in the library a record's counts are an integer array indexed by outcome
 
 import csv
 import json
+import pathlib
 from dataclasses import asdict
 
 import numpy as np
@@ -187,9 +188,8 @@ def calibration_from_json(obj: dict) -> CalibrationMatrix:
 
 
 def save_json(obj: dict, path):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+    """Encode obj first, so a failed encoding leaves an existing file intact."""
+    pathlib.Path(path).write_text(json.dumps(obj, indent=1) + "\n")
 
 
 def load_json(path) -> dict:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import substream
+from .seeding import as_count, substream
 
 NORM_ATOL = 1e-10
 
@@ -19,14 +19,14 @@ _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
 
 @dataclass
 class PureState:
-    """Pure n-qubit state as a unit-norm complex amplitude vector."""
+    """Pure n-qubit state as a unit-norm complex amplitude vector; n is
+    stored as the int that seeding.as_count checks."""
 
     n: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"qubit count must be positive, got {self.n}")
+        self.n = as_count(self.n, "n")
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
         if amps.size != 2**self.n:
             raise ValueError(f"expected {2**self.n} amplitudes, got {amps.size}")
@@ -38,21 +38,20 @@ class PureState:
 
 @dataclass(frozen=True)
 class RandomCircuitSpec:
-    """Parameters of the random-circuit state constructor."""
+    """Parameters of the random-circuit state constructor; n >= 1, depth >= 0
+    and seed >= 0 are stored as the ints seeding.as_count checks."""
 
     n: int
     depth: int
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"qubit count must be positive, got {self.n}")
-        if self.depth < 0:
-            raise ValueError(f"depth must be nonnegative, got {self.depth}")
+        for name, low in (("n", 1), ("depth", 0), ("seed", 0)):
+            object.__setattr__(self, name, as_count(getattr(self, name), name, low))
 
 
 def _ghz(n: int, sign: float, name: str) -> PureState:
-    if n <= 2:
+    if as_count(n, "n") <= 2:
         raise ValueError(f"{name} is defined for n > 2, got n={n}")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = _SQRT2_INV
@@ -72,8 +71,7 @@ def ghz_minus(n: int) -> PureState:
 
 def hadamard_all(n: int) -> PureState:
     """((|0> + |1>)/sqrt(2))^{tensor n}: the uniform superposition."""
-    if n < 1:
-        raise ValueError(f"qubit count must be positive, got {n}")
+    n = as_count(n, "n")
     amps = np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex)
     return PureState(n, amps)
 

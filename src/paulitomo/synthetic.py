@@ -21,12 +21,13 @@ import numpy as np
 
 from . import optimizer
 from .metrics import as_data, as_factor
-from .seeding import substream
+from .seeding import as_count, substream
 
 
 @dataclass
 class SyntheticProblem:
-    """Dimensions and noise level of one benchmark instance (m = c d r)."""
+    """Dimensions and noise level of one benchmark instance (m = c d r);
+    d, r, c >= 1 and seed >= 0 are stored as the ints seeding.as_count checks."""
 
     d: int = 256
     r: int = 5
@@ -35,8 +36,8 @@ class SyntheticProblem:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 1 or self.r < 1 or self.c < 1:
-            raise ValueError("d, r, c must all be positive")
+        for name, low in (("d", 1), ("r", 1), ("c", 1), ("seed", 0)):
+            setattr(self, name, as_count(getattr(self, name), name, low))
         if not 0 <= self.noise_norm < np.inf:
             raise ValueError(f"noise norm must be nonnegative and finite, got {self.noise_norm}")
         if self.m > self.d**2:

@@ -1,6 +1,8 @@
 import json
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
 import warnings
@@ -628,7 +630,7 @@ def test_bad_mu_exits_with_message(tmp_path, capsys, command, flags, name):
 
 def test_negative_seed_exits_with_message(tmp_path, capsys):
     code = invoke("measure", "--circuit", "ghz", "--n", 3, "--seed", -1, "--out", tmp_path / "m.json")
-    assert_clean_failure(capsys, code, "seed must be a non-negative integer, got -1")
+    assert_clean_failure(capsys, code, "seed must be >= 0, got -1")
     assert not (tmp_path / "m.json").exists()
 
 
@@ -753,6 +755,32 @@ def test_state_out_of_memory_exits_with_message(tmp_path):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
     assert len(done.stderr.strip().splitlines()) == 1
+
+
+def test_diverging_run_reports_one_line(tmp_path):
+    # The overflow is caught where it happens: no numpy warning reaches stderr.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "paulitomo.cli", "reconstruct", "--circuit", "ghz", "--n", "3",
+         "--exact", "--eta", "1e308", "--maxiters", "5", "--out", str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert re.fullmatch(r"error: non-finite iterate at iteration \d+\n", done.stderr), done.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_readme_cli_examples_parse():
+    # Every command in README's CLI block, backslash continuations joined.
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:
+        readme = fh.read()
+    block = re.search(r"## CLI\n.*?```\n(.*?)```", readme, re.S).group(1)
+    commands = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("paulitomo ")]
+    assert len(commands) == 8
+    parser, _ = cli.build_parser()
+    for command in commands:
+        args = parser.parse_args(shlex.split(command)[1:])
+        assert callable(args.func), command
 
 
 def test_build_state_rejects_unknown_circuit():

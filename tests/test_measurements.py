@@ -222,9 +222,9 @@ def test_codes_refuse_out_of_range_codes_and_qubit_counts():
     for code in (-1, 4**3):
         with pytest.raises(ValueError, match="must lie in"):
             monomial_from_code(code, 3)
-    with pytest.raises(ValueError, match="qubit count must be positive"):
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
         monomial_from_code(0, 0)
-    with pytest.raises(ValueError, match="qubit count must be positive"):
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
         sample_monomials(0, 1, seed=0)
 
 

@@ -291,8 +291,8 @@ def test_momentum_accelerates_on_complete_ghz6():
     assert np.median([1 if w else 0 for w in wins]) == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_raises():
+    # Raised at the first overflow, before numpy warns about it.
     state = ghz(3)
     smap, y = full_exact_problem(state)
     config = OptimizerConfig(rank=1, eta=1e6, mu=0.0, maxiters=500, reltol=1e-12, init="random")

@@ -560,7 +560,7 @@ def test_map_validation():
         with pytest.raises(ValueError):
             SensingMap(3, codes)
     for n in (0, -1):
-        with pytest.raises(ValueError, match="qubit count must be positive"):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
             SensingMap(n, np.array([0]))
 
 

@@ -160,6 +160,39 @@ def test_result_schema(tmp_path):
     json.dumps(obj)  # must be serializable as-is
 
 
+def test_numpy_integer_config_round_trips_through_a_result_file(tmp_path):
+    # The config stores the checked counts and seed as plain ints.
+    state = ghz(3)
+    smap = SensingMap(3, sample_monomials(3, 30, 5), normalized=True)
+    obs, _ = observe_with_records(state, smap, shots=256, seed=5)
+    config = OptimizerConfig(rank=np.int64(1), maxiters=np.int64(5), seed=np.int64(2), eta=1e-3,
+                             reltol=1e-300, init="random")
+    factor, trace = run(smap, obs, config, target=state)
+    path = tmp_path / "result.json"
+    serialize.save_json(serialize.result_to_json(config, trace, factor), path)
+    loaded = serialize.load_json(path)
+    assert (loaded["config"]["rank"], loaded["config"]["maxiters"], loaded["config"]["seed"]) == (1, 5, 2)
+    assert loaded["iterations"] == 5
+
+
+def test_numpy_integer_map_writes_an_expectations_file(tmp_path):
+    smap = SensingMap(np.int64(3), np.array([1, 27, 63]))
+    assert type(smap.n) is int
+    path = tmp_path / "e.json"
+    serialize.save_json(serialize.expectations_to_json(smap, [0.5, -0.25, 1.0]), path)
+    loaded_map, values = serialize.expectations_from_json(serialize.load_json(path))
+    assert loaded_map.n == 3 and np.array_equal(loaded_map.codes, smap.codes)
+    assert values.tolist() == [0.5, -0.25, 1.0]
+
+
+def test_failed_save_json_leaves_the_old_file(tmp_path):
+    path = tmp_path / "out.json"
+    serialize.save_json({"kept": 1}, path)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        serialize.save_json({"bad": object()}, path)
+    assert serialize.load_json(path) == {"kept": 1}
+
+
 def test_trace_csv(tmp_path):
     state = ghz(3)
     smap = SensingMap(3, sample_monomials(3, 30, 6), normalized=True)

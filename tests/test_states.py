@@ -180,7 +180,7 @@ def test_gates_refuse_wires_outside_the_register(call, match):
     ],
 )
 def test_states_reject_zero_qubits(call):
-    with pytest.raises(ValueError, match="qubit count must be positive, got 0"):
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
         call()
 
 

@@ -145,7 +145,7 @@ def test_noise_norm_must_be_finite(bad):
 @pytest.mark.parametrize(
     "call,match",
     [
-        pytest.param(lambda: SyntheticProblem(d=0), "d, r, c must all be positive", id="problem-d-0"),
+        pytest.param(lambda: SyntheticProblem(d=0), "d must be >= 1, got 0", id="problem-d-0"),
         pytest.param(lambda: GaussianSensingMap(4, np.zeros((3, 5))), r"rows must have shape \(m, 10\)",
                      id="map-row-width"),
     ],
