@@ -17,7 +17,7 @@ import numpy as np
 
 from . import baselines, metrics, optimizer, serialize, synthetic
 from .measurements import PauliSetting, as_shots, sample_codes
-from .seeding import substream
+from .seeding import as_real, substream
 from .sensing import SensingMap, observe_with_records, simulate_records
 from .states import RandomCircuitSpec, ghz, ghz_minus, hadamard_all, random_state
 
@@ -37,10 +37,9 @@ def build_state(circuit: str, n: int, depth: int = 20, seed: int = 0):
 
 
 def monomial_count(measpc: float, n: int) -> int:
-    """m = round-half-up(measpc/100 * 4^n), clamped to [1, 4^n]."""
-    total = 4**n
-    m = int(np.floor(measpc / 100.0 * total + 0.5))
-    return min(max(m, 1), total)
+    """m = round-half-up(measpc/100 * 4^n), at least 1, for measpc in (0, 100]."""
+    m = int(np.floor(as_real(measpc, "measpc", "(0, 100]") / 100.0 * 4**n + 0.5))
+    return max(m, 1)
 
 
 def all_settings(n: int) -> list:
@@ -51,14 +50,18 @@ def all_settings(n: int) -> list:
 def _optimizer_config(args) -> optimizer.OptimizerConfig:
     return optimizer.OptimizerConfig(
         rank=args.rank,
-        eta=None if args.eta == "auto" else float(args.eta),
-        mu=optimizer.parse_mu(args.mu)[0],
+        eta=args.eta,
+        mu=args.mu,
         maxiters=args.maxiters,
         reltol=args.reltol,
         seed=args.seed,
         init=args.init,
         L_hat=args.l_hat,
     )
+
+
+def auto_or_float(text: str) -> float | None:
+    return None if text == "auto" else float(text)
 
 
 def _add_state_flags(sub, required=True):
@@ -79,7 +82,7 @@ def _add_data_flags(sub, measpc=None):
 
 def _add_optimizer_flags(sub):
     sub.add_argument("--rank", type=int, default=1)
-    sub.add_argument("--eta", default="auto", help='step size, or "auto" for the eigenvalue rule')
+    sub.add_argument("--eta", type=auto_or_float, default="auto", help='step size, or "auto" for the eigenvalue rule')
     sub.add_argument("--mu", default="0", help='momentum: float, "theory" or "theory:EPS"')
     sub.add_argument("--maxiters", type=int, default=1000)
     sub.add_argument("--reltol", type=float, default=5e-4)
@@ -166,11 +169,9 @@ def _resolve_shots(args):
 
 def _simulate_pipeline(args, normalized=True):
     """Shared state -> monomials -> observations path for measure/reconstruct/compare."""
-    if not 0.0 < args.measpc <= 100.0:
-        raise ValueError(f"measpc must lie in (0, 100], got {args.measpc}")
     _resolve_shots(args)
-    state = build_state(args.circuit, args.n, args.depth, args.seed)
     m = monomial_count(args.measpc, args.n)
+    state = build_state(args.circuit, args.n, args.depth, args.seed)
     codes = sample_codes(args.n, m, substream(args.seed, "monomials"))
     sensing_map = SensingMap(args.n, codes, normalized=normalized)
     obs, records = observe_with_records(state, sensing_map, shots=args.shots, seed=args.seed)

@@ -20,7 +20,7 @@ drawn from substream(seed, "eigensolver").
 
 import numpy as np
 
-from .seeding import as_count, substream
+from .seeding import as_count, as_real, substream
 
 
 class PowerIterationError(RuntimeError):
@@ -36,9 +36,7 @@ def _lanczos(matvec, dim: int, k: int, tol: float, seed: int, pick):
     <= max(tol |theta|, floor ||M||) with ||M|| = max |theta| and floor =
     min(tol, max(tol 1e-6, dim eps)); raises PowerIterationError if the
     basis can grow no further first or the operator's image is not finite."""
-    if not 0 < tol < np.inf:
-        raise ValueError(f"need 0 < tol < inf, got {tol}")
-    dim = as_count(dim, "dim")
+    tol, dim = as_real(tol, "tol", "(0, inf)"), as_count(dim, "dim")
     if dim < k:
         raise ValueError(f"operator dimension {dim} is smaller than k={k}")
     eps = np.finfo(float).eps
@@ -49,7 +47,7 @@ def _lanczos(matvec, dim: int, k: int, tol: float, seed: int, pick):
     # Room for dim columns, contiguous each; only the columns in use are touched.
     basis = np.empty((dim, dim), dtype=complex, order="F")
     image = np.empty((dim, dim), dtype=complex, order="F")
-    t = coupling = np.zeros((0, 0), dtype=complex)
+    t = np.zeros((dim, dim), dtype=complex)  # T grows in its leading (cols, cols) part
     n = last = 0
     while True:
         # Project the basis out of each column of the block twice; the rest,
@@ -79,12 +77,10 @@ def _lanczos(matvec, dim: int, k: int, tol: float, seed: int, pick):
             # the lower triangle).  T is real whenever its imaginary part is
             # zero, always for b = 1.
             a = cols - last
-            grown = np.zeros((cols, cols), dtype=complex)
-            grown[:a, :a] = t
-            grown[a:, a - coupling.shape[1] : a] = coupling
-            grown[a:, a:] = (coef[a:cols] + coef[a:cols].conj().T) / 2
-            t = grown
-            theta, s = np.linalg.eigh(t if t.imag.any() else t.real)
+            t[a:cols, a - coupling.shape[1] : a] = coupling
+            t[a:cols, a:cols] = (coef[a:cols] + coef[a:cols].conj().T) / 2
+            lead = t[:cols, :cols]
+            theta, s = np.linalg.eigh(lead if lead.imag.any() else lead.real)
             # theta ascends, so ||M|| = max(-theta[0], theta[-1]); the estimate
             # is the column norm of R s on the newest block.
             wanted = pick(theta)

@@ -213,9 +213,9 @@ def monomial_codes(monomials, n: int) -> np.ndarray:
 def sample_codes(n: int, m: int, seed) -> np.ndarray:
     """Draw m distinct monomial codes uniformly without replacement.
 
-    Deterministic per seed.  Uses a full permutation when m is a large
-    fraction of 4^n and rejection sampling otherwise; the branch depends
-    only on (n, m) so reproducibility is unaffected.  Rejection draws
+    Deterministic per seed, a Generator or an integer >= 0 (as_count).
+    Uses a full permutation when m is a large fraction of 4^n and rejection
+    sampling otherwise; the branch depends only on (n, m).  Rejection draws
     2(m - k) codes while k are taken, and keeps each new value's first
     occurrence in draw order up to m.
     """
@@ -223,7 +223,7 @@ def sample_codes(n: int, m: int, seed) -> np.ndarray:
     total = 4**n
     if m > total:
         raise ValueError(f"need m <= 4^n = {total}, got m={m}")
-    rng = np.random.default_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(as_count(seed, "seed", 0))
     if m * 2 >= total:
         return rng.permutation(total)[:m]
     taken = np.empty(0, dtype=np.int64)
@@ -311,8 +311,8 @@ def sample_record(
     The counts are one rng.multinomial draw, which numpy makes by
     conditional binomials: bin j takes Binomial(shots left, p_j / mass
     left) of the shots not yet placed.  That is O(d) per call whatever the
-    shot count, and reproducible per seed (numpy does not promise the same
-    draws across its releases).  The
+    shot count, and reproducible per seed, a Generator or an integer >= 0
+    (numpy does not promise the same draws across its releases).  The
     distribution is cut after its last bin of nonzero probability and
     divided by its sum there, so that bin takes the roundoff remainder and
     no outcome of probability zero is ever drawn.
@@ -326,7 +326,8 @@ def sample_record(
     weights = np.maximum(probs, 0.0)
     weights = weights[: np.flatnonzero(weights)[-1] + 1]
     counts = np.zeros(probs.size, dtype=np.int64)
-    counts[: weights.size] = np.random.default_rng(seed).multinomial(shots, weights / weights.sum())
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(as_count(seed, "seed", 0))
+    counts[: weights.size] = rng.multinomial(shots, weights / weights.sum())
     return MeasurementRecord(setting=setting, shots=shots, counts=counts)
 
 

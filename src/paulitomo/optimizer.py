@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import operator_norm, top_eigen
 from .metrics import as_data, as_factor, fidelity_rank1, frobenius_error
-from .seeding import as_count, substream
+from .seeding import as_count, as_real, substream
 from .states import PureState
 
 KAPPA = 1.223  # sensing condition number of the pure-state analysis
@@ -39,9 +39,10 @@ class DivergenceError(RuntimeError):
 class OptimizerConfig:
     """Hyperparameters of the factored-gradient run.
 
-    eta None means the two-eigenvalue step rule evaluated at Z_0.  mu is
-    any spec that parse_mu reads.  rank, maxiters >= 1 and seed >= 0 are
-    stored as the ints seeding.as_count checks, so a config serializes.
+    eta None means the two-eigenvalue step rule evaluated at Z_0; mu, any
+    spec parse_mu reads, is stored as its value.  rank, maxiters and seed
+    are stored as checked ints (seeding.as_count), the others as checked
+    floats (seeding.as_real), so a config serializes.
     """
 
     rank: int = 1
@@ -56,15 +57,12 @@ class OptimizerConfig:
     def __post_init__(self):
         for name, low in (("rank", 1), ("maxiters", 1), ("seed", 0)):
             setattr(self, name, as_count(getattr(self, name), name, low))
-        if not 0 < self.reltol < np.inf:
-            raise ValueError(f"reltol must be positive and finite, got {self.reltol}")
-        if self.eta is not None and not 0 < self.eta < np.inf:
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        parse_mu(self.mu)
+        self.reltol = as_real(self.reltol, "reltol", "(0, inf)")
+        self.eta = None if self.eta is None else as_real(self.eta, "eta", "(0, inf)")
+        self.mu = parse_mu(self.mu)[0]
         if self.init not in ("spectral", "random"):
             raise ValueError(f"init must be 'spectral' or 'random', got {self.init!r}")
-        if not 1.0 < self.L_hat <= 1.1:
-            raise ValueError(f"L_hat must lie in (1, 1.1], got {self.L_hat}")
+        self.L_hat = as_real(self.L_hat, "L_hat", "(1, 1.1]")
 
 
 @dataclass
@@ -103,11 +101,7 @@ def theoretical_mu(r: int, tau: float = 1.0, epsilon: float = 1.0) -> float:
     With pure-state constants (r=1, tau=1) this evaluates to roughly
     epsilon / 2212.
     """
-    r = as_count(r, "rank")
-    if not 1.0 <= tau < np.inf:
-        raise ValueError(f"condition number tau must be finite and >= 1, got {tau}")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    r, tau, epsilon = as_count(r, "rank"), as_real(tau, "tau", "[1, inf)"), as_real(epsilon, "epsilon", "(0, 1]")
     return epsilon / (2000.0 * r * tau * np.sqrt(KAPPA))
 
 
@@ -119,21 +113,14 @@ def parse_mu(spec):
     (spec, EPS) for a theory spec, so value is what a config stores.
     """
     head, sep, tail = str(spec).partition(":")
-    if head == "theory":
-        try:
-            epsilon = float(tail) if sep else 1.0
-        except ValueError:
-            raise ValueError(f"mu 'theory:EPS' needs a number EPS, got {spec!r}") from None
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-        return spec, epsilon
+    text = (tail if sep else "1") if head == "theory" else spec
     try:
-        mu = float(spec)
-    except (TypeError, ValueError):
+        value = float(text) if isinstance(text, str) else text
+    except ValueError:
         raise ValueError(f"mu must be a float, 'theory' or 'theory:EPS', got {spec!r}") from None
-    if not 0.0 <= mu < 1.0:
-        raise ValueError(f"mu must satisfy 0 <= mu < 1, got {spec}")
-    return mu, None
+    if head == "theory":
+        return spec, as_real(value, "epsilon", "(0, 1]")
+    return as_real(value, "mu", "[0, 1)"), None
 
 
 def resolve_mu(config: OptimizerConfig, tau: float = 1.0) -> float:
@@ -209,7 +196,9 @@ def run(sensing_map, y, config: OptimizerConfig, target=None, gradient_fn=None):
     the same map and data; no library caller passes one, but
     perfbench/tracing.py always passes the keyword.  The loop runs with
     numpy's overflow and invalid-operation errors raised, so a diverging run
-    raises DivergenceError at the first overflow, warning nothing.
+    raises DivergenceError at the first overflow, warning nothing.  An
+    all-zero spectral start (A^dagger(y) has no positive eigenvalue) is a
+    ValueError that points to init="random".
 
     Returns (factor, ConvergenceTrace).
     """
@@ -217,6 +206,8 @@ def run(sensing_map, y, config: OptimizerConfig, target=None, gradient_fn=None):
     d, r = sensing_map.d, config.rank
     if config.init == "spectral":
         u = spectral_init(sensing_map, y, r, config.L_hat, seed=config.seed)
+        if not np.any(u):
+            raise ValueError("spectral init is zero: A^dagger(y) has no positive eigenvalue; use init='random'")
     else:
         u = random_init(d, r, seed=config.seed, real=getattr(sensing_map, "real_factors", False))
     eta = config.eta if config.eta is not None else compute_step_size(sensing_map, y, u, config.L_hat)

@@ -5,10 +5,10 @@ noise, synthetic noise, optimizer initialization, the eigensolver's start
 block) draws from its own named substream, keyed by the root seed and the
 stage's fixed id only, so any stage can be reproduced in isolation.  This
 table holds every key: no other module passes a key list to default_rng.
-Functions that take a caller's seed or Generator hand it to
-np.random.default_rng, which returns a Generator unaltered.  as_count is
-the one check of every count and seed in the package: a bool, a float
-(3.0 included), a string or None is refused, never truncated.
+Every scalar check is here: as_count for each count and seed (a bool, a
+float, 3.0 included, a string or None is refused, never truncated) and
+as_real for each real-valued parameter.  A caller's Generator is used as
+it is; any other caller seed goes through as_count first.
 """
 
 import numpy as np
@@ -33,6 +33,21 @@ def as_count(value, name: str, low: int = 1) -> int:
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def as_real(value, name: str, interval: str) -> float:
+    """value, a finite Python or numpy int or float (not a bool) inside interval,
+    such as "(0, inf)" or "[0, 1)", as a plain float, else a ValueError naming `name`."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else np.nan
+    except OverflowError:  # an int beyond the float range
+        x = np.nan
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    inside = (low <= x if interval[0] == "[" else low < x) and (x <= high if interval[-1] == "]" else x < high)
+    if not (inside and abs(x) < np.inf):
+        raise ValueError(f"{name} must be a finite number in {interval}, got {value!r}")
+    return x
 
 
 def substream(seed: int, name: str) -> np.random.Generator:

@@ -21,13 +21,13 @@ import numpy as np
 
 from . import optimizer
 from .metrics import as_data, as_factor
-from .seeding import as_count, substream
+from .seeding import as_count, as_real, substream
 
 
 @dataclass
 class SyntheticProblem:
-    """Dimensions and noise level of one benchmark instance (m = c d r);
-    d, r, c >= 1 and seed >= 0 are stored as the ints seeding.as_count checks."""
+    """Dimensions and noise level of one benchmark instance (m = c d r),
+    stored as plain values that seeding.as_count and as_real check."""
 
     d: int = 256
     r: int = 5
@@ -38,8 +38,7 @@ class SyntheticProblem:
     def __post_init__(self):
         for name, low in (("d", 1), ("r", 1), ("c", 1), ("seed", 0)):
             setattr(self, name, as_count(getattr(self, name), name, low))
-        if not 0 <= self.noise_norm < np.inf:
-            raise ValueError(f"noise norm must be nonnegative and finite, got {self.noise_norm}")
+        self.noise_norm = as_real(self.noise_norm, "noise_norm", "[0, inf)")
         if self.m > self.d**2:
             raise ValueError(f"m = c*d*r = {self.m} exceeds d^2 = {self.d**2}")
 
@@ -144,8 +143,7 @@ def run_synthetic_comparison(
     the problem, the random initialization seed, and the step-size rule;
     reported per run are iterations, final relative error, and wall time.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    tol = as_real(tol, "tol", "(0, inf)")
     sensing_map, y, u_star = generate_synthetic(problem)
     spectrum = np.linalg.eigvalsh(u_star.T @ u_star)
     sigma_1, sigma_r = float(spectrum[-1]), float(spectrum[0])

@@ -770,6 +770,51 @@ def test_diverging_run_reports_one_line(tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("eta", [[], ["--eta", "0.001"]], ids=["auto-eta", "fixed-eta"])
+def test_spectral_start_without_signal_reports_one_line(tmp_path, eta):
+    # All 205 exact values of Hadamard(6) at seed 11 are 0, so A^dagger(y)
+    # has no positive eigenvalue; the run stops, whatever the step size.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "paulitomo.cli", "reconstruct", "--circuit", "hadamard", "--n", "6",
+         "--measpc", "5", "--exact", "--seed", "11", *eta, "--out", str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert re.fullmatch(r"error: spectral init is zero: .*no positive eigenvalue.*init='random'\n", done.stderr), \
+        done.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_eta_that_is_not_a_number_names_the_flag(tmp_path, capsys, via_config):
+    out = tmp_path / "r.json"
+    if via_config:
+        serialize.save_json({"eta": "abc"}, tmp_path / "cfg.json")
+        flags = ["--config", tmp_path / "cfg.json"]
+    else:
+        flags = ["--eta", "abc"]
+    code = invoke("reconstruct", "--circuit", "ghz", "--n", 3, "--exact", *flags, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "argument --eta: invalid auto_or_float value: 'abc'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["measure", "reconstruct", "compare"])
+@pytest.mark.parametrize("measpc", ["0", "-5", "150", "nan"])
+def test_measpc_out_of_range_exits_before_any_state(tmp_path, capsys, monkeypatch, command, measpc):
+    def build_state(*args):
+        raise AssertionError("build_state called before measpc was checked")
+
+    monkeypatch.setattr(cli, "build_state", build_state)
+    flags = ["--mu", 0.5] if command == "compare" else []
+    out = tmp_path / "o.json"
+    code = invoke(command, "--circuit", "ghz", "--n", 3, *flags, "--measpc", measpc, "--out", out)
+    assert_clean_failure(capsys, code, f"measpc must be a finite number in (0, 100], got {float(measpc)}")
+    assert not out.exists()
+
+
 def test_readme_cli_examples_parse():
     # Every command in README's CLI block, backslash continuations joined.
     with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:

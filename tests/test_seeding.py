@@ -5,12 +5,15 @@ import re
 import numpy as np
 import pytest
 
-from paulitomo import OptimizerConfig, PureState, RandomCircuitSpec, SensingMap, SyntheticProblem
+from paulitomo import OptimizerConfig, PauliSetting, PureState, RandomCircuitSpec, SensingMap, SyntheticProblem
+from paulitomo.cli import monomial_count
 from paulitomo.linalg import operator_norm, top_eigen
-from paulitomo.measurements import as_shots, monomial_codes, sample_codes
-from paulitomo.optimizer import theoretical_mu
+from paulitomo.measurements import as_shots, monomial_codes, sample_codes, sample_record
+from paulitomo.optimizer import parse_mu, theoretical_mu
 from paulitomo.seeding import _STREAM_IDS, substream
 from paulitomo.states import ghz, hadamard_all
+from paulitomo.synthetic import run_synthetic_comparison
+from test_measurements import RecordingGenerator
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 9]
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "paulitomo"
@@ -82,17 +85,79 @@ _STATE = np.eye(4)[0]
         pytest.param(lambda v: operator_norm(_diagonal, v), _none, "dim", 4, id="lanczos-dim"),
         pytest.param(lambda v: top_eigen(_diagonal, 4, v), _none, "k", 2, id="top_eigen-k"),
         pytest.param(lambda v: SensingMap(v, [1]), operator.attrgetter("n"), "n", 2, id="sensing-map-n"),
+        pytest.param(lambda v: sample_codes(2, 3, v), _none, "seed", 2, id="sample_codes-seed"),
+        pytest.param(lambda v: sample_record(PauliSetting("z"), [0.5, 0.5], 4, v), _none, "seed", 2,
+                     id="sample_record-seed"),
     ],
 )
 def test_counts_and_seeds_are_integers_never_truncated(make, read, name, valid):
-    # A float (even a whole one), a bool or a string is refused by name;
-    # a numpy integer is accepted and kept as a plain int.
-    for bad in (float(valid), np.float64(valid) + 0.5, True, str(valid)):
+    # A float (even a whole one), a bool, a string or None is refused by
+    # name; a numpy integer is accepted and kept as a plain int.
+    for bad in (float(valid), np.float64(valid) + 0.5, True, str(valid), None):
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
             make(bad)
     stored = read(make(np.int64(valid)))
     if stored is not None:
         assert stored == valid and type(stored) is int
+
+
+@pytest.mark.parametrize("make", [lambda rng: sample_codes(2, 3, rng),
+                                  lambda rng: sample_record(PauliSetting("z"), [0.5, 0.5], 4, rng)],
+                         ids=["sample_codes", "sample_record"])
+def test_caller_generators_are_used_as_they_are(make):
+    # A Generator, subclass included, draws from its own stream: the same
+    # draws as an equal generator, and a RecordingGenerator's stream advances.
+    rng = RecordingGenerator(7)
+    first = make(rng)
+    expected = make(RecordingGenerator(7))
+    assert np.array_equal(getattr(first, "counts", first), getattr(expected, "counts", expected))
+    assert rng.bit_generator.state != RecordingGenerator(7).bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "make, read, name, inside, integer, outside",
+    [
+        # make(value) uses the parameter at value; read(result) is the value
+        # as stored, or None where nothing keeps it.  integer is an integer
+        # inside the interval, where one exists; outside lies just beyond it.
+        pytest.param(lambda v: OptimizerConfig(reltol=v), operator.attrgetter("reltol"), "reltol", 0.25, 1, 0.0,
+                     id="config-reltol"),
+        pytest.param(lambda v: OptimizerConfig(eta=v), operator.attrgetter("eta"), "eta", 0.5, 1, 0.0,
+                     id="config-eta"),
+        pytest.param(lambda v: OptimizerConfig(L_hat=v), operator.attrgetter("L_hat"), "L_hat", 1.0625, None,
+                     np.nextafter(1.1, 2.0), id="config-L_hat"),
+        pytest.param(lambda v: OptimizerConfig(mu=v), operator.attrgetter("mu"), "mu", 0.5, 0, 1.0,
+                     id="config-mu"),
+        pytest.param(lambda v: parse_mu(v)[0], lambda out: out, "mu", 0.5, 0, -5e-324, id="parse_mu-mu"),
+        pytest.param(lambda v: theoretical_mu(1, tau=v), _none, "tau", 2.5, 2, np.nextafter(1.0, 0.0),
+                     id="theoretical_mu-tau"),
+        pytest.param(lambda v: theoretical_mu(1, epsilon=v), _none, "epsilon", 0.5, 1, np.nextafter(1.0, 2.0),
+                     id="theoretical_mu-epsilon"),
+        pytest.param(lambda v: SyntheticProblem(d=4, r=1, c=1, noise_norm=v), operator.attrgetter("noise_norm"),
+                     "noise_norm", 0.125, 0, -5e-324, id="synthetic-noise_norm"),
+        pytest.param(lambda v: run_synthetic_comparison(SyntheticProblem(d=4, r=1, c=1), (0.0,), tol=v, maxiters=2),
+                     _none, "tol", 0.5, 1, 0.0, id="synthetic-tol"),
+        pytest.param(lambda v: top_eigen(_diagonal, 4, 1, tol=v), _none, "tol", 0.5, 1, 0.0, id="top_eigen-tol"),
+        pytest.param(lambda v: operator_norm(_diagonal, 4, tol=v), _none, "tol", 0.5, 1, -5e-324,
+                     id="operator_norm-tol"),
+        pytest.param(lambda v: monomial_count(v, 3), _none, "measpc", 50.0, 50, np.nextafter(100.0, 200.0),
+                     id="monomial_count-measpc"),
+    ],
+)
+def test_real_parameters_are_finite_numbers_in_their_interval(make, read, name, inside, integer, outside):
+    # A bool, a string, None, NaN, an infinity, an int beyond the float range
+    # and a value just outside the interval are refused by name; numpy floats
+    # and integers inside it are accepted and kept as plain floats.
+    accepted = {"mu": str(inside), "eta": None}  # parse_mu's grammar; the step-size rule
+    for bad in (True, str(inside), None, np.nan, np.inf, -np.inf, 10**400, outside):
+        if name in accepted and bad == accepted[name]:
+            continue
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number in [\[(]"):
+            make(bad)
+    for good in (np.float32(inside), np.float64(inside), *([] if integer is None else [np.int64(integer)])):
+        stored = read(make(good))
+        if stored is not None:
+            assert stored == float(good) and type(stored) is float
 
 
 def test_stream_ids_are_pinned_and_distinct():

@@ -161,18 +161,23 @@ def test_result_schema(tmp_path):
 
 
 def test_numpy_integer_config_round_trips_through_a_result_file(tmp_path):
-    # The config stores the checked counts and seed as plain ints.
+    # The config stores the checked counts and seed as plain ints, and eta,
+    # reltol, L_hat and a numeric mu, a string one too, as plain floats.
     state = ghz(3)
     smap = SensingMap(3, sample_monomials(3, 30, 5), normalized=True)
     obs, _ = observe_with_records(state, smap, shots=256, seed=5)
-    config = OptimizerConfig(rank=np.int64(1), maxiters=np.int64(5), seed=np.int64(2), eta=1e-3,
-                             reltol=1e-300, init="random")
-    factor, trace = run(smap, obs, config, target=state)
-    path = tmp_path / "result.json"
-    serialize.save_json(serialize.result_to_json(config, trace, factor), path)
-    loaded = serialize.load_json(path)
-    assert (loaded["config"]["rank"], loaded["config"]["maxiters"], loaded["config"]["seed"]) == (1, 5, 2)
-    assert loaded["iterations"] == 5
+    for real in (float, np.float32, np.float64):
+        config = OptimizerConfig(rank=np.int64(1), maxiters=np.int64(5), seed=np.int64(2), eta=real(1e-3),
+                                 reltol=real(1e-30), init="random", L_hat=real(1.05), mu="0.5")
+        factor, trace = run(smap, obs, config, target=state)
+        path = tmp_path / "result.json"
+        serialize.save_json(serialize.result_to_json(config, trace, factor), path)
+        loaded = serialize.load_json(path)
+        assert (loaded["config"]["rank"], loaded["config"]["maxiters"], loaded["config"]["seed"]) == (1, 5, 2)
+        reals = [loaded["config"][key] for key in ("eta", "reltol", "L_hat")]
+        assert reals == [float(real(1e-3)), float(real(1e-30)), float(real(1.05))]
+        assert loaded["config"]["mu"] == loaded["mu"] == 0.5
+        assert loaded["iterations"] == 5
 
 
 def test_numpy_integer_map_writes_an_expectations_file(tmp_path):

@@ -138,7 +138,7 @@ def test_noisy_error_floor_small_scale():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_noise_norm_must_be_finite(bad):
-    with pytest.raises(ValueError, match="noise norm"):
+    with pytest.raises(ValueError, match="^noise_norm must be a finite number"):
         small_problem(noise_norm=bad)
 
 
