@@ -143,8 +143,10 @@ def spectral_init(sensing_map, y, r: int, L_hat: float = 1.1, seed: int = 0) -> 
 
     c is the map's gain (E[A^dagger A] = c I).  The block Lanczos solver,
     of block width r, runs on the map's fixed operator Z -> A^dagger(y) Z;
-    column j is v_j * sqrt(max(lambda_j / c, 0) / L_hat).
+    column j is v_j * sqrt(max(lambda_j / c, 0) / L_hat), L_hat in (1, 1.1]
+    as in OptimizerConfig.
     """
+    L_hat = as_real(L_hat, "L_hat", "(1, 1.1]")
     y = as_data(y, sensing_map.m)
     values, vectors = top_eigen(sensing_map.adjoint_operator(y), sensing_map.d, r, tol=1e-9, seed=seed)
     cols = np.sqrt(np.maximum(values / sensing_map.gain, 0.0) / L_hat)
@@ -157,8 +159,10 @@ def compute_step_size(sensing_map, y, z0: np.ndarray, L_hat: float = 1.1) -> flo
     c is the map's gain (E[A^dagger A] = c I; c = 1 is the RIP-normalized
     rule).  The first spectral norm comes from the r x r Gram eigenproblem,
     the second from the Lanczos solver (one column per step) on the map's
-    fixed operator Z -> A^dagger(A(Z0 Z0*) - y) Z.
+    fixed operator Z -> A^dagger(A(Z0 Z0*) - y) Z.  L_hat lies in (1, 1.1],
+    as in OptimizerConfig.
     """
+    L_hat = as_real(L_hat, "L_hat", "(1, 1.1]")
     y = as_data(y, sensing_map.m)
     z0 = as_factor(z0, sensing_map.d)
     if not np.any(z0):

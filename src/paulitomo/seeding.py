@@ -1,10 +1,11 @@
 """Deterministic RNG substreams derived from a single root seed.
 
 Every stage of the pipeline (state construction, monomial sampling, shot
-noise, synthetic noise, optimizer initialization, the eigensolver's start
-block) draws from its own named substream, keyed by the root seed and the
-stage's fixed id only, so any stage can be reproduced in isolation.  This
-table holds every key: no other module passes a key list to default_rng.
+noise, the full counts of records completed on read, synthetic noise,
+optimizer initialization, the eigensolver's start block) draws from its own
+named substream, keyed by the root seed and the stage's fixed id only, so
+any stage can be reproduced in isolation.  This table holds every key: no
+other module passes a key list to default_rng.
 Every scalar check is here: as_count for each count and seed (a bool, a
 float, 3.0 included, a string or None is refused, never truncated) and
 as_real for each real-valued parameter.  A caller's Generator is used as
@@ -21,6 +22,7 @@ _STREAM_IDS = {
     "noise": 3,
     "init": 4,
     "sensing": 5,
+    "records": 6,
     "eigensolver": 0xB10C,
 }
 

@@ -73,9 +73,22 @@ and d r, and adjoint_operator only the complex d x d matrix its operator
 keeps.  Threads that call one map at once each use their own buffers; the
 tables are only read, so threads can share a new map.  Exact simulated
 data are the forward map of the state.
+
+Sampled data.  The monomials of one measurement setting read parities of
+its outcome on their support masks, and those masks span a GF(2) space of
+some rank r <= n.  The product of any subset of its basis monomials is
+again a monomial on the setting, so one exact forward map gives the 2^r - 1
+expectations whose transform is the law of the setting's r basis parities.
+A setting with r <= _LAW_RANK draws only that 2^r-pattern law, one
+multinomial per rank for all such settings, and its y is read off the
+transformed pattern counts; one of higher rank keeps the Born rows and full
+counts of simulate_records.  Full counts of the pattern-law settings are
+drawn only when the records are read, given the pattern counts, from their
+own stream substream(seed, "records"); see observe_with_records.
 """
 
 import threading
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -83,6 +96,9 @@ import numpy as np
 from .measurements import (
     exact_expectation,  # noqa: F401  (module attribute that perfbench/tracing.py wraps)
     expectation_from_record,  # noqa: F401  (likewise)
+    MeasurementRecord,
+    _bit_parity,
+    as_shots,
     born_probabilities,
     code_settings,
     monomial_actions,
@@ -101,6 +117,9 @@ _BLOCK_BYTES = 4 << 20
 _PARITY_BLOCK_BYTES = 1 << 18
 # Largest Kronecker factor of the Walsh-Hadamard transform, in bits.
 _FACTOR_BITS = 5
+# Largest parity rank r whose settings draw from their 2^r-pattern law in
+# sampled observe; settings of higher rank take Born rows and full counts.
+_LAW_RANK = 6
 
 
 def _factor_bits(bits: int) -> list:
@@ -296,6 +315,144 @@ def parity_means(records) -> np.ndarray:
     return means
 
 
+def _parity_bases(sensing_map: SensingMap):
+    """The parities a sampled observe reads, and a GF(2) basis of each
+    setting's parities.
+
+    Returns (codes, setting, mask, basis, rank, coord): the S distinct
+    setting codes, sorted (so in axes order); per monomial its setting
+    index, its support mask f | s (the qubits whose outcome parity it
+    reads) and its coordinates; per setting its r basis masks, first in a
+    row of basis (S, n), and r.  A monomial's mask is the XOR of
+    basis[setting, k] over the bits k of its coord.
+
+    Elimination runs on the distinct (setting, mask) pairs of every setting
+    at once, one bit at a time: the first pair of a setting with that bit
+    still set gives the setting's next basis mask, and every pair of the
+    setting with the bit set, that one too, is XORed with it and takes its
+    basis bit into its coord.  Lower bits are already clear everywhere, so
+    every pair ends at 0.
+    """
+    n, d = sensing_map.n, sensing_map.d
+    codes, setting = np.unique(setting_codes(sensing_map.codes, n), return_inverse=True)
+    mask = sensing_map._flips[sensing_map._group] | sensing_map._sign
+    pairs, pair_of = np.unique(setting * d + mask, return_inverse=True)
+    owner, reduced = np.divmod(pairs, d)
+    coord = np.zeros_like(reduced)
+    basis = np.zeros((codes.size, n), dtype=np.int64)
+    rank = np.zeros(codes.size, dtype=np.int64)
+    for bit in range(n):
+        live = np.flatnonzero((reduced >> bit) & 1)
+        if not live.size:
+            continue
+        first = live[np.r_[True, owner[live[1:]] != owner[live[:-1]]]]
+        basis[owner[first], rank[owner[first]]] = reduced[first]
+        reduced[live] ^= basis[owner[live], rank[owner[live]]]
+        coord[live] |= 1 << rank[owner[live]]
+        rank[owner[first]] += 1
+    return codes, setting, mask, basis, rank, coord[pair_of]
+
+
+def _subset_xors(vectors: np.ndarray) -> np.ndarray:
+    """(S, 2^r) XORs of every subset t of each row's r entries, bit k of t
+    picking entry k; column 0 is 0."""
+    rows, r = vectors.shape
+    out = np.zeros((rows, 2**r), dtype=np.int64)
+    for k in range(r):
+        out[:, 2**k : 2 ** (k + 1)] = out[:, : 2**k] ^ vectors[:, k : k + 1]
+    return out
+
+
+def _pattern_laws(state: PureState, groups) -> list:
+    """The law of each setting's parity pattern, for groups of settings of
+    equal rank: each group is (setting codes (S,), basis masks (S, r)), and
+    its law is (S, 2^r), entry v the probability that the outcome's parity
+    with basis mask k is bit k of v.
+
+    The product of the basis monomials in a subset t, on the setting, is the
+    monomial of mask XOR(t): its code is the XOR of the basis monomials'
+    codes, each the setting code cut to the mask's qubits.  One exact
+    forward map of the state gives the 2^r - 1 nontrivial expectations E_t
+    of every group, with E_0 = 1; the law is WHT(E) / 2^r, clipped at 0 and
+    divided by its sum, as sample_record treats Born probabilities.
+    """
+    if not groups:
+        return []
+    n = state.n
+    digits = 3 << 2 * np.arange(n, dtype=np.int64)  # mask bit p -> code digit p
+    products = [
+        _subset_xors(codes[:, None] & (((basis[:, :, None] >> np.arange(n)) & 1) @ digits))
+        for codes, basis in groups
+    ]
+    flat = np.concatenate([p[:, 1:].ravel() for p in products])
+    values = SensingMap(n, flat, normalized=False).forward_factored(state.amplitudes) if flat.size else flat
+    laws, lo = [], 0
+    for p in products:
+        expectations = np.ones(p.shape)
+        hi = lo + p.size - len(p)
+        expectations[:, 1:] = values[lo:hi].reshape(len(p), -1)
+        lo = hi
+        law = np.maximum(_fwht(expectations, np.empty(p.size)).T, 0.0)
+        laws.append(law / law.sum(axis=1, keepdims=True))
+    return laws
+
+
+def _complete_records(state: PureState, settings: list, draws, shots: int, rng) -> list:
+    """Full counts of pattern-law settings, drawn given their pattern counts.
+
+    draws holds (setting indices, basis masks (S, r), pattern counts (S,
+    2^r)) per rank group.  Outcome j of a setting is in pattern class v when
+    its parity with basis mask k is bit k of v; each class holds 2^(n - r)
+    outcomes.  Within a block of about _BLOCK_BYTES of Born amplitudes, the
+    outcomes of every setting are ordered by class, and one multinomial call
+    draws each class's count over its Born probabilities divided by their
+    sum.  Pattern counts drawn over the class masses, then each class's
+    counts drawn over its share of the row, are one multinomial draw over
+    the whole Born row.  Returns the records by setting index, None where
+    no group holds it.
+    """
+    d = 2**state.n
+    parity = _bit_parity(np.arange(d))
+    rows = max(1, _BLOCK_BYTES // (16 * d))
+    records = [None] * len(settings)
+    for sel, basis, counts in draws:
+        width = 2 ** basis.shape[1]
+        for lo in range(0, len(sel), rows):
+            block, masks, drawn = sel[lo : lo + rows], basis[lo : lo + rows], counts[lo : lo + rows]
+            probs = born_probabilities(state, [settings[i] for i in block])
+            pattern = np.zeros((len(block), d), dtype=np.int64)
+            for k in range(masks.shape[1]):
+                pattern |= parity[np.arange(d) & masks[:, k : k + 1]] << k
+            order = np.argsort(pattern, axis=1, kind="stable")
+            classes = np.take_along_axis(probs, order, axis=1).reshape(len(block), width, -1)
+            mass = classes.sum(axis=2, keepdims=True)
+            # A class of zero Born mass has no drawn count, but needs valid weights.
+            classes = np.divide(classes, mass, out=np.full_like(classes, width / d), where=mass > 0)
+            full = np.empty((len(block), d), dtype=np.int64)
+            np.put_along_axis(full, order, rng.multinomial(drawn, classes).reshape(len(block), d), axis=1)
+            for i, c in zip(block, full):
+                records[i] = MeasurementRecord(settings[i], shots, c)
+    return records
+
+
+class _Records(Sequence):
+    """A sampled observe's records, built by `complete` on the first read."""
+
+    def __init__(self, complete):
+        self._complete, self._records = complete, None
+
+    def _read(self) -> list:
+        if self._records is None:
+            self._records = self._complete()
+        return self._records
+
+    def __getitem__(self, index):
+        return self._read()[index]
+
+    def __len__(self) -> int:
+        return len(self._read())
+
+
 def observe_with_records(
     state: PureState,
     sensing_map: SensingMap,
@@ -307,26 +464,62 @@ def observe_with_records(
 
     Exact mode (shots None) is the map's forward operator on the state,
     each value clamped to [-s, s] (s the map's scale) as exact_expectation
-    clamps <P> to [-1, 1], and returns an empty record list.  Sampled mode
-    groups monomials by their setting code (measurements.setting_codes,
-    identity read as z) and simulates one record per distinct setting
-    through simulate_records, all from the one stream
-    substream(seed, "shots") (a record is shared by every monomial mapped
-    to its setting).  Setting codes sort as axes strings do, so the
-    records come back in sorted axes order, the order the stream draws
-    them in.  Monomial i reads its record's parity_means at entry
-    f_i | s_i, the mask of its non-identity qubits, exactly as
-    expectation_from_record would, times the map's scale.
+    clamps <P> to [-1, 1], and returns an empty record list.
+
+    Sampled mode groups monomials by their setting code
+    (measurements.setting_codes, identity read as z); monomial i reads the
+    parity of its setting's outcome with its support mask f_i | s_i, the
+    mask of its non-identity qubits.  Each setting takes a GF(2) basis of
+    its r distinct masks (_parity_bases), and a setting of rank r <=
+    _LAW_RANK draws only the pattern of its r basis parities: from its law
+    (_pattern_laws, one exact forward map for every setting), by one
+    rng.multinomial call per rank, r ascending, settings in sorted axes
+    order.  A monomial reads the integer transform of its setting's pattern
+    counts at its coordinates, divided once by shots.  Settings of higher
+    rank keep full counts: simulate_records draws them, in sorted axes
+    order, next on the same generator substream(seed, "shots"), and
+    monomials read their parity_means at the mask.  Either way y_i is that
+    mean times the map's scale, as expectation_from_record reads it.
+
+    The records, one per setting in sorted axes order, are a sequence
+    built on its first read: each pattern-law setting's full counts are
+    then drawn given its pattern counts (_complete_records) from
+    substream(seed, "records"), so they follow the full multinomial law and
+    reproduce y bit for bit.  A caller that never reads them pays nothing.
     """
     if state.n != sensing_map.n:
         raise ValueError(f"state has {state.n} qubits, map has {sensing_map.n}")
     s = sensing_map.scale
     if shots is None:
         return np.clip(sensing_map.forward_factored(state.amplitudes), -s, s), []
-    codes, record_of = np.unique(setting_codes(sensing_map.codes, sensing_map.n), return_inverse=True)
-    records = simulate_records(state, code_settings(codes, sensing_map.n), shots, seed)
-    masks = sensing_map._flips[sensing_map._group] | sensing_map._sign
-    return s * parity_means(records)[record_of, masks], records
+    shots, rng = as_shots(shots), substream(seed, "shots")
+    n = sensing_map.n
+    codes, record_of, masks, basis, rank, coord = _parity_bases(sensing_map)
+    groups = [(r, np.flatnonzero(rank == r)) for r in range(_LAW_RANK + 1)]
+    groups = [(sel, basis[sel, :r]) for r, sel in groups if sel.size]
+    laws = _pattern_laws(state, [(codes[sel], b) for sel, b in groups])
+    draws = [(sel, b, rng.multinomial(shots, law)) for (sel, b), law in zip(groups, laws)]
+    # Parity means per part of the settings, and the column each monomial reads.
+    parts = [(sel, _fwht(c.astype(float), np.empty(c.size)).T / shots, coord) for sel, _, c in draws]
+    born, born_records = np.flatnonzero(rank > _LAW_RANK), []
+    if born.size:
+        born_records = simulate_records(state, code_settings(codes[born], n), shots, rng)
+        parts.append((born, parity_means(born_records), masks))
+    y = np.empty(sensing_map.m)
+    for sel, means, col in parts:
+        row = np.full(codes.size, -1)
+        row[sel] = np.arange(sel.size)
+        on = np.flatnonzero(row[record_of] >= 0)
+        y[on] = s * means[row[record_of[on]], col[on]]
+
+    def complete():
+        settings = code_settings(codes, n)
+        records = _complete_records(state, settings, draws, shots, substream(seed, "records"))
+        for i, record in zip(born, born_records):
+            records[i] = record
+        return records
+
+    return y, _Records(complete)
 
 
 def observe(
@@ -348,13 +541,14 @@ def simulate_records(state: PureState, settings, shots: int, seed: int = 0) -> l
     settings in their given order), so a block shares as many rotated
     prefixes as it can.  Every setting draws its counts, one sample_record
     call each, from the single generator substream(seed, "shots"), in that
-    sorted order, so the counts do not depend on the blocking.  Record i
-    is for settings[i].
+    sorted order, so the counts do not depend on the blocking.  A seed that
+    is a Generator is that generator, as in sample_record: observe_with_records
+    passes the one its pattern counts came from.  Record i is for settings[i].
     """
     settings = list(settings)
     rows = max(1, _BLOCK_BYTES // (16 * 2**state.n))
     order = sorted(range(len(settings)), key=lambda i: settings[i].axes)
-    rng = substream(seed, "shots")
+    rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "shots")
     records = [None] * len(settings)
     for lo in range(0, len(order), rows):
         block = order[lo : lo + rows]

@@ -72,6 +72,11 @@ def dense_basis_vector(axes: str, outcome: int) -> np.ndarray:
     return vec
 
 
+def dense_born(amplitudes: np.ndarray, axes: str) -> np.ndarray:
+    """Outcome probabilities |<v_j|psi>|^2 of a setting, from dense basis vectors."""
+    return np.array([abs(np.vdot(dense_basis_vector(axes, j), amplitudes)) ** 2 for j in range(2 ** len(axes))])
+
+
 def dense_forward(codes, n: int, rho: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """A(rho) over n-qubit monomial codes, computed entirely through dense matrices."""
     return np.array(

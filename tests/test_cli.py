@@ -11,18 +11,20 @@ import numpy as np
 import pytest
 
 from paulitomo import (
+    MeasurementRecord,
     OptimizerConfig,
     PauliSetting,
     SensingMap,
-    born_probabilities,
+    expectation_from_record,
     ghz,
     observe,
     run,
     sample_monomials,
-    sample_record,
+    setting_of,
 )
 from paulitomo import cli, serialize
 from paulitomo.cli import cli_main, monomial_count
+from paulitomo.measurements import monomial_from_code
 from paulitomo.seeding import substream
 
 
@@ -133,23 +135,27 @@ def test_measure_records_file(tmp_path):
         assert set(entry["setting"]) <= set("xyz")
 
 
-def test_measure_records_file_replays_the_shots_stream(tmp_path):
-    # The records file lists settings in sorted axes order, the order the
-    # one shots stream draws them in: replaying substream(seed, "shots")
-    # over the file's settings, in file order, gives every count.
+def test_measure_records_file_round_trips(tmp_path):
+    # The records file lists settings in sorted axes order, one record each,
+    # and its counts, read back, give every value of the --out file bit for
+    # bit through expectation_from_record, times the map's scale.
     out, rec = tmp_path / "m.json", tmp_path / "r.json"
     args = ["--circuit", "random", "--n", 4, "--measpc", 30, "--shots", 500, "--seed", 7]
     assert invoke("measure", *args, "--out", out, "--records-out", rec) == 0
+    sensing_map, values = serialize.expectations_from_json(read(out))
     entries = read(rec)["records"]
     axes = [entry["setting"] for entry in entries]
     assert len(axes) > 10 and axes == sorted(set(axes))
-    state = cli.build_state("random", 4, seed=7)
-    rng = substream(7, "shots")
+    records = {}
     for entry in entries:
-        setting = PauliSetting(entry["setting"])
-        counts = sample_record(setting, born_probabilities(state, setting), 500, rng).counts
-        nonzero = np.flatnonzero(counts)
-        assert entry["counts"] == {format(j, "04b"): int(counts[j]) for j in nonzero}
+        counts = np.zeros(16, dtype=np.int64)
+        for outcome, count in entry["counts"].items():
+            counts[int(outcome, 2)] = count
+        records[entry["setting"]] = MeasurementRecord(PauliSetting(entry["setting"]), 500, counts)
+    monomials = [monomial_from_code(int(c), 4) for c in sensing_map.codes]
+    assert {setting_of(p).axes for p in monomials} == set(axes)
+    replayed = [sensing_map.scale * expectation_from_record(records[setting_of(p).axes], p) for p in monomials]
+    assert replayed == values.tolist()
 
 
 def test_measure_exact_rejects_records_out(tmp_path):

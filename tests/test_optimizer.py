@@ -387,3 +387,19 @@ def test_data_vector_shape_checked_up_front(entry, shape):
     }
     with pytest.raises(ValueError, match=re.escape(f"vector has shape {bad.shape}, expected ({smap.m},)")):
         calls[entry]()
+
+
+@pytest.mark.parametrize("L_hat", [0, -1.0, 1.0, 1.2, True, np.nan, "x", None])
+@pytest.mark.parametrize("entry", ["spectral_init", "compute_step_size"])
+def test_L_hat_checked_as_in_optimizer_config(entry, L_hat):
+    # The library entries check L_hat in OptimizerConfig's interval: 0 gave
+    # an infinite start factor, -1 a NaN factor and a negative step, and
+    # True ran as 1.0.
+    smap, y = full_exact_problem(ghz(3))
+    z = random_factor(np.random.default_rng(0), smap.d, 1)
+    calls = {
+        "spectral_init": lambda: spectral_init(smap, y, 1, L_hat=L_hat),
+        "compute_step_size": lambda: compute_step_size(smap, y, z, L_hat=L_hat),
+    }
+    with pytest.raises(ValueError, match=re.escape("L_hat must be a finite number in (1, 1.1], got ")):
+        calls[entry]()

@@ -17,10 +17,12 @@ from paulitomo import (
     sample_monomials,
 )
 from paulitomo.measurements import (
+    code_settings,
     exact_expectation,
     expectation_from_record,
     monomial_actions,
     monomial_from_code,
+    setting_codes,
     setting_of,
 )
 from paulitomo import optimizer, sensing
@@ -34,6 +36,7 @@ from conftest import (
     code_labels,
     dense_adjoint,
     dense_basis_vector,
+    dense_born,
     dense_forward,
     dense_monomial,
     random_factor,
@@ -392,8 +395,6 @@ def test_observe_sampled_matches_record_reference(rng, n, m):
     obs, records = observe_with_records(state, smap, shots=300, seed=9)
     settings = sorted(set(setting_of(p) for p in mono), key=lambda setting: setting.axes)
     assert [r.setting for r in records] == settings
-    for a, b in zip(records, simulate_records(state, settings, 300, seed=9)):
-        assert np.array_equal(a.counts, b.counts)
     by_setting = {r.setting: r for r in records}
     expected = [
         smap.scale * expectation_from_record(by_setting[setting_of(p)], p) for p in mono
@@ -496,6 +497,180 @@ def test_sampled_data_pinned_digest():
     obs, records = observe_with_records(state, smap, shots=2048, seed=3)
     counts = np.stack([r.counts for r in sorted(records, key=lambda r: r.setting.axes)]).astype("<i8")
     assert len(records) == 4659
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == (
+        "a3f8e4e84b57fc1ad6bfaf0f8f71af872834676ae398b0e2f794c5b5256e70ee"
+    )
+    assert hashlib.sha256(obs.astype("<f8").tobytes()).hexdigest() == (
+        "028c14cf203576101ba1759f6a5ecf85b55176c52213991cb9e8fddb964e0db9"
+    )
+
+
+# -- sampled observe: parity-pattern laws and records completed on read -------
+
+def _gf2_rank(masks) -> int:
+    pivots = {}
+    for v in masks:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+def _law_map(n):
+    # Sampled monomials, GHZ's z-parities Z_i Z_j (dependent for n >= 3)
+    # and the single Z_i that make z...z of full rank, repeats of some codes
+    # and the all-identity code.
+    sampled = sample_codes(n, min(4**n, 40), substream(n, "monomials"))
+    z = [3 * 4 ** (n - 1 - i) for i in range(n)]
+    zz = [z[i] + z[j] for i in range(n) for j in range(i + 1, n)]
+    return SensingMap(n, np.concatenate([sampled, zz, z, sampled[:5], [0]]).astype(np.int64), normalized=False)
+
+
+def _patterns(basis_row, d: int) -> np.ndarray:
+    """Pattern of each outcome: bit k is its parity with basis mask k."""
+    return np.array([sum((bin(j & int(b)).count("1") & 1) << k for k, b in enumerate(basis_row)) for j in range(d)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_pattern_law_equals_dense_born_marginal(n):
+    # Each setting's basis spans its distinct masks with every monomial's
+    # coordinates, and the law from one forward map equals the marginal of
+    # the test's dense Born probabilities on the basis parities.
+    smap = _law_map(n)
+    codes, setting, mask, basis, rank, coord = sensing._parity_bases(smap)
+    assert codes.tolist() == sorted(set(setting_codes(smap.codes, n).tolist()))
+    for i in range(smap.m):
+        assert mask[i] == np.bitwise_xor.reduce([basis[setting[i], k] for k in range(n) if coord[i] >> k & 1] + [0])
+    for s in range(codes.size):
+        assert rank[s] == _gf2_rank(set(mask[setting == s].tolist()))
+    assert rank.max() == n
+    axes = [p.axes for p in code_settings(codes, n)]
+    groups = [np.flatnonzero(rank == r) for r in range(n + 1)]
+    groups = [sel for sel in groups if sel.size]
+    for state in simulation_states(n):
+        laws = sensing._pattern_laws(state, [(codes[sel], basis[sel, : rank[sel[0]]]) for sel in groups])
+        for sel, law in zip(groups, laws):
+            for s, row in zip(sel, law):
+                born = dense_born(state.amplitudes, axes[s])
+                marginal = np.bincount(_patterns(basis[s, : rank[s]], 2**n), born, minlength=2 ** rank[s])
+                assert np.max(np.abs(row - marginal)) <= 1e-12, (axes[s], row, marginal)
+
+
+def _pearson(observed, probs, shots):
+    """Pearson's statistic and its degrees of freedom, bins of expected count
+    below 5 pooled into one and a thin pooled bin folded into the smallest
+    kept one; asserts that no bin of probability below 1e-14 was drawn."""
+    assert not observed[probs < 1e-14].any()
+    expected = shots * probs
+    small = (expected < 5) & (probs >= 1e-14)
+    observed = np.append(observed[expected >= 5], observed[small].sum())
+    expected = np.append(expected[expected >= 5], expected[small].sum())
+    if expected[-1] < 5:
+        smallest = np.argmin(expected[:-1])
+        observed[smallest] += observed[-1]
+        expected[smallest] += expected[-1]
+        observed, expected = observed[:-1], expected[:-1]
+    return float(np.sum((observed - expected) ** 2 / expected)), expected.size - 1
+
+
+def _assert_chi_square(stat, df):
+    # Inside the central 1 - 2e-4 of the chi-square law: too large is a
+    # biased draw, too small an under-dispersed one.
+    assert df > 100
+    assert _chi_square_quantile(df, -3.719) < stat < _chi_square_quantile(df, 3.719), (stat, df)
+
+
+def _every_parity_observe(n, state, shots, seed):
+    smap = full_map(n)
+    return smap, observe_with_records(state, smap, shots=shots, seed=seed)[1]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_pattern_counts_fit_their_law(n):
+    # Every setting of the full monomial set draws from its pattern law; the
+    # pattern counts are the class sums of the completed counts.
+    shots, stat, df = 4096, 0.0, 0
+    for state in (ghz(n), random_state(RandomCircuitSpec(n=n, depth=12, seed=50 + n))):
+        smap, records = _every_parity_observe(n, state, shots, seed=13)
+        codes, _, _, basis, rank, _ = sensing._parity_bases(smap)
+        assert rank.max() <= sensing._LAW_RANK
+        for s, record in enumerate(records):
+            law = sensing._pattern_laws(state, [(codes[s : s + 1], basis[s : s + 1, : rank[s]])])[0][0]
+            patterns = np.bincount(_patterns(basis[s, : rank[s]], 2**n), record.counts, minlength=law.size)
+            part = _pearson(patterns, law, shots)
+            stat, df = stat + part[0], df + part[1]
+    _assert_chi_square(stat, df)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_completed_counts_fit_born_probabilities(n):
+    # Counts completed given the pattern counts follow the full multinomial
+    # law of the test's dense Born probabilities.
+    shots, stat, df = 4096, 0.0, 0
+    for state in (ghz(n), random_state(RandomCircuitSpec(n=n, depth=12, seed=40 + n))):
+        _, records = _every_parity_observe(n, state, shots, seed=11)
+        for record in records:
+            part = _pearson(record.counts, dense_born(state.amplitudes, record.setting.axes), shots)
+            stat, df = stat + part[0], df + part[1]
+    _assert_chi_square(stat, df)
+
+
+@pytest.mark.parametrize("law_rank", [-1, 2, 6], ids=["born", "mixed", "law"])
+def test_completed_records_reproduce_observations(monkeypatch, law_rank):
+    # Whichever path a setting takes, s * expectation_from_record on its
+    # record is y, bit for bit; records come one per setting, sorted.
+    monkeypatch.setattr(sensing, "_LAW_RANK", law_rank)
+    n = 5
+    state = random_state(RandomCircuitSpec(n=n, depth=12, seed=8))
+    mono = sample_monomials(n, monomial_count(60, n), 4)
+    smap = SensingMap(n, mono, normalized=True)
+    y, records = observe_with_records(state, smap, shots=300, seed=2)
+    assert [r.setting.axes for r in records] == sorted({setting_of(p).axes for p in mono})
+    by_setting = {r.setting: r for r in records}
+    assert [smap.scale * expectation_from_record(by_setting[setting_of(p)], p) for p in mono] == y.tolist()
+
+
+def test_identity_only_setting_reads_every_shot():
+    # A setting whose only monomial is the identity has rank 0: its one
+    # pattern takes every shot, and its completed counts follow Born.
+    state = hadamard_all(2)
+    smap = SensingMap(2, [0, 0, 5], normalized=False)  # II twice, XX
+    y, records = observe_with_records(state, smap, shots=64, seed=3)
+    assert y.tolist() == [1.0, 1.0, 1.0]
+    assert [r.setting.axes for r in records] == ["xx", "zz"]
+    assert records[0].counts.tolist() == [64, 0, 0, 0] and records[1].counts.sum() == 64
+
+
+def test_records_are_completed_only_when_read(monkeypatch):
+    # y does not depend on whether records are read; reading completes them
+    # once, and a second observe of the same seed completes the same counts.
+    state = random_state(RandomCircuitSpec(n=6, depth=12, seed=3))
+    smap = small_random_map(np.random.default_rng(5), 6, 600)
+    complete = sensing._complete_records
+    calls = []
+    monkeypatch.setattr(sensing, "_complete_records", lambda *a: calls.append(1) or complete(*a))
+    unread, _ = observe_with_records(state, smap, shots=512, seed=4)
+    y, records = observe_with_records(state, smap, shots=512, seed=4)
+    assert not calls
+    first = [r.counts for r in records]
+    assert len(calls) == 1 and len(records) == len(first)
+    assert all(a is r.counts for a, r in zip(first, records)) and len(calls) == 1
+    again = observe_with_records(state, smap, shots=512, seed=4)[1]
+    assert all(np.array_equal(a, b.counts) for a, b in zip(first, again))
+    assert np.array_equal(unread, y)
+
+
+def test_born_path_keeps_the_parent_data(monkeypatch):
+    # With every setting on the Born path, counts and y are those of the
+    # full-count draw before pattern laws, pinned by their digests there.
+    monkeypatch.setattr(sensing, "_LAW_RANK", -1)
+    state = build_state("random", 8, seed=3)
+    smap = SensingMap(8, sample_codes(8, monomial_count(20, 8), substream(3, "monomials")))
+    obs, records = observe_with_records(state, smap, shots=2048, seed=3)
+    counts = np.stack([r.counts for r in records]).astype("<i8")
     assert hashlib.sha256(counts.tobytes()).hexdigest() == (
         "3db21bfcece06ee38ffa3fc3148573a6809580a81fed7941ef16580b614206e5"
     )
