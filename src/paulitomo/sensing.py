@@ -79,12 +79,11 @@ its outcome on their support masks, and those masks span a GF(2) space of
 some rank r <= n.  The product of any subset of its basis monomials is
 again a monomial on the setting, so one exact forward map gives the 2^r - 1
 expectations whose transform is the law of the setting's r basis parities.
-A setting with r <= _LAW_RANK draws only that 2^r-pattern law, one
-multinomial per rank for all such settings, and its y is read off the
-transformed pattern counts; one of higher rank keeps the Born rows and full
-counts of simulate_records.  Full counts of the pattern-law settings are
-drawn only when the records are read, given the pattern counts, from their
-own stream substream(seed, "records"); see observe_with_records.
+Every setting draws only that 2^r-pattern law, one multinomial per rank
+for all settings of that rank, and its y is read off the transformed
+pattern counts.  Full counts are drawn only when the records are read,
+given the pattern counts, from their own stream substream(seed,
+"records"); see observe_with_records.
 """
 
 import threading
@@ -97,7 +96,6 @@ from .measurements import (
     exact_expectation,  # noqa: F401  (module attribute that perfbench/tracing.py wraps)
     expectation_from_record,  # noqa: F401  (likewise)
     MeasurementRecord,
-    _bit_parity,
     as_shots,
     born_probabilities,
     code_settings,
@@ -117,9 +115,9 @@ _BLOCK_BYTES = 4 << 20
 _PARITY_BLOCK_BYTES = 1 << 18
 # Largest Kronecker factor of the Walsh-Hadamard transform, in bits.
 _FACTOR_BITS = 5
-# Largest parity rank r whose settings draw from their 2^r-pattern law in
-# sampled observe; settings of higher rank take Born rows and full counts.
-_LAW_RANK = 6
+# Pattern-law entries below this are roundoff of exact zeros (at most
+# 1.2e-16 on GHZ states up to n=10) and are drawn as 0.
+_LAW_ROUNDOFF = 1e-14
 
 
 def _factor_bits(bits: int) -> list:
@@ -373,8 +371,10 @@ def _pattern_laws(state: PureState, groups) -> list:
     monomial of mask XOR(t): its code is the XOR of the basis monomials'
     codes, each the setting code cut to the mask's qubits.  One exact
     forward map of the state gives the 2^r - 1 nontrivial expectations E_t
-    of every group, with E_0 = 1; the law is WHT(E) / 2^r, clipped at 0 and
-    divided by its sum, as sample_record treats Born probabilities.
+    of every group, with E_0 = 1; the law is WHT(E) / 2^r with entries
+    below _LAW_ROUNDOFF set to 0, divided by its sum.  A setting's 2^r - 1
+    products are monomials on it, so the map holds at most S 2^n entries,
+    as many as the full counts of S settings.
     """
     if not groups:
         return []
@@ -392,44 +392,82 @@ def _pattern_laws(state: PureState, groups) -> list:
         hi = lo + p.size - len(p)
         expectations[:, 1:] = values[lo:hi].reshape(len(p), -1)
         lo = hi
-        law = np.maximum(_fwht(expectations, np.empty(p.size)).T, 0.0)
+        law = _fwht(expectations, np.empty(p.size)).T / p.shape[1]
+        law[law < _LAW_ROUNDOFF] = 0.0
         laws.append(law / law.sum(axis=1, keepdims=True))
     return laws
 
 
+def _multinomial(rng, shots, pvals: np.ndarray) -> np.ndarray:
+    """rng.multinomial(shots, pvals) over pvals' last axis.  numpy gives
+    the last bin the roundoff remainder, so a row whose last bin has
+    probability zero has its last nonzero bin moved there for the draw:
+    as in sample_record, no bin of probability zero is ever drawn."""
+    end = pvals.shape[-1] - 1
+    last = end - np.argmax(pvals[..., ::-1] > 0, axis=-1)
+    rows = np.nonzero(last < end)
+    moved = pvals.copy()
+    moved[rows + (end,)] = pvals[rows + (last[rows],)]
+    moved[rows + (last[rows],)] = 0.0
+    counts = rng.multinomial(shots, moved)
+    counts[rows + (last[rows],)] = counts[rows + (end,)]
+    counts[rows + (end,)] = 0
+    return counts
+
+
+def _class_order(basis: np.ndarray, n: int) -> np.ndarray:
+    """(S, 2^n) outcomes of each setting ordered by pattern class: class v,
+    the outcomes whose parity with basis mask k is bit k of v, fills
+    entries v 2^(n-r) to (v + 1) 2^(n-r) of its row.
+
+    basis (S, r) is in _parity_bases' echelon form: mask k has lowest bit
+    p_k, p_0 < p_1 < ..., and no mask after k has bit p_k.  The outcome
+    x_k = 2^p_k XOR (x_j for each j < k whose mask has bit p_k) has
+    pattern e_k, and for every other bit q, 2^q XOR (x_k for each k whose
+    mask has bit q) has pattern 0 (at q = p_k it is 0).  Class v is then
+    XOR(x_k for bits k of v) XORed with each subset XOR of the n - r
+    nonzero pattern-0 outcomes, which span the outcomes of pattern 0.
+    """
+    rows, r = basis.shape
+    low = basis & -basis
+    dual = np.zeros_like(basis)
+    for k in range(r):
+        earlier = np.where(basis[:, :k] & low[:, k : k + 1], dual[:, :k], 0)
+        dual[:, k] = low[:, k] ^ np.bitwise_xor.reduce(earlier, axis=1)
+    bits = 1 << np.arange(n, dtype=np.int64)
+    kernel = bits ^ np.bitwise_xor.reduce(np.where(basis[:, :, None] & bits, dual[:, :, None], 0), axis=1)
+    kernel = np.take_along_axis(kernel, np.argsort(kernel == 0, axis=1, kind="stable"), axis=1)[:, : n - r]
+    return (_subset_xors(dual)[:, :, None] ^ _subset_xors(kernel)[:, None, :]).reshape(rows, -1)
+
+
 def _complete_records(state: PureState, settings: list, draws, shots: int, rng) -> list:
-    """Full counts of pattern-law settings, drawn given their pattern counts.
+    """Full counts of every setting, drawn given its pattern counts.
 
     draws holds (setting indices, basis masks (S, r), pattern counts (S,
-    2^r)) per rank group.  Outcome j of a setting is in pattern class v when
-    its parity with basis mask k is bit k of v; each class holds 2^(n - r)
-    outcomes.  Within a block of about _BLOCK_BYTES of Born amplitudes, the
-    outcomes of every setting are ordered by class, and one multinomial call
-    draws each class's count over its Born probabilities divided by their
-    sum.  Pattern counts drawn over the class masses, then each class's
-    counts drawn over its share of the row, are one multinomial draw over
-    the whole Born row.  Returns the records by setting index, None where
-    no group holds it.
+    2^r)) per rank group.  Within a block of about _BLOCK_BYTES of Born
+    amplitudes, each setting's Born row is read in class order
+    (_class_order), and one multinomial call draws each class's counts
+    over its Born probabilities divided by their sum.  Pattern counts
+    drawn over the class masses, then each class's counts drawn over its
+    share of the row, are one multinomial draw over the whole Born row.
+    Returns the records by setting index.
     """
-    d = 2**state.n
-    parity = _bit_parity(np.arange(d))
+    n, d = state.n, 2**state.n
     rows = max(1, _BLOCK_BYTES // (16 * d))
     records = [None] * len(settings)
     for sel, basis, counts in draws:
-        width = 2 ** basis.shape[1]
+        width = counts.shape[1]
         for lo in range(0, len(sel), rows):
-            block, masks, drawn = sel[lo : lo + rows], basis[lo : lo + rows], counts[lo : lo + rows]
+            block = sel[lo : lo + rows]
+            order = _class_order(basis[lo : lo + rows], n)
             probs = born_probabilities(state, [settings[i] for i in block])
-            pattern = np.zeros((len(block), d), dtype=np.int64)
-            for k in range(masks.shape[1]):
-                pattern |= parity[np.arange(d) & masks[:, k : k + 1]] << k
-            order = np.argsort(pattern, axis=1, kind="stable")
             classes = np.take_along_axis(probs, order, axis=1).reshape(len(block), width, -1)
             mass = classes.sum(axis=2, keepdims=True)
             # A class of zero Born mass has no drawn count, but needs valid weights.
             classes = np.divide(classes, mass, out=np.full_like(classes, width / d), where=mass > 0)
             full = np.empty((len(block), d), dtype=np.int64)
-            np.put_along_axis(full, order, rng.multinomial(drawn, classes).reshape(len(block), d), axis=1)
+            drawn = _multinomial(rng, counts[lo : lo + rows], classes)
+            np.put_along_axis(full, order, drawn.reshape(len(block), d), axis=1)
             for i, c in zip(block, full):
                 records[i] = MeasurementRecord(settings[i], shots, c)
     return records
@@ -470,22 +508,20 @@ def observe_with_records(
     (measurements.setting_codes, identity read as z); monomial i reads the
     parity of its setting's outcome with its support mask f_i | s_i, the
     mask of its non-identity qubits.  Each setting takes a GF(2) basis of
-    its r distinct masks (_parity_bases), and a setting of rank r <=
-    _LAW_RANK draws only the pattern of its r basis parities: from its law
-    (_pattern_laws, one exact forward map for every setting), by one
-    rng.multinomial call per rank, r ascending, settings in sorted axes
-    order.  A monomial reads the integer transform of its setting's pattern
-    counts at its coordinates, divided once by shots.  Settings of higher
-    rank keep full counts: simulate_records draws them, in sorted axes
-    order, next on the same generator substream(seed, "shots"), and
-    monomials read their parity_means at the mask.  Either way y_i is that
-    mean times the map's scale, as expectation_from_record reads it.
+    its r distinct masks (_parity_bases) and draws only the pattern of its
+    r basis parities: from its law (_pattern_laws, one exact forward map
+    for every setting), by one multinomial call per rank on
+    substream(seed, "shots"), r ascending, settings in sorted axes order.
+    Monomial i reads the integer transform of its setting's pattern counts
+    at its coordinates, divided once by shots, times the map's scale, as
+    s * expectation_from_record reads it.
 
     The records, one per setting in sorted axes order, are a sequence
-    built on its first read: each pattern-law setting's full counts are
-    then drawn given its pattern counts (_complete_records) from
-    substream(seed, "records"), so they follow the full multinomial law and
-    reproduce y bit for bit.  A caller that never reads them pays nothing.
+    built on its first read: each setting's full counts are then drawn
+    given its pattern counts (_complete_records) from substream(seed,
+    "records"), so they follow the full multinomial law over the Born row
+    and reproduce y bit for bit.  A caller that never reads them pays
+    nothing for them.
     """
     if state.n != sensing_map.n:
         raise ValueError(f"state has {state.n} qubits, map has {sensing_map.n}")
@@ -494,30 +530,21 @@ def observe_with_records(
         return np.clip(sensing_map.forward_factored(state.amplitudes), -s, s), []
     shots, rng = as_shots(shots), substream(seed, "shots")
     n = sensing_map.n
-    codes, record_of, masks, basis, rank, coord = _parity_bases(sensing_map)
-    groups = [(r, np.flatnonzero(rank == r)) for r in range(_LAW_RANK + 1)]
-    groups = [(sel, basis[sel, :r]) for r, sel in groups if sel.size]
+    codes, record_of, _, basis, rank, coord = _parity_bases(sensing_map)
+    groups = [np.flatnonzero(rank == r) for r in range(n + 1)]
+    groups = [(sel, basis[sel, : rank[sel[0]]]) for sel in groups if sel.size]
     laws = _pattern_laws(state, [(codes[sel], b) for sel, b in groups])
-    draws = [(sel, b, rng.multinomial(shots, law)) for (sel, b), law in zip(groups, laws)]
-    # Parity means per part of the settings, and the column each monomial reads.
-    parts = [(sel, _fwht(c.astype(float), np.empty(c.size)).T / shots, coord) for sel, _, c in draws]
-    born, born_records = np.flatnonzero(rank > _LAW_RANK), []
-    if born.size:
-        born_records = simulate_records(state, code_settings(codes[born], n), shots, rng)
-        parts.append((born, parity_means(born_records), masks))
-    y = np.empty(sensing_map.m)
-    for sel, means, col in parts:
-        row = np.full(codes.size, -1)
-        row[sel] = np.arange(sel.size)
-        on = np.flatnonzero(row[record_of] >= 0)
-        y[on] = s * means[row[record_of[on]], col[on]]
+    draws = [(sel, b, _multinomial(rng, shots, law)) for (sel, b), law in zip(groups, laws)]
+    # Every setting's transformed pattern counts in one flat array, from start[setting].
+    start, means, size = np.empty(codes.size, dtype=np.intp), [], 0
+    for sel, _, counts in draws:
+        start[sel] = size + counts.shape[1] * np.arange(sel.size)
+        means.append(_fwht(counts.astype(float), np.empty(counts.size)).T.ravel() / shots)
+        size += counts.size
+    y = s * np.concatenate(means)[start[record_of] + coord]
 
     def complete():
-        settings = code_settings(codes, n)
-        records = _complete_records(state, settings, draws, shots, substream(seed, "records"))
-        for i, record in zip(born, born_records):
-            records[i] = record
-        return records
+        return _complete_records(state, code_settings(codes, n), draws, shots, substream(seed, "records"))
 
     return y, _Records(complete)
 
@@ -541,14 +568,13 @@ def simulate_records(state: PureState, settings, shots: int, seed: int = 0) -> l
     settings in their given order), so a block shares as many rotated
     prefixes as it can.  Every setting draws its counts, one sample_record
     call each, from the single generator substream(seed, "shots"), in that
-    sorted order, so the counts do not depend on the blocking.  A seed that
-    is a Generator is that generator, as in sample_record: observe_with_records
-    passes the one its pattern counts came from.  Record i is for settings[i].
+    sorted order, so the counts do not depend on the blocking.  Record i
+    is for settings[i].
     """
     settings = list(settings)
     rows = max(1, _BLOCK_BYTES // (16 * 2**state.n))
     order = sorted(range(len(settings)), key=lambda i: settings[i].axes)
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "shots")
+    rng = substream(seed, "shots")
     records = [None] * len(settings)
     for lo in range(0, len(order), rows):
         block = order[lo : lo + rows]

@@ -17,6 +17,7 @@ from paulitomo import (
     sample_monomials,
 )
 from paulitomo.measurements import (
+    born_probabilities,
     code_settings,
     exact_expectation,
     expectation_from_record,
@@ -498,10 +499,10 @@ def test_sampled_data_pinned_digest():
     counts = np.stack([r.counts for r in sorted(records, key=lambda r: r.setting.axes)]).astype("<i8")
     assert len(records) == 4659
     assert hashlib.sha256(counts.tobytes()).hexdigest() == (
-        "a3f8e4e84b57fc1ad6bfaf0f8f71af872834676ae398b0e2f794c5b5256e70ee"
+        "d934eb9145723d4a7b7128f60be0b02d8aab1f0b1699b5a60900430f74fd7880"
     )
     assert hashlib.sha256(obs.astype("<f8").tobytes()).hexdigest() == (
-        "028c14cf203576101ba1759f6a5ecf85b55176c52213991cb9e8fddb964e0db9"
+        "7e0c2edaa46f8c2d5742f0a6b5810f90bd104d7dda0e64658bd85f3c291f7126"
     )
 
 
@@ -596,7 +597,6 @@ def test_pattern_counts_fit_their_law(n):
     for state in (ghz(n), random_state(RandomCircuitSpec(n=n, depth=12, seed=50 + n))):
         smap, records = _every_parity_observe(n, state, shots, seed=13)
         codes, _, _, basis, rank, _ = sensing._parity_bases(smap)
-        assert rank.max() <= sensing._LAW_RANK
         for s, record in enumerate(records):
             law = sensing._pattern_laws(state, [(codes[s : s + 1], basis[s : s + 1, : rank[s]])])[0][0]
             patterns = np.bincount(_patterns(basis[s, : rank[s]], 2**n), record.counts, minlength=law.size)
@@ -618,11 +618,9 @@ def test_completed_counts_fit_born_probabilities(n):
     _assert_chi_square(stat, df)
 
 
-@pytest.mark.parametrize("law_rank", [-1, 2, 6], ids=["born", "mixed", "law"])
-def test_completed_records_reproduce_observations(monkeypatch, law_rank):
-    # Whichever path a setting takes, s * expectation_from_record on its
-    # record is y, bit for bit; records come one per setting, sorted.
-    monkeypatch.setattr(sensing, "_LAW_RANK", law_rank)
+def test_completed_records_reproduce_observations():
+    # s * expectation_from_record on each setting's completed record is y,
+    # bit for bit; records come one per setting, sorted.
     n = 5
     state = random_state(RandomCircuitSpec(n=n, depth=12, seed=8))
     mono = sample_monomials(n, monomial_count(60, n), 4)
@@ -663,20 +661,55 @@ def test_records_are_completed_only_when_read(monkeypatch):
     assert np.array_equal(unread, y)
 
 
-def test_born_path_keeps_the_parent_data(monkeypatch):
-    # With every setting on the Born path, counts and y are those of the
-    # full-count draw before pattern laws, pinned by their digests there.
-    monkeypatch.setattr(sensing, "_LAW_RANK", -1)
-    state = build_state("random", 8, seed=3)
-    smap = SensingMap(8, sample_codes(8, monomial_count(20, 8), substream(3, "monomials")))
-    obs, records = observe_with_records(state, smap, shots=2048, seed=3)
-    counts = np.stack([r.counts for r in records]).astype("<i8")
-    assert hashlib.sha256(counts.tobytes()).hexdigest() == (
-        "3db21bfcece06ee38ffa3fc3148573a6809580a81fed7941ef16580b614206e5"
-    )
-    assert hashlib.sha256(obs.astype("<f8").tobytes()).hexdigest() == (
-        "87766f4d7178219fa653e7b80cd828568ead7c547f38b77641d93faa50a6a3b2"
-    )
+def test_class_order_lists_each_pattern_class():
+    # Every setting's row is a permutation of its outcomes, and entries
+    # v 2^(n-r) to (v + 1) 2^(n-r) are the outcomes of pattern v.
+    for n in range(1, 7):
+        _, _, _, basis, rank, _ = sensing._parity_bases(_law_map(n))
+        for r in range(n + 1):
+            sel = np.flatnonzero(rank == r)
+            if not sel.size:
+                continue
+            order = sensing._class_order(basis[sel, :r], n)
+            assert order.shape == (sel.size, 2**n)
+            for s, row in zip(sel, order):
+                assert sorted(row.tolist()) == list(range(2**n))
+                assert _patterns(basis[s, :r], 2**n)[row].tolist() == np.repeat(np.arange(2**r), 2 ** (n - r)).tolist()
+
+
+class _RecordingGenerator(np.random.Generator):
+    """Generator that keeps the probabilities of each multinomial call."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.pvals = []
+
+    def multinomial(self, n, pvals, size=None):
+        self.pvals.append(np.array(pvals))
+        return super().multinomial(n, pvals, size)
+
+
+def test_ghz_draws_no_outcome_of_probability_zero(monkeypatch):
+    # GHZ laws come from transforms whose exact zeros read up to 1e-16: they
+    # are drawn as 0, and every row handed to numpy, which gives its last
+    # bin the roundoff remainder, ends in a nonzero bin.  No pattern of
+    # zero Born mass and no outcome of zero Born probability is counted.
+    generators = []
+    monkeypatch.setattr(sensing, "substream", lambda *a: generators.append(_RecordingGenerator(len(generators))) or generators[-1])
+    for n in (3, 6, 8):
+        smap = _law_map(n)
+        _, _, _, basis, rank, _ = sensing._parity_bases(smap)
+        records = observe_with_records(ghz(n), smap, shots=4096, seed=0)[1]
+        for s, record in enumerate(records):
+            born = born_probabilities(ghz(n), record.setting)
+            assert not record.counts[born == 0].any()
+            marginal = np.bincount(_patterns(basis[s, : rank[s]], 2**n), born, minlength=2 ** rank[s])
+            patterns = np.bincount(_patterns(basis[s, : rank[s]], 2**n), record.counts, minlength=2 ** rank[s])
+            assert not patterns[marginal == 0].any()
+    pvals = [p.reshape(-1, p.shape[-1]) for g in generators for p in g.pvals]
+    assert len(pvals) > 6 and any((p == 0).any() for p in pvals)
+    for p in pvals:
+        assert (p[:, -1] > 0).all() and not ((p > 0) & (p < 1e-14)).any()
 
 
 def test_observe_dimension_mismatch(rng):
