@@ -108,7 +108,7 @@ def complete_expectations(records) -> np.ndarray:
     # Entry s of a record's parity means is the estimate of the monomial with
     # the setting's axis where s has a bit and identity elsewhere: the
     # setting's code with the digits outside s cleared.
-    values = parity_means(records)
+    values = parity_means(np.stack([r.counts for r in records]), np.array([[r.shots] for r in records]))
     digit_masks = 3 * sum(((np.arange(d) >> j) & 1) << (2 * j) for j in range(n))
     codes = record_codes[:, None] & digit_masks
     sums = np.bincount(codes.ravel(), weights=values.ravel(), minlength=4**n)

@@ -78,11 +78,12 @@ Sampled data.  The monomials of one measurement setting read parities of
 its outcome on their support masks, and those masks span a GF(2) space of
 some rank r <= n.  The product of any subset of its basis monomials is
 again a monomial on the setting, so one exact forward map gives the 2^r - 1
-expectations whose transform is the law of the setting's r basis parities.
-Every setting draws only that 2^r-pattern law, one multinomial per rank
-for all settings of that rank, and its y is read off the transformed
-pattern counts.  Full counts are drawn only when the records are read,
-given the pattern counts, from their own stream substream(seed,
+expectations E, and parity_means(E, 2^r) is the law of the setting's r
+basis parities.  Every setting draws only that 2^r-pattern law, one
+multinomial per rank for all settings of that rank, and its y is read off
+parity_means of the pattern counts, the one transform from counts to parity
+means (full tomography's too).  Full counts are drawn only when the records
+are read, given the pattern counts, from their own stream substream(seed,
 "records"); see observe_with_records.
 """
 
@@ -108,11 +109,9 @@ from .metrics import as_data, as_factor
 from .seeding import as_count, substream
 from .states import PureState
 
-# Complex amplitudes per born_probabilities call in simulate_records: 1024
-# rows at n=8, every setting at n <= 6.
+# Complex amplitudes per born_probabilities call in simulate_records and
+# in _complete_records' blocks: 1024 rows at n=8, every setting at n <= 6.
 _BLOCK_BYTES = 4 << 20
-# Float counts per parity_means transform block.
-_PARITY_BLOCK_BYTES = 1 << 18
 # Largest Kronecker factor of the Walsh-Hadamard transform, in bits.
 _FACTOR_BITS = 5
 # Pattern-law entries below this are roundoff of exact zeros (at most
@@ -296,21 +295,13 @@ class SensingMap:
         return self.residual_gradient_range(y, z, 0, self.m)
 
 
-def parity_means(records) -> np.ndarray:
-    """(S, 2^n) parity means of S records: entry s of row i, the mean of
-    (-1)^popcount(outcome & s), is the integer (so exact) Walsh-Hadamard
-    transform of record i's counts, divided once by its shots.  Counts are
-    transformed in blocks of _PARITY_BLOCK_BYTES, so the result is the only
-    full-size array made."""
-    d = records[0].counts.size
-    rows = max(1, _PARITY_BLOCK_BYTES // (8 * d))
-    means = np.empty((len(records), d))
-    work = np.empty(min(rows, len(records)) * d)
-    for lo in range(0, len(records), rows):
-        counts = np.stack([r.counts for r in records[lo : lo + rows]], dtype=float)
-        means[lo : lo + len(counts)] = _fwht(counts, work).T
-    means /= np.array([r.shots for r in records])[:, None]
-    return means
+def parity_means(counts, shots) -> np.ndarray:
+    """Entry s of row i: sum_v counts[i, v] (-1)^popcount(v & s) / shots, for
+    an (S, w) table (w a power of two; exact for integer counts up to the one
+    division) and shots a number or an (S, 1) array.  _pattern_laws reads
+    expectations E as parity_means(E, 2^r).  Copies the table to float once."""
+    table = np.array(counts, dtype=float)
+    return _fwht(table, np.empty(table.size)).T / shots
 
 
 def _parity_bases(sensing_map: SensingMap):
@@ -371,13 +362,11 @@ def _pattern_laws(state: PureState, groups) -> list:
     monomial of mask XOR(t): its code is the XOR of the basis monomials'
     codes, each the setting code cut to the mask's qubits.  One exact
     forward map of the state gives the 2^r - 1 nontrivial expectations E_t
-    of every group, with E_0 = 1; the law is WHT(E) / 2^r with entries
-    below _LAW_ROUNDOFF set to 0, divided by its sum.  A setting's 2^r - 1
-    products are monomials on it, so the map holds at most S 2^n entries,
-    as many as the full counts of S settings.
+    of every group, with E_0 = 1; the law is parity_means(E, 2^r) with
+    entries below _LAW_ROUNDOFF set to 0, divided by its sum.  A setting's
+    2^r - 1 products are monomials on it, so the map holds at most S 2^n
+    entries, as many as the full counts of S settings.
     """
-    if not groups:
-        return []
     n = state.n
     digits = 3 << 2 * np.arange(n, dtype=np.int64)  # mask bit p -> code digit p
     products = [
@@ -386,13 +375,11 @@ def _pattern_laws(state: PureState, groups) -> list:
     ]
     flat = np.concatenate([p[:, 1:].ravel() for p in products])
     values = SensingMap(n, flat, normalized=False).forward_factored(state.amplitudes) if flat.size else flat
-    laws, lo = [], 0
-    for p in products:
+    laws = []
+    for p, v in zip(products, np.split(values, np.cumsum([p.size - len(p) for p in products[:-1]]))):
         expectations = np.ones(p.shape)
-        hi = lo + p.size - len(p)
-        expectations[:, 1:] = values[lo:hi].reshape(len(p), -1)
-        lo = hi
-        law = _fwht(expectations, np.empty(p.size)).T / p.shape[1]
+        expectations[:, 1:] = v.reshape(len(p), -1)
+        law = parity_means(expectations, p.shape[1])
         law[law < _LAW_ROUNDOFF] = 0.0
         laws.append(law / law.sum(axis=1, keepdims=True))
     return laws
@@ -539,7 +526,7 @@ def observe_with_records(
     start, means, size = np.empty(codes.size, dtype=np.intp), [], 0
     for sel, _, counts in draws:
         start[sel] = size + counts.shape[1] * np.arange(sel.size)
-        means.append(_fwht(counts.astype(float), np.empty(counts.size)).T.ravel() / shots)
+        means.append(parity_means(counts, shots).ravel())
         size += counts.size
     y = s * np.concatenate(means)[start[record_of] + coord]
 

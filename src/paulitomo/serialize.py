@@ -24,8 +24,10 @@ in the library a record's counts are an integer array indexed by outcome
 """
 
 import csv
+import itertools
 import json
-import pathlib
+import shutil
+import tempfile
 from dataclasses import asdict
 
 import numpy as np
@@ -188,8 +190,16 @@ def calibration_from_json(obj: dict) -> CalibrationMatrix:
 
 
 def save_json(obj: dict, path):
-    """Encode obj first, so a failed encoding leaves an existing file intact."""
-    pathlib.Path(path).write_text(json.dumps(obj, indent=1) + "\n")
+    """Write obj as indented JSON, encoded in chunks into an unnamed temporary file
+    first, so a failed encoding leaves an existing file intact and the text is never
+    one string, then copied onto path (through a symlink, keeping the file's mode)."""
+    chunks = itertools.chain(json.JSONEncoder(indent=1).iterencode(obj), "\n")
+    with tempfile.TemporaryFile("w+") as tmp:
+        # Joined in batches: json.dump's one write call per small chunk is slower.
+        tmp.writelines(iter(lambda: "".join(itertools.islice(chunks, 1 << 16)), ""))
+        tmp.seek(0)
+        with open(path, "w") as fh:
+            shutil.copyfileobj(tmp, fh)
 
 
 def load_json(path) -> dict:

@@ -17,13 +17,16 @@ from paulitomo import (
     sample_monomials,
 )
 from paulitomo.measurements import (
+    PauliSetting,
     born_probabilities,
     code_settings,
     exact_expectation,
+    expectation_from_distribution,
     expectation_from_record,
     monomial_actions,
     monomial_from_code,
     setting_codes,
+    setting_labels,
     setting_of,
 )
 from paulitomo import optimizer, sensing
@@ -313,6 +316,27 @@ def test_fwht_matches_sylvester_matrix(rng, bits):
     counts = rng.integers(0, 2049, size=(3, d))
     for got in transform_both_axes(counts.astype(float)):
         assert np.array_equal(got, counts @ h)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_parity_means_of_a_count_table_match_the_distribution_reference(rng, n):
+    # Entry s of row i is the mean of the parity on mask s under row i's
+    # setting: the monomial with the setting's axis on the qubits of s
+    # (qubit k is outcome bit n - 1 - k) and identity elsewhere.  Each row
+    # has its own shots; the table is not written.
+    d, rows = 2**n, 5
+    settings = [PauliSetting("".join(rng.choice(list("xyz"), n))) for _ in range(rows)]
+    shots = rng.integers(1, 5000, size=(rows, 1))
+    counts = rng.multinomial(shots[:, 0], rng.dirichlet(np.ones(d)))
+    floats = counts.astype(float)
+    means = sensing.parity_means(counts, shots)
+    assert np.array_equal(sensing.parity_means(floats, shots), means)
+    assert np.array_equal(floats, counts)
+    assert means.shape == (rows, d)
+    for i, axes in enumerate(setting_labels(settings, n).tolist()):
+        for s in range(d):
+            p = PauliMonomial(tuple(a if (s >> (n - 1 - k)) & 1 else 0 for k, a in enumerate(axes)))
+            assert means[i, s] == expectation_from_distribution(settings[i], counts[i], p) / shots[i, 0]
 
 
 @pytest.mark.parametrize("n", range(1, 7))

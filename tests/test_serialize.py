@@ -1,4 +1,6 @@
 import json
+import stat
+import tempfile
 
 import numpy as np
 import pytest
@@ -196,6 +198,29 @@ def test_failed_save_json_leaves_the_old_file(tmp_path):
     with pytest.raises(TypeError, match="not JSON serializable"):
         serialize.save_json({"bad": object()}, path)
     assert serialize.load_json(path) == {"kept": 1}
+
+
+def test_save_json_bytes_and_symlink_target(tmp_path, monkeypatch):
+    # The file holds exactly json.dumps(obj, indent=1) + "\n"; a symlinked
+    # path is written through, the target keeps its mode, and no temporary
+    # file is left behind, after a success or a failed encoding.
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    obj = {"n": 3, "values": [0.1, -2.5e-300, 1e300], "nested": [{"s": "zxé"}, [], {}], "ok": True}
+    target = tmp_path / "target.json"
+    target.write_text("old contents, longer than nothing\n" * 100)
+    target.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    serialize.save_json(obj, link)
+    assert link.is_symlink()
+    assert target.read_bytes() == (json.dumps(obj, indent=1) + "\n").encode()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        serialize.save_json({"bad": object()}, link)
+    assert serialize.load_json(target) == obj
+    assert list(scratch.iterdir()) == []
 
 
 def test_trace_csv(tmp_path):
