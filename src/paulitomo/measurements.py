@@ -23,10 +23,14 @@ setting alone.  sample_record draws a setting's counts as one
 multinomial, by conditional binomials at O(d) whatever the shot count,
 from the seed or generator it is given, after as_shots checks the count.
 
-One array codec converts between the forms of every Pauli string, m at
-a time: _labels takes codes to an (m, n) label array and _codes takes it
-back, _letters spells label rows as IXYZ strings through one byte table,
-and _text_labels reads strings (either case, ASCII only) back to labels.
+Inside the library the codes are read bit by bit: a qubit's digit is
+the bit pair (hi, lo), I 00, X 01, Y 10, Z 11, so monomial_actions and
+setting_codes work on the int64 codes with shifts and masks, at O(m)
+integer memory and with no per-qubit array.  The label forms serve only
+the object and string edges, through one array codec, m at a time:
+_labels takes codes to an (m, n) label array and _codes takes it back,
+_letters spells label rows as IXYZ strings through one byte table, and
+_text_labels reads strings (either case, ASCII only) back to labels.
 PauliMonomial's code, __str__ and from_string use it, and so do settings:
 setting_codes reads identity as z, the one rule from a monomial to its
 setting, code_settings spells those codes in lower case, and
@@ -56,6 +60,11 @@ from .states import PureState, _HADAMARD, apply_single_qubit
 _LETTERS = np.frombuffer(b"IXYZ", dtype=np.uint8)
 _LABEL_OF_BYTE = np.full(256, 4, dtype=np.int64)
 _LABEL_OF_BYTE[_LETTERS] = _LABEL_OF_BYTE[_LETTERS + 32] = np.arange(4)
+# The low bit of every digit of a code, and the (shift, mask) steps that
+# pack the even bits of a nonnegative int64 into its low 32 bits.
+_LOW_BITS = 0x5555555555555555
+_PACK_STEPS = ((1, 0x3333333333333333), (2, 0x0F0F0F0F0F0F0F0F), (4, 0x00FF00FF00FF00FF),
+               (8, 0x0000FFFF0000FFFF), (16, 0x00000000FFFFFFFF))
 
 # Inverse basis-change matrices: rows are the measurement-basis bras.
 _TO_X_BASIS = _HADAMARD
@@ -181,9 +190,9 @@ def _monomials(codes: np.ndarray, n: int) -> list:
     """PauliMonomials of checked codes, made from their label rows without
     __post_init__'s validation; each carries its code."""
     out = []
-    for row, code in zip(_labels(codes, n).tolist(), codes.tolist()):
+    for row, code in zip(zip(*_labels(codes, n).T.tolist()), codes.tolist()):
         p = object.__new__(PauliMonomial)
-        object.__setattr__(p, "labels", tuple(row))
+        object.__setattr__(p, "labels", row)
         object.__setattr__(p, "code", code)
         out.append(p)
     return out
@@ -207,7 +216,7 @@ def monomial_codes(monomials, n: int) -> np.ndarray:
         raise ValueError(f"need one or more {n}-qubit PauliMonomials or integer codes")
     if codes.min() < 0 or codes.max() >= 4**n:
         raise ValueError(f"monomial codes must lie in [0, 4^{n})")
-    return codes.astype(np.int64)
+    return codes.astype(np.int64, copy=False)
 
 
 def sample_codes(n: int, m: int, seed) -> np.ndarray:
@@ -247,9 +256,14 @@ def setting_of(p: PauliMonomial) -> PauliSetting:
 
 def setting_codes(codes, n: int) -> np.ndarray:
     """The base-4 code of each monomial code's measurement setting: its
-    labels with identity read as z.  Setting codes sort as axes strings do."""
-    labels = _labels(codes, n)
-    return _codes(np.where(labels == 0, 3, labels))
+    labels with identity read as z.  Setting codes sort as axes strings do.
+
+    An identity digit is the bit pair 00, so id, the low bit of each of the
+    n digits whose bits are both 0, marks them and id | id << 1 sets them
+    to 11, z."""
+    codes = np.asarray(codes, dtype=np.int64)
+    ident = ~(codes | codes >> 1) & (4**n - 1) // 3
+    return codes | ident | ident << 1
 
 
 def code_settings(codes, n: int) -> list:
@@ -348,7 +362,7 @@ def expectation_from_distribution(
     if probs.shape != (2**setting.n,):
         raise ValueError(f"expected {2**setting.n} outcome weights, got shape {probs.shape}")
     flips, sign_masks, _ = monomial_actions([p.code], p.n)
-    signs = 1.0 - 2.0 * _bit_parity(np.arange(probs.size) & (flips | sign_masks))
+    signs = 1.0 - 2.0 * (_popcount(np.arange(probs.size) & (flips | sign_masks)) & 1)
     return float(np.dot(signs, probs))
 
 
@@ -361,13 +375,24 @@ def expectation_from_record(record: MeasurementRecord, p: PauliMonomial) -> floa
     return expectation_from_distribution(record.setting, record.counts, p) / record.shots
 
 
-def _bit_parity(values: np.ndarray) -> np.ndarray:
-    """Parity of each integer's bit count (vectorized)."""
-    out = np.zeros(values.shape, dtype=np.int64)
-    v = values.copy()
-    while np.any(v):
-        out ^= v & 1
-        v >>= 1
+def _pack_low_bits(values: np.ndarray) -> np.ndarray:
+    """Bit 2j of each nonnegative int64 moved to bit j; odd bits dropped."""
+    out = values & _LOW_BITS
+    for shift, mask in _PACK_STEPS:
+        out |= out >> shift
+        out &= mask
+    return out
+
+
+def _popcount(values: np.ndarray) -> np.ndarray:
+    """Set bits of each nonnegative int64, summed within bytes, then across them."""
+    out = values - (values >> 1 & _LOW_BITS)
+    out = (out & 0x3333333333333333) + (out >> 2 & 0x3333333333333333)
+    out += out >> 4
+    out &= 0x0F0F0F0F0F0F0F0F
+    for shift in (8, 16, 32):
+        out += out >> shift
+    out &= 0x7F
     return out
 
 
@@ -376,12 +401,14 @@ def monomial_actions(codes, n: int):
 
     Three int64 arrays; bit n-1-k of a mask is qubit k.  A label's two bits
     (hi, lo) are I 00, X 01, Y 10, Z 11: x and y flip the qubit's bit
-    (hi ^ lo), y and z add a sign from it (hi), and each y adds a factor i.
+    (hi ^ lo), y and z add a sign from it (hi), and each y adds a factor i;
+    y is the one label with hi set and lo clear, so ny = popcount(hi & flip).
+    Qubit k's digit is bits 2(n-1-k) and 2(n-1-k)+1 of the code, so each
+    mask is the code's bits of one kind packed, with no per-qubit array.
     """
-    labels = _labels(codes, n)
-    bits = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    hi, lo = (labels >> 1) @ bits, (labels & 1) @ bits
-    return hi ^ lo, hi, np.count_nonzero(labels == 2, axis=1)
+    codes = np.asarray(codes, dtype=np.int64)
+    flips, sign_masks = _pack_low_bits(codes ^ codes >> 1), _pack_low_bits(codes >> 1)
+    return flips, sign_masks, _popcount(sign_masks & flips)
 
 
 def apply_monomial(p: PauliMonomial, v: np.ndarray) -> np.ndarray:
@@ -397,7 +424,7 @@ def apply_monomial(p: PauliMonomial, v: np.ndarray) -> np.ndarray:
         raise ValueError(f"vector has leading dimension {v.shape[0]}, expected {d}")
     flips, sign_masks, nys = monomial_actions([p.code], p.n)
     src = np.arange(d) ^ flips[0]
-    phase = (1j ** nys[0]) * (1.0 - 2.0 * _bit_parity(src & sign_masks[0]))
+    phase = (1j ** nys[0]) * (1.0 - 2.0 * (_popcount(src & sign_masks[0]) & 1))
     if v.ndim == 1:
         return phase * v[src]
     return phase[:, None] * v[src, :]

@@ -50,8 +50,15 @@ the signs s * sigma and s/2 * tau (the scale folded in; both products are
 exact, and the R the adjoint builds is then s/2 times the R above), and
 per group g of the G <= min(m, d) distinct flips its flip f_g and the row
 _src[g, j] = (j ^ f_g) d + j, the flat positions of the flip-f_g diagonal
-in a d x d matrix.  The *_range methods index positions of the data
-vector, and every range call transforms all G groups.
+in a d x d matrix.  The masks and y counts are read off the codes' bit
+pairs (measurements.monomial_actions), so no table needs a per-qubit
+array.  The groups need no sort: flips lie in [0, d), so a d-entry table
+of the flips present gives the sorted f_g, and its cumulative sum each
+monomial's group, at O(m + d).  Per monomial, _cell = s_i G + g_i is the
+flat position of its (sign, group) entry in the transformed (d, G) block,
+where the forward reads and the adjoint scatter-adds.  The *_range
+methods index positions of the data vector, and every range call
+transforms all G groups.
 
 Transform.  H_d is a Kronecker product of Sylvester factors of at most
 2^_FACTOR_BITS, and _fwht applies each as one 2-D GEMM, so a row of d
@@ -77,14 +84,17 @@ data are the forward map of the state.
 Sampled data.  The monomials of one measurement setting read parities of
 its outcome on their support masks, and those masks span a GF(2) space of
 some rank r <= n.  The product of any subset of its basis monomials is
-again a monomial on the setting, so one exact forward map gives the 2^r - 1
+again a monomial on the setting, so an exact forward map gives the 2^r - 1
 expectations E, and parity_means(E, 2^r) is the law of the setting's r
-basis parities.  Every setting draws only that 2^r-pattern law, one
-multinomial per rank for all settings of that rank, and its y is read off
-parity_means of the pattern counts, the one transform from counts to parity
-means (full tomography's too).  Full counts are drawn only when the records
-are read, given the pattern counts, from their own stream substream(seed,
-"records"); see observe_with_records.
+basis parities.  Each rank group of settings has one such map of its own,
+built and freed in turn, so no map holds more than one group's products
+(at n=8, measpc 20 about a quarter of all settings' products).  Every
+setting draws only that 2^r-pattern law, one multinomial per rank for all
+settings of that rank, and its y is read off parity_means of the pattern
+counts, the one transform from counts to parity means (full tomography's
+too).  Full counts are drawn only when the records are read, given the
+pattern counts, from their own stream substream(seed, "records"); see
+observe_with_records.
 """
 
 import threading
@@ -212,21 +222,33 @@ class SensingMap:
     def _ensure_cache(self):
         """Build the tables; __init__ calls it once."""
         flips, sign_masks, nys = monomial_actions(self.codes, self.n)
-        self._flips, self._group = np.unique(flips, return_inverse=True)
+        # The distinct flips in order and each monomial's rank among them,
+        # as np.unique(flips, return_inverse=True) gives, from a d-entry
+        # presence table: flips lie in [0, d).
+        present = np.zeros(self.d, dtype=bool)
+        present[flips] = True
+        self._flips = np.flatnonzero(present)
+        self._group = (np.cumsum(present) - 1)[flips]
         self._sign = sign_masks.astype(np.int32)
+        # Entry (s_i, g_i) of the transformed (d, G) block, flat.
+        self._cell = sign_masks * self._flips.size + self._group
         self._sigma = (self.scale * _SIGMA)[nys % 4]
         self._tau = (self.scale / 2 * _TAU)[nys % 4]
-        # intp, so take and fancy assignment use it without a converted copy.
+        # intp, so take and fancy assignment use it without a converted copy;
+        # built in place, as one G x d array.
         j = np.arange(self.d, dtype=np.intp)
-        self._src = (j ^ self._flips[:, None]) * self.d + j
+        self._src = j ^ self._flips[:, None]
+        self._src *= self.d
+        self._src += j
 
     def _buffers(self):
-        """This thread's (d, d) matrix and two flat blocks of G x d entries."""
+        """This thread's (d, d) matrix and two flat blocks of G x d entries,
+        cut from larger ones that a map sharing the workspace made."""
         ws = self._ws
-        if ws.mat is None:
+        if ws.mat is None or ws.rows.size < self._src.size:
             ws.mat = np.empty((self.d, self.d))
             ws.rows, ws.work = np.empty((2, self._src.size))
-        return ws.mat, ws.rows, ws.work
+        return ws.mat, ws.rows[: self._src.size], ws.work
 
     def forward_range(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Entries lo..hi of A(u u^dagger), with the full-map scale."""
@@ -237,7 +259,7 @@ class SensingMap:
         # w[g, j] = R[j ^ f_g, j], the flip diagonals of R.
         w = np.take(r_mat.reshape(-1), self._src, out=rows.reshape(self._src.shape), mode="clip")
         w = _fwht(w, work)
-        return self._sigma[lo:hi] * w[self._sign[lo:hi], self._group[lo:hi]]
+        return self._sigma[lo:hi] * w.reshape(-1)[self._cell[lo:hi]]
 
     def forward_factored(self, u: np.ndarray) -> np.ndarray:
         """Observation vector A(u u^dagger): s * Tr(P_i u u^dagger) per entry."""
@@ -253,11 +275,10 @@ class SensingMap:
         through _src.
         """
         x = as_data(x, hi - lo)
-        groups = len(self._src)
-        coeffs = rows.reshape(self.d, groups)
+        coeffs = rows.reshape(self.d, len(self._src))
         coeffs.fill(0)
         # add.at sums repeated monomials; fancy assignment would keep one.
-        np.add.at(rows, self._sign[lo:hi] * groups + self._group[lo:hi], self._tau[lo:hi] * x)
+        np.add.at(rows, self._cell[lo:hi], self._tau[lo:hi] * x)
         mat.fill(0)
         mat.reshape(-1)[self._src] = _fwht(coeffs, work, axis=0)
         return mat
@@ -360,26 +381,28 @@ def _pattern_laws(state: PureState, groups) -> list:
 
     The product of the basis monomials in a subset t, on the setting, is the
     monomial of mask XOR(t): its code is the XOR of the basis monomials'
-    codes, each the setting code cut to the mask's qubits.  One exact
-    forward map of the state gives the 2^r - 1 nontrivial expectations E_t
-    of every group, with E_0 = 1; the law is parity_means(E, 2^r) with
-    entries below _LAW_ROUNDOFF set to 0, divided by its sum.  A setting's
-    2^r - 1 products are monomials on it, so the map holds at most S 2^n
-    entries, as many as the full counts of S settings.
+    codes, each the setting code cut to the mask's qubits.  Each group has
+    an exact forward map of its own, which gives the state's 2^r - 1
+    nontrivial expectations E_t of each of its settings, with E_0 = 1; the
+    law is parity_means(E, 2^r) with entries below _LAW_ROUNDOFF set to 0,
+    divided by its sum.  A setting's 2^r - 1 products are monomials on it,
+    so a group's map holds at most S 2^n entries, as many as the full counts
+    of its S settings.  A group's map is freed before the next is built, and
+    the maps share one workspace, whose buffers are reallocated only for a
+    map of more flip groups than any before it.
     """
     n = state.n
     digits = 3 << 2 * np.arange(n, dtype=np.int64)  # mask bit p -> code digit p
-    products = [
-        _subset_xors(codes[:, None] & (((basis[:, :, None] >> np.arange(n)) & 1) @ digits))
-        for codes, basis in groups
-    ]
-    flat = np.concatenate([p[:, 1:].ravel() for p in products])
-    values = SensingMap(n, flat, normalized=False).forward_factored(state.amplitudes) if flat.size else flat
-    laws = []
-    for p, v in zip(products, np.split(values, np.cumsum([p.size - len(p) for p in products[:-1]]))):
-        expectations = np.ones(p.shape)
-        expectations[:, 1:] = v.reshape(len(p), -1)
-        law = parity_means(expectations, p.shape[1])
+    laws, ws = [], _Workspace()
+    for codes, basis in groups:
+        products = _subset_xors(codes[:, None] & (((basis[:, :, None] >> np.arange(n)) & 1) @ digits))
+        expectations = np.ones(products.shape)
+        if products.shape[1] > 1:
+            law_map = SensingMap(n, products[:, 1:].ravel(), normalized=False)
+            law_map._ws = ws
+            expectations[:, 1:] = law_map.forward_factored(state.amplitudes).reshape(len(products), -1)
+            del law_map  # its tables go before the next group's are built
+        law = parity_means(expectations, products.shape[1])
         law[law < _LAW_ROUNDOFF] = 0.0
         laws.append(law / law.sum(axis=1, keepdims=True))
     return laws
@@ -497,7 +520,7 @@ def observe_with_records(
     mask of its non-identity qubits.  Each setting takes a GF(2) basis of
     its r distinct masks (_parity_bases) and draws only the pattern of its
     r basis parities: from its law (_pattern_laws, one exact forward map
-    for every setting), by one multinomial call per rank on
+    per rank group), by one multinomial call per rank on
     substream(seed, "shots"), r ascending, settings in sorted axes order.
     Monomial i reads the integer transform of its setting's pattern counts
     at its coordinates, divided once by shots, times the map's scale, as

@@ -729,6 +729,25 @@ def test_reconstruct_simulates_at_measpc_100_and_2048_shots_by_default(tmp_path)
     assert untimed(read(tmp_path / "a.json")) == untimed(read(tmp_path / "b.json"))
 
 
+def test_import_loads_no_third_party_module_but_numpy():
+    # Process start plus `import paulitomo` is the benchmark's setup_s; a
+    # dependency imported at module level would land there.  Counted are the
+    # new top-level modules loaded from a file: not those the bare
+    # interpreter had already loaded (site hooks), nor the file-less
+    # runtime modules that numpy's Cython extensions register.
+    code = (
+        "import sys; before = set(sys.modules); import paulitomo; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(' '.join(sorted(m for m in new if getattr(sys.modules[m], '__file__', None))))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert {"numpy", "paulitomo"} <= loaded
+    assert loaded - sys.stdlib_module_names == {"numpy", "paulitomo"}
+
+
 def test_reconstruct_does_not_depend_on_blas_threads(tmp_path):
     # n = 7, so that the transform's GEMMs and the d x d products are large
     # enough for OpenBLAS to split them over two threads.

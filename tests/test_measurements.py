@@ -169,7 +169,7 @@ def test_codec_round_trips(n):
     assert np.array_equal(monomial_codes(mixed, n), codes)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 31])
 def test_setting_codes_read_identity_as_z_and_sort_as_axes(n):
     # The setting code is the monomial's digits with each 0 read as 3, the
     # code of the setting code_settings spells, and the codes' numeric
@@ -546,6 +546,17 @@ def test_monomial_actions_match_per_monomial_loop():
     assert [tuple(map(int, t)) for t in zip(flips, sign_masks, nys)] == [
         monomial_action(p.labels) for p in mono
     ]
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 31])
+def test_monomial_actions_of_random_codes_match_per_monomial_loop(n):
+    # Every code for n <= 4, else random ones; at n = 31 codes reach 2^62
+    # and the masks 2^31.
+    codes = codec_codes(n)
+    actions = monomial_actions(codes, n)
+    assert all(a.dtype == np.int64 for a in actions)
+    rows = [tuple((c >> 2 * (n - 1 - k)) & 3 for k in range(n)) for c in codes.tolist()]
+    assert [tuple(map(int, t)) for t in zip(*actions)] == [monomial_action(row) for row in rows]
 
 
 def test_sample_record_rejects_nan_probability():
