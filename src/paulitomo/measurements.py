@@ -4,7 +4,7 @@ outcome counts to monomial expectation values.
 Encoding: inside the library a monomial is its base-4 code, an integer in
 [0, 4^n) whose digit k (qubit 0 the most significant digit) is qubit k's
 label over {0, 1, 2, 3} for (identity, x, y, z), and a set of monomials is
-an int64 code array.  The label tuple PauliMonomial and the string over
+an int64 code array.  The PauliMonomial object and the string over
 {I, X, Y, Z} (qubit 0 first) exist only at the API and file edges.  A
 measurement setting is a string over {x, y, z}, one axis per qubit: the
 string of a monomial with no identity, in lower case.
@@ -31,15 +31,16 @@ the object and string edges, through one array codec, m at a time:
 _labels takes codes to an (m, n) label array and _codes takes it back,
 _letters spells label rows as IXYZ strings through one byte table, and
 _text_labels reads strings (either case, ASCII only) back to labels.
-PauliMonomial's code, __str__ and from_string use it, and so do settings:
-setting_codes reads identity as z, the one rule from a monomial to its
-setting, code_settings spells those codes in lower case, and
-setting_labels reads axes strings back.  Every PauliMonomial carries its
-code, which monomial_codes reads.  One built from labels validates and
+PauliMonomial's labels, __str__ and from_string use it, and so do
+settings: setting_codes reads identity as z, the one rule from a monomial
+to its setting, code_settings spells those codes in lower case, and
+setting_labels reads axes strings back.  A PauliMonomial is its qubit
+count n and its code, which monomial_codes reads; its labels are decoded
+from the code when asked for.  One built from labels validates and
 encodes them once; one built from checked codes (sample_monomials,
-monomial_from_code, from_string) is made from the label rows without
-__post_init__ and given its code.  Equality, hash and repr read the labels
-only.
+monomial_from_code, from_string) is given n and its code without
+__init__'s validation.  Equality and hash read (n, code); repr spells the
+labels.
 
 The action of a monomial on a state vector is a signed index permutation:
 x and y flip the qubit's bit, y and z contribute a sign from the bit value,
@@ -73,25 +74,28 @@ _TO_Y_BASIS = _HADAMARD @ np.diag([1.0, -1.0j])  # Hadamard after S^dagger
 
 @dataclass(frozen=True, slots=True)
 class PauliMonomial:
-    """n-fold tensor product of single-qubit Paulis, as a label tuple, and
-    its base-4 code."""
+    """n-fold tensor product of single-qubit Paulis, as its qubit count and
+    base-4 code; built from a label tuple."""
 
-    labels: tuple
-    code: int = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False)
+    code: int = field(init=False, repr=False)
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
+    def __init__(self, labels):
+        labels = tuple(labels)
         if not labels:
             raise ValueError("monomial must cover at least one qubit")
         if not all(isinstance(l, (int, np.integer)) and not isinstance(l, bool) and 0 <= l <= 3
                    for l in labels):
             raise ValueError(f"labels must be in {{0,1,2,3}}, got {labels}")
-        object.__setattr__(self, "labels", tuple(map(int, labels)))
-        object.__setattr__(self, "code", int(_codes([self.labels])[0]))
+        object.__setattr__(self, "n", len(labels))
+        object.__setattr__(self, "code", int(_codes([labels])[0]))
 
     @property
-    def n(self) -> int:
-        return len(self.labels)
+    def labels(self) -> tuple:
+        return tuple(_labels([self.code], self.n)[0].tolist())
+
+    def __repr__(self) -> str:
+        return f"PauliMonomial(labels={self.labels!r})"
 
     @classmethod
     def from_string(cls, text: str) -> "PauliMonomial":
@@ -101,7 +105,7 @@ class PauliMonomial:
         return _monomials(_codes(labels), len(text))[0]
 
     def __str__(self) -> str:
-        return _letters([self.labels])[0]
+        return _letters(_labels([self.code], self.n))[0]
 
 
 @dataclass(frozen=True)
@@ -187,12 +191,11 @@ def _text_labels(texts, n: int):
 
 
 def _monomials(codes: np.ndarray, n: int) -> list:
-    """PauliMonomials of checked codes, made from their label rows without
-    __post_init__'s validation; each carries its code."""
-    out = []
-    for row, code in zip(zip(*_labels(codes, n).T.tolist()), codes.tolist()):
+    """PauliMonomials of checked codes, made without __init__'s validation."""
+    out, n = [], int(n)
+    for code in codes.tolist():
         p = object.__new__(PauliMonomial)
-        object.__setattr__(p, "labels", row)
+        object.__setattr__(p, "n", n)
         object.__setattr__(p, "code", code)
         out.append(p)
     return out

@@ -73,28 +73,29 @@ above (4 d^2 r).  adjoint_operator(x) builds the same R once, fills the
 complex d x d matrix A^dagger(x) from it and applies that as one matrix
 product per Lanczos block of the eigensolver, a GEMV for a single pair.
 
-Workspace and threads.  Calls write into float buffers reused across calls
-and held per thread: the d x d matrix R and two blocks of G d entries,
-8 d^2 + 16 G d bytes.  A warm gradient allocates only arrays of length m
-and d r, and adjoint_operator only the complex d x d matrix its operator
-keeps.  Threads that call one map at once each use their own buffers; the
-tables are only read, so threads can share a new map.  Exact simulated
-data are the forward map of the state.
+Workspace and threads.  Calls write into float buffers that each map
+holds per thread and reuses across calls: the d x d matrix R and two
+blocks of G d entries, 8 d^2 + 16 G d bytes.  A warm gradient allocates
+only arrays of length m and d r, and adjoint_operator only the complex
+d x d matrix its operator keeps.  Threads that call one map at once each
+use their own buffers; the tables are only read, so threads can share a
+new map.  Exact simulated data are the forward map of the state.
 
 Sampled data.  The monomials of one measurement setting read parities of
 its outcome on their support masks, and those masks span a GF(2) space of
 some rank r <= n.  The product of any subset of its basis monomials is
-again a monomial on the setting, so an exact forward map gives the 2^r - 1
-expectations E, and parity_means(E, 2^r) is the law of the setting's r
-basis parities.  Each rank group of settings has one such map of its own,
-built and freed in turn, so no map holds more than one group's products
-(at n=8, measpc 20 about a quarter of all settings' products).  Every
-setting draws only that 2^r-pattern law, one multinomial per rank for all
-settings of that rank, and its y is read off parity_means of the pattern
-counts, the one transform from counts to parity means (full tomography's
-too).  Full counts are drawn only when the records are read, given the
-pattern counts, from their own stream substream(seed, "records"); see
-observe_with_records.
+again a monomial on the setting, so its 2^r - 1 expectations E are
+entries of the state's Pauli spectrum WHT(u_f)[s] over all flips f and
+sign masks s, and parity_means(E, 2^r) is the law of the setting's r
+basis parities.  The spectrum is the transformed block of one map of the
+d monomials X^f, built once per sampled observe (_pauli_spectrum: R, the
+map's (d, d) _src, and two blocks of d^2 floats, 32 d^2 bytes while it is
+built and 8 d^2 after).  Every setting draws only its 2^r-pattern law,
+one multinomial per rank for all settings of that rank, and its y is read
+off parity_means of the pattern counts, the one transform from counts to
+parity means (full tomography's too).  Full counts are drawn only when
+the records are read, given the pattern counts, from their own stream
+substream(seed, "records"); see observe_with_records.
 """
 
 import threading
@@ -107,6 +108,7 @@ from .measurements import (
     exact_expectation,  # noqa: F401  (module attribute that perfbench/tracing.py wraps)
     expectation_from_record,  # noqa: F401  (likewise)
     MeasurementRecord,
+    _popcount,
     as_shots,
     born_probabilities,
     code_settings,
@@ -242,24 +244,27 @@ class SensingMap:
         self._src += j
 
     def _buffers(self):
-        """This thread's (d, d) matrix and two flat blocks of G x d entries,
-        cut from larger ones that a map sharing the workspace made."""
+        """This thread's (d, d) matrix and two flat blocks of G x d entries."""
         ws = self._ws
-        if ws.mat is None or ws.rows.size < self._src.size:
+        if ws.mat is None:
             ws.mat = np.empty((self.d, self.d))
             ws.rows, ws.work = np.empty((2, self._src.size))
-        return ws.mat, ws.rows[: self._src.size], ws.work
+        return ws.mat, ws.rows, ws.work
 
-    def forward_range(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Entries lo..hi of A(u u^dagger), with the full-map scale."""
+    def _transform(self, u: np.ndarray) -> np.ndarray:
+        """The transformed (d, G) block of u u^dagger: entry (s, g) is
+        WHT(u_f)[s] for the flip f = f_g, in this thread's workspace."""
         u = as_factor(u, self.d)
         a, b = u.real, u.imag
         r_mat, rows, work = self._buffers()
         np.matmul(np.hstack((a, b)), np.hstack((a + b, b - a)).T, out=r_mat)
         # w[g, j] = R[j ^ f_g, j], the flip diagonals of R.
         w = np.take(r_mat.reshape(-1), self._src, out=rows.reshape(self._src.shape), mode="clip")
-        w = _fwht(w, work)
-        return self._sigma[lo:hi] * w.reshape(-1)[self._cell[lo:hi]]
+        return _fwht(w, work)
+
+    def forward_range(self, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Entries lo..hi of A(u u^dagger), with the full-map scale."""
+        return self._sigma[lo:hi] * self._transform(u).reshape(-1)[self._cell[lo:hi]]
 
     def forward_factored(self, u: np.ndarray) -> np.ndarray:
         """Observation vector A(u u^dagger): s * Tr(P_i u u^dagger) per entry."""
@@ -373,6 +378,16 @@ def _subset_xors(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pauli_spectrum(state: PureState) -> np.ndarray:
+    """The (d, d) table WHT(u_f)[s] of the state over every flip f (column)
+    and sign mask s (row): the transformed block of one map of the d
+    monomials X^f, whose flip groups are f = 0 ... d - 1 in order.  The
+    monomial of flip f and sign mask s has <P> = sigma WHT(u_f)[s], sigma
+    read from ny = popcount(f & s)."""
+    x_codes = _subset_xors(4 ** np.arange(state.n, dtype=np.int64)[None, :])[0]  # mask f -> code of X^f
+    return SensingMap(state.n, x_codes, normalized=False)._transform(state.amplitudes)
+
+
 def _pattern_laws(state: PureState, groups) -> list:
     """The law of each setting's parity pattern, for groups of settings of
     equal rank: each group is (setting codes (S,), basis masks (S, r)), and
@@ -380,29 +395,22 @@ def _pattern_laws(state: PureState, groups) -> list:
     with basis mask k is bit k of v.
 
     The product of the basis monomials in a subset t, on the setting, is the
-    monomial of mask XOR(t): its code is the XOR of the basis monomials'
-    codes, each the setting code cut to the mask's qubits.  Each group has
-    an exact forward map of its own, which gives the state's 2^r - 1
-    nontrivial expectations E_t of each of its settings, with E_0 = 1; the
-    law is parity_means(E, 2^r) with entries below _LAW_ROUNDOFF set to 0,
-    divided by its sum.  A setting's 2^r - 1 products are monomials on it,
-    so a group's map holds at most S 2^n entries, as many as the full counts
-    of its S settings.  A group's map is freed before the next is built, and
-    the maps share one workspace, whose buffers are reallocated only for a
-    map of more flip groups than any before it.
+    monomial of mask M = XOR(t): on a setting of flip mask F and sign mask
+    Z, its flip is M & F and its sign mask M & Z.  Every such expectation
+    E_t is one entry of the state's Pauli spectrum (_pauli_spectrum),
+    computed once for all groups, with E_0 = 1; the law is
+    parity_means(E, 2^r) with entries below _LAW_ROUNDOFF set to 0,
+    divided by its sum.
     """
-    n = state.n
-    digits = 3 << 2 * np.arange(n, dtype=np.int64)  # mask bit p -> code digit p
-    laws, ws = [], _Workspace()
+    spectrum = _pauli_spectrum(state)
+    laws = []
     for codes, basis in groups:
-        products = _subset_xors(codes[:, None] & (((basis[:, :, None] >> np.arange(n)) & 1) @ digits))
-        expectations = np.ones(products.shape)
-        if products.shape[1] > 1:
-            law_map = SensingMap(n, products[:, 1:].ravel(), normalized=False)
-            law_map._ws = ws
-            expectations[:, 1:] = law_map.forward_factored(state.amplitudes).reshape(len(products), -1)
-            del law_map  # its tables go before the next group's are built
-        law = parity_means(expectations, products.shape[1])
+        flips, sign_masks, _ = monomial_actions(codes, state.n)
+        masks = _subset_xors(basis)
+        f, s = masks & flips[:, None], masks & sign_masks[:, None]
+        expectations = _SIGMA[_popcount(f & s) % 4] * spectrum[s, f]
+        expectations[:, 0] = 1.0
+        law = parity_means(expectations, masks.shape[1])
         law[law < _LAW_ROUNDOFF] = 0.0
         laws.append(law / law.sum(axis=1, keepdims=True))
     return laws
@@ -519,8 +527,8 @@ def observe_with_records(
     parity of its setting's outcome with its support mask f_i | s_i, the
     mask of its non-identity qubits.  Each setting takes a GF(2) basis of
     its r distinct masks (_parity_bases) and draws only the pattern of its
-    r basis parities: from its law (_pattern_laws, one exact forward map
-    per rank group), by one multinomial call per rank on
+    r basis parities: from its law (_pattern_laws, read off the state's
+    Pauli spectrum), by one multinomial call per rank on
     substream(seed, "shots"), r ascending, settings in sorted axes order.
     Monomial i reads the integer transform of its setting's pattern counts
     at its coordinates, divided once by shots, times the map's scale, as

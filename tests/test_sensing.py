@@ -524,10 +524,14 @@ def test_sampled_data_pinned_digest():
     # at n=8, pinned as SHA-256 digests.  The Born probabilities behind the
     # counts carry rounding, and a binomial draw can turn on the last bit
     # of its probability, so a kernel that reorders their arithmetic could
-    # move a count.  The pins were made with numpy 2.4.6; numpy does not
-    # promise the same Generator draws across releases, and they are
-    # unverified on the CI's numpy 1.24 leg.  Counts are stacked in sorted
-    # setting order, whatever order the records come back in.
+    # move a count.  The pattern laws' transforms are float GEMMs, whose
+    # last bits can depend on the BLAS thread count: at n=10 (random(10),
+    # measpc 5, seed 1) y differs between OPENBLAS_NUM_THREADS=1 and 2.
+    # These pins hold at both; CI also runs this test on one BLAS thread.
+    # The pins were made with numpy 2.4.6; numpy does not promise the same
+    # Generator draws across releases, and they are unverified on the CI's
+    # numpy 1.24 leg.  Counts are stacked in sorted setting order, whatever
+    # order the records come back in.
     state = build_state("random", 8, seed=3)
     smap = SensingMap(8, sample_codes(8, monomial_count(20, 8), substream(3, "monomials")))
     obs, records = observe_with_records(state, smap, shots=2048, seed=3)
@@ -542,17 +546,47 @@ def test_sampled_data_pinned_digest():
 
 
 def test_sampled_observe_allocates_no_per_qubit_arrays():
-    # The codec reads masks from code bits, and each rank group's law map is
-    # freed before the next is built: at n = 8, measpc 20 the observe's
-    # traced peak is 3.9 MB (10.4 MB with per-qubit label arrays and one
-    # law map for every setting), and the codec allocates less than one
-    # (m, n) int64 array.
+    # The codec reads masks from code bits, and every pattern law reads one
+    # Pauli spectrum of the state, a (d, d) table built once: the observe's
+    # traced peak is 3.4 MB at n = 8, measpc 20 and 38.4 MB at n = 10,
+    # measpc 5 (3.9 and 49.8 MB with one law map per rank group).  The
+    # codec allocates less than one (m, n) int64 array.
+    for n, measpc, bound in ((8, 20, 6e6), (10, 5, 44e6)):
+        state = build_state("random", n, seed=5)
+        smap = SensingMap(n, sample_codes(n, monomial_count(measpc, n), substream(5, "monomials")))
+        assert traced_peak(lambda: observe_with_records(state, smap, shots=2048, seed=5)) <= bound
+        for codec in (monomial_actions, setting_codes):
+            assert traced_peak(lambda: codec(smap.codes, n)) < smap.m * n * 8
+
+
+def test_sampled_observe_builds_one_map_besides_the_callers(monkeypatch):
+    # The pattern laws of every rank group come from one spectrum map, not
+    # from one map per rank group (8 at this setting).
     n = 8
     state = build_state("random", n, seed=5)
     smap = SensingMap(n, sample_codes(n, monomial_count(20, n), substream(5, "monomials")))
-    assert traced_peak(lambda: observe_with_records(state, smap, shots=2048, seed=5)) <= 6e6
-    for codec in (monomial_actions, setting_codes):
-        assert traced_peak(lambda: codec(smap.codes, n)) < smap.m * n * 8
+    ensure_cache = SensingMap._ensure_cache
+    built = []
+    monkeypatch.setattr(SensingMap, "_ensure_cache", lambda self: built.append(self) or ensure_cache(self))
+    observe_with_records(state, smap, shots=2048, seed=5)
+    assert len(built) == 1 and built[0] is not smap
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pauli_spectrum_reads_every_expectation(n):
+    # Entry (s, f) of the spectrum, times sigma of ny = popcount(f & s), is
+    # <P> of the monomial with flip f and sign mask s: per qubit, flip and
+    # sign bits (1, 0) are x, (1, 1) y, (0, 1) z.
+    d = 2**n
+    for state in simulation_states(n):
+        spectrum = sensing._pauli_spectrum(state)
+        assert spectrum.shape == (d, d)
+        for f in range(d):
+            for s in range(d):
+                bits = [(f >> (n - 1 - k) & 1, s >> (n - 1 - k) & 1) for k in range(n)]
+                p = PauliMonomial([{(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}[b] for b in bits])
+                sign = sensing._SIGMA[bin(f & s).count("1") % 4]
+                assert abs(sign * spectrum[s, f] - exact_expectation(state, p)) <= 1e-12, (f, s)
 
 
 # -- sampled observe: parity-pattern laws and records completed on read -------
